@@ -2,8 +2,10 @@
 
 Every evaluation sums terms over sup-norm shells of the integer coefficient
 lattice, in increasing shell order and lexicographic order within a shell,
-with Kahan-compensated accumulation.  The result of an evaluation is
-therefore bit-reproducible regardless of how callers parallelise around it.
+pairwise within a shell and compensated across shells (`shell_sum`).  Every
+add is elementwise across points, so evaluations stay bit-reproducible: the
+bits of a point's value do not depend on the batch it shares, on how the
+batch is chunked, or on how callers parallelise around it.
 
 Regimes (k = lattice rank, n = ambient dimension):
 
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clifford import MultiVector
-from .errors import RegimeError, SingularPoint
+from .errors import ConfigError, RegimeError, SingularPoint
 from .kernels_euclid import sphere_area
 from .lattice import BundleCharacter, Lattice, _shell_array, char_sign
 
@@ -111,19 +113,37 @@ def _check_not_on_orbit(L: Lattice, D: np.ndarray, what: str):
         raise SingularPoint(f"{what} lies on the singular lattice orbit")
 
 
+# -- the shell-sum engine ------------------------------------------------------
+
+def _pairwise_sum(t: np.ndarray) -> np.ndarray:
+    """Balanced pairwise tree over axis 0, carrying the odd row up a level.
+
+    Every add is elementwise across the trailing axes, so the bits of one
+    point's sum do not depend on how many other points share the array.
+    """
+    while t.shape[0] > 1:
+        m = t.shape[0]
+        s = t[0 : m - 1 : 2] + t[1:m:2]
+        t = np.concatenate((s, t[-1:])) if m % 2 else s
+    return t[0]
+
+
 def kahan_shell_sum(shape, shells):
-    """Compensated accumulation over an iterator of (m, *shape) term arrays."""
+    """Sum an iterator of (m, *shape) term arrays to one array of `shape`.
+
+    Each shell is summed by a pairwise tree over its rows; the shell sums are
+    accumulated with Neumaier compensation, the rounding error of every add
+    taken exactly (TwoSum) and added back at the end.
+    """
     acc = np.zeros(shape)
     comp = np.zeros(shape)
     for terms in shells:
-        if terms is None:
-            continue
-        for t in terms:
-            y = t - comp
-            s = acc + y
-            comp = (s - acc) - y
-            acc = s
-    return acc
+        x = _pairwise_sum(terms)
+        s = acc + x
+        bx = s - acc
+        comp += (acc - (s - bx)) + (x - bx)
+        acc = s
+    return acc + comp
 
 
 def _chunks(B: int, max_rows: int, width: int):
@@ -132,94 +152,81 @@ def _chunks(B: int, max_rows: int, width: int):
         yield lo, min(B, lo + per)
 
 
-def _shell_geometry(L: Lattice, r: int):
-    Ms = _shell_array(L.k, r)
-    W = Ms.astype(float) @ L.basis
-    return Ms, W
+def _translate(D: np.ndarray, Ms: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """Image differences d + w for every shell row and point: (m, b, n)."""
+    return D[None, :, :] + W[:, None, :]
 
 
-def _guard_singular(r2: np.ndarray):
-    if np.any(r2 < _SINGULAR_R2):
-        raise SingularPoint("evaluation point on a kernel singularity")
+def _at_lattice(term):
+    """Per-shell subtraction of the kernel at the lattice point itself."""
+    return lambda W: term(W[:, None, :], np.einsum("mj,mj->m", W, W)[:, None])
+
+
+def shell_sum(L: Lattice, char: BundleCharacter, D: np.ndarray, R: int, term,
+              shape=(), image=_translate, subtract=None) -> np.ndarray:
+    """Lattice sum over the sup-norm shells 0..R for each point of D; (B, *shape).
+
+    Row m of shell r contributes chi(m) [term(U, |U|^2) - subtract(W)], where
+    U = image(D, Ms, W) holds the image differences (m, b, ..., n) of the chunk
+    D, W = m @ basis, chi is the character sign and `subtract` (shells r >= 1
+    only, broadcast over points) is optional.  Points are summed in chunks;
+    the result does not depend on the chunking.
+    """
+    if R < 0:
+        raise ConfigError("truncation radius R must be >= 0")
+    B = D.shape[0]
+    out = np.empty((B,) + shape)
+    max_rows = (2 * R + 1) ** L.k - (2 * R - 1) ** L.k if R > 0 else 1
+    for lo, hi in _chunks(B, max_rows, math.prod(shape)):
+        Dc = D[lo:hi]
+
+        def shells():
+            for r in range(R + 1):
+                Ms = _shell_array(L.k, r)
+                W = Ms.astype(float) @ L.basis
+                U = image(Dc, Ms, W)
+                r2 = np.einsum("...j,...j->...", U, U)
+                if np.any(r2 < _SINGULAR_R2):
+                    raise SingularPoint("evaluation point on a kernel singularity")
+                t = term(U, r2)
+                if r > 0 and subtract is not None:
+                    t = t - subtract(W)
+                if char.l:
+                    t = t * char_sign(char, Ms).reshape((-1,) + (1,) * (t.ndim - 1))
+                yield t
+
+        out[lo:hi] = kahan_shell_sum((hi - lo,) + shape, shells())
+    return out
+
+
+def _cauchy_term(n: int):
+    wn = sphere_area(n)
+    return lambda U, r2: U * (r2 ** (-n / 2.0))[..., None] / wn
+
+
+def _green_term(n: int):
+    if n <= 2:
+        raise RegimeError("scalar kernel requires n > 2")
+    c = 1.0 / (sphere_area(n) * (1.0 - n))
+    return lambda U, r2: r2 ** ((2.0 - n) / 2.0) * c
 
 
 # -- cylinder kernels (difference form, used directly and by the pin module) --
 
 def cyl_cauchy_diff(L: Lattice, char: BundleCharacter, D: np.ndarray, R: int) -> np.ndarray:
     """Plain periodized vector kernel as a function of the difference; (B, n)."""
-    n = L.n
-    wn = sphere_area(n)
-    B = D.shape[0]
-    out = np.empty((B, n))
-    max_rows = _shell_array(L.k, R).shape[0] if R > 0 else 1
-    for lo, hi in _chunks(B, max_rows, n):
-        Dc = D[lo:hi]
-
-        def shells():
-            for r in range(R + 1):
-                Ms, W = _shell_geometry(L, r)
-                s = np.atleast_1d(char_sign(char, Ms))
-                U = Dc[None, :, :] + W[:, None, :]
-                r2 = np.einsum("mbj,mbj->mb", U, U)
-                _guard_singular(r2)
-                yield (s[:, None, None] * U) * (r2 ** (-n / 2.0))[:, :, None] / wn
-
-        out[lo:hi] = kahan_shell_sum((hi - lo, n), shells())
-    return out
+    return shell_sum(L, char, D, R, _cauchy_term(L.n), (L.n,))
 
 
 def cyl_cauchy_reg_diff(L: Lattice, char: BundleCharacter, D: np.ndarray, R: int) -> np.ndarray:
     """Regularized vector kernel (k = n-1): G(d) + sum' chi [G(d+w) - G(w)]."""
-    n = L.n
-    wn = sphere_area(n)
-    B = D.shape[0]
-    out = np.empty((B, n))
-    max_rows = _shell_array(L.k, R).shape[0] if R > 0 else 1
-    for lo, hi in _chunks(B, max_rows, n):
-        Dc = D[lo:hi]
-
-        def shells():
-            for r in range(R + 1):
-                Ms, W = _shell_geometry(L, r)
-                s = np.atleast_1d(char_sign(char, Ms))
-                U = Dc[None, :, :] + W[:, None, :]
-                r2 = np.einsum("mbj,mbj->mb", U, U)
-                _guard_singular(r2)
-                G_u = U * (r2 ** (-n / 2.0))[:, :, None]
-                if r == 0:
-                    yield G_u / wn
-                    continue
-                w2 = np.einsum("mj,mj->m", W, W)
-                G_w = W * (w2 ** (-n / 2.0))[:, None]
-                yield s[:, None, None] * (G_u - G_w[:, None, :]) / wn
-
-        out[lo:hi] = kahan_shell_sum((hi - lo, n), shells())
-    return out
+    term = _cauchy_term(L.n)
+    return shell_sum(L, char, D, R, term, (L.n,), subtract=_at_lattice(term))
 
 
 def cyl_green_diff(L: Lattice, char: BundleCharacter, D: np.ndarray, R: int) -> np.ndarray:
     """Plain periodized scalar kernel as a function of the difference; (B,)."""
-    n = L.n
-    if n <= 2:
-        raise RegimeError("scalar kernel requires n > 2")
-    c = 1.0 / (sphere_area(n) * (1.0 - n))
-    B = D.shape[0]
-    out = np.empty(B)
-    max_rows = _shell_array(L.k, R).shape[0] if R > 0 else 1
-    for lo, hi in _chunks(B, max_rows, 1):
-        Dc = D[lo:hi]
-
-        def shells():
-            for r in range(R + 1):
-                Ms, W = _shell_geometry(L, r)
-                s = np.atleast_1d(char_sign(char, Ms))
-                U = Dc[None, :, :] + W[:, None, :]
-                r2 = np.einsum("mbj,mbj->mb", U, U)
-                _guard_singular(r2)
-                yield s[:, None] * (r2 ** ((2.0 - n) / 2.0)) * c
-
-        out[lo:hi] = kahan_shell_sum((hi - lo,), shells())
-    return out
+    return shell_sum(L, char, D, R, _green_term(L.n))
 
 
 def cyl_green_reg_diff(L: Lattice, char: BundleCharacter, D: np.ndarray, R: int) -> np.ndarray:
@@ -231,35 +238,8 @@ def cyl_green_reg_diff(L: Lattice, char: BundleCharacter, D: np.ndarray, R: int)
     alternation makes the shell-ordered series summable, and translation
     equivariance is exact in the limit.
     """
-    n = L.n
-    if n <= 2:
-        raise RegimeError("scalar kernel requires n > 2")
-    c = 1.0 / (sphere_area(n) * (1.0 - n))
-    subtract = char.l == 0
-    B = D.shape[0]
-    out = np.empty(B)
-    max_rows = _shell_array(L.k, R).shape[0] if R > 0 else 1
-    for lo, hi in _chunks(B, max_rows, 1):
-        Dc = D[lo:hi]
-
-        def shells():
-            for r in range(R + 1):
-                Ms, W = _shell_geometry(L, r)
-                s = np.atleast_1d(char_sign(char, Ms))
-                U = Dc[None, :, :] + W[:, None, :]
-                r2 = np.einsum("mbj,mbj->mb", U, U)
-                _guard_singular(r2)
-                pw = r2 ** ((2.0 - n) / 2.0)
-                if r == 0:
-                    yield pw * c
-                    continue
-                if subtract:
-                    w2 = np.einsum("mj,mj->m", W, W)
-                    pw = pw - (w2 ** ((2.0 - n) / 2.0))[:, None]
-                yield s[:, None] * pw * c
-
-        out[lo:hi] = kahan_shell_sum((hi - lo,), shells())
-    return out
+    term = _green_term(L.n)
+    return shell_sum(L, char, D, R, term, subtract=_at_lattice(term) if char.l == 0 else None)
 
 
 # -- tail bounds per kernel ----------------------------------------------------
@@ -420,7 +400,6 @@ def torus_cauchy_two_point(
     if form not in ("coupled_subtracted", "paper_literal"):
         raise ValueError(f"unknown form {form!r}")
     n = L.n
-    wn = sphere_area(n)
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     Dab, _ = _pair_batch(a, b, n)
@@ -432,65 +411,40 @@ def torus_cauchy_two_point(
     _check_not_on_orbit(L, Da, "x - a")
     _check_not_on_orbit(L, Db, "x - b")
 
-    B = Da.shape[0]
-    max_rows = _shell_array(L.k, R).shape[0] if R > 0 else 1
-
-    if form == "paper_literal":
+    D = np.stack((Da, Db), axis=1)
+    term = _cauchy_term(n)
+    literal = form == "paper_literal"
+    if literal:
         warnings.warn(
             "paper_literal torus series has no convergence guarantee",
             NonConvergentSeriesWarning,
             stacklevel=2,
         )
 
-        def shells():
-            for r in range(R + 1):
-                Ms, W = _shell_geometry(L, r)
-                s = np.atleast_1d(char_sign(char, Ms))
-                Ua = Da[None, :, :] + W[:, None, :]
-                Ub = Db[None, :, :] + W[:, None, :]
-                ra = np.einsum("mbj,mbj->mb", Ua, Ua)
-                rb = np.einsum("mbj,mbj->mb", Ub, Ub)
-                _guard_singular(ra)
-                _guard_singular(rb)
-                term = Ua * (ra ** (-n / 2.0))[:, :, None] + Ub * (rb ** (-n / 2.0))[:, :, None]
-                if r > 0:
-                    Wa = -a[None, :] - W
-                    Wb = -b[None, :] - W
-                    wa2 = np.einsum("mj,mj->m", Wa, Wa)
-                    wb2 = np.einsum("mj,mj->m", Wb, Wb)
-                    term = term + (
-                        Wa * (wa2 ** (-n / 2.0))[:, None] + Wb * (wb2 ** (-n / 2.0))[:, None]
-                    )[:, None, :]
-                yield s[:, None, None] * term / wn
+    def image(D, Ms, W):
+        return D[None, :, :, :] + W[:, None, None, :]
 
-        vals = kahan_shell_sum((B, n), shells())
-        tails = np.full(B, math.inf)
-        return _wrap_vector(vals, tails, R, single)
+    def pair(U, r2):
+        G = term(U, r2)
+        return G[:, :, 0] + G[:, :, 1] if literal else G[:, :, 0] - G[:, :, 1]
 
-    # the gradient subtraction is even in w, so it is character-safe only on
-    # the trivial bundle (where the telescoping reindex cancels it exactly);
-    # twisted bundles rely on the character's own alternation instead
-    subtract_gradient = char.l == 0
+    subtract = None
+    if literal:
+        # the uncoupled terms add the lattice images of both sources, G(-a-w) + G(-b-w)
+        def subtract(W):
+            V = np.stack((-a - W, -b - W), axis=1)[:, None]
+            return -pair(V, np.einsum("...j,...j->...", V, V))
+    elif char.l == 0:
+        # the gradient subtraction is even in w, so it is character-safe only on
+        # the trivial bundle (where the telescoping reindex cancels it exactly);
+        # twisted bundles rely on the character's own alternation instead.
+        # (x - a) - (x - b) = b - a for every point; one gradient term per shell row.
+        def subtract(W):
+            return _jacobian_apply(W, np.einsum("mj,mj->m", W, W), -Dab[:1], n)
 
-    def shells():
-        for r in range(R + 1):
-            Ms, W = _shell_geometry(L, r)
-            s = np.atleast_1d(char_sign(char, Ms))
-            Ua = Da[None, :, :] + W[:, None, :]
-            Ub = Db[None, :, :] + W[:, None, :]
-            ra = np.einsum("mbj,mbj->mb", Ua, Ua)
-            rb = np.einsum("mbj,mbj->mb", Ub, Ub)
-            _guard_singular(ra)
-            _guard_singular(rb)
-            term = Ua * (ra ** (-n / 2.0))[:, :, None] - Ub * (rb ** (-n / 2.0))[:, :, None]
-            if r > 0 and subtract_gradient:
-                w2 = np.einsum("mj,mj->m", W, W)
-                # Da - Db = b - a for every row; one gradient term per shell row.
-                jterm = _jacobian_apply(W, w2, (Da - Db)[:1], n) * wn
-                term = term - jterm
-            yield s[:, None, None] * term / wn
-
-    vals = kahan_shell_sum((B, n), shells())
+    vals = shell_sum(L, char, D, R, pair, (n,), image, subtract)
+    if literal:
+        return _wrap_vector(vals, np.full(D.shape[0], math.inf), R, single)
     dab = float(np.linalg.norm(a - b))
     tails = torus_tail(L, R, np.linalg.norm(Da, axis=1), np.linalg.norm(Db, axis=1), dab, char)
     return _wrap_vector(vals, tails, R, single)

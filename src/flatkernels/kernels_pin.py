@@ -33,10 +33,10 @@ from .errors import RegimeError, SingularPoint
 from .kernels_euclid import cauchy_g_batch, sphere_area
 from .kernels_periodic import (
     KernelEval,
-    _chunks,
-    _guard_singular,
+    _at_lattice,
+    _green_term,
     _pair_batch,
-    _shell_geometry,
+    _translate,
     cauchy_reg_tail,
     cauchy_tail,
     cyl_cauchy_diff,
@@ -45,9 +45,9 @@ from .kernels_periodic import (
     cyl_green_reg_diff,
     green_reg_tail,
     green_tail,
-    kahan_shell_sum,
+    shell_sum,
 )
-from .lattice import BundleCharacter, ManifoldSpec, _shell_array, char_sign, moebius_sgn
+from .lattice import BundleCharacter, ManifoldSpec, char_sign, moebius_sgn
 
 
 # -- regime dispatch over the oriented-cylinder kernels ------------------------
@@ -215,37 +215,27 @@ def moebius_green_batch(
     if k > n - 2:
         raise RegimeError("Moebius Green kernel needs k <= n-2")
     regularized = k == n - 2
-    c = 1.0 / (sphere_area(n) * (1.0 - n))
     X = np.atleast_2d(np.asarray(X, dtype=float))
     yv = np.asarray(y, dtype=float)
     D0 = X - yv[None, :]
-    B = X.shape[0]
-    out = np.empty(B)
-    max_rows = _shell_array(k, R).shape[0] if R > 0 else 1
-    for lo, hi in _chunks(B, max_rows, 1):
-        Xc, Dc = X[lo:hi], D0[lo:hi]
+    D = D0.copy()
+    if form == "orbit":
+        D[:, -1] = X[:, -1]
 
-        def shells():
-            for r in range(R + 1):
-                Ms, W = _shell_geometry(L, r)
-                sgn = np.atleast_1d(moebius_sgn(Ms, M.sign_variant))
-                U = Dc[None, :, :] + W[:, None, :]
-                if form == "orbit":
-                    # image source: last coordinate becomes sgn(w) * y_n
-                    last = Xc[None, :, -1] - sgn[:, None] * yv[-1]
-                else:
-                    # literal: sign multiplies the whole last difference (no-op in the norm)
-                    last = sgn[:, None] * Dc[None, :, -1]
-                U[:, :, -1] = last
-                r2 = np.einsum("mbj,mbj->mb", U, U)
-                _guard_singular(r2)
-                pw = r2 ** ((2.0 - n) / 2.0)
-                if regularized and r > 0:
-                    w2 = np.einsum("mj,mj->m", W, W)
-                    pw = pw - (w2 ** ((2.0 - n) / 2.0))[:, None]
-                yield pw * c
+    def image(D, Ms, W):
+        U = _translate(D, Ms, W)
+        sgn = moebius_sgn(Ms, M.sign_variant)[:, None]
+        if form == "orbit":
+            # image source: last coordinate becomes sgn(w) * y_n (D carries x_n there)
+            U[:, :, -1] = D[None, :, -1] - sgn * yv[-1]
+        else:
+            # literal: sign multiplies the whole last difference (no-op in the norm)
+            U[:, :, -1] = sgn * D[None, :, -1]
+        return U
 
-        out[lo:hi] = kahan_shell_sum((hi - lo,), shells())
+    term = _green_term(n)
+    out = shell_sum(L, M.bundle, D, R, term, image=image,
+                    subtract=_at_lattice(term) if regularized else None)
     sep_block = np.linalg.norm(D0[:, :k], axis=1)
     if regularized:
         sep_full = np.sqrt(
@@ -282,32 +272,26 @@ def klein_green_batch(M: ManifoldSpec, X, y, R: int, form: str = "orbit"):
             "Klein Green kernel implemented for k < n-2 (higher ranks need a regularization "
             "that is not constructed here)"
         )
-    c = 1.0 / (sphere_area(n) * (1.0 - n))
     X = np.atleast_2d(np.asarray(X, dtype=float))
     yv = np.asarray(y, dtype=float)
     D0 = X - yv[None, :]
-    B = X.shape[0]
-    out = np.empty(B)
-    max_rows = _shell_array(k, R).shape[0] if R > 0 else 1
-    for lo, hi in _chunks(B, max_rows, 1):
-        Xc, Dc = X[lo:hi], D0[lo:hi]
+    D = D0.copy()
+    if form == "orbit":
+        D[:, k - 1] = X[:, k - 1]
 
-        def shells():
-            for r in range(R + 1):
-                Ms, W = _shell_geometry(L, r)
-                sk = np.where(Ms[:, k - 1] % 2 == 0, 1.0, -1.0)
-                U = Dc[None, :, :] + W[:, None, :]
-                if form == "orbit":
-                    # image source: k-th coordinate of the source is folded
-                    U[:, :, k - 1] = Xc[None, :, k - 1] - sk[:, None] * yv[k - 1] + Ms[:, k - 1, None]
-                else:
-                    # literal: translation entry itself carries the parity sign
-                    U[:, :, k - 1] = Dc[None, :, k - 1] + (sk * Ms[:, k - 1])[:, None]
-                r2 = np.einsum("mbj,mbj->mb", U, U)
-                _guard_singular(r2)
-                yield (r2 ** ((2.0 - n) / 2.0)) * c
+    def image(D, Ms, W):
+        U = _translate(D, Ms, W)
+        mk = Ms[:, k - 1]
+        sk = np.where(mk % 2 == 0, 1.0, -1.0)
+        if form == "orbit":
+            # image source: k-th coordinate of the source is folded (D carries x_k there)
+            U[:, :, k - 1] = D[None, :, k - 1] - sk[:, None] * yv[k - 1] + mk[:, None]
+        else:
+            # literal: translation entry itself carries the parity sign
+            U[:, :, k - 1] = D[None, :, k - 1] + (sk * mk)[:, None]
+        return U
 
-        out[lo:hi] = kahan_shell_sum((hi - lo,), shells())
+    out = shell_sum(L, M.bundle, D, R, _green_term(n), image=image)
     sep_eff = np.sqrt(
         np.sum(D0[:, : k - 1] ** 2, axis=1)
         + (np.abs(X[:, k - 1]) + abs(yv[k - 1])) ** 2

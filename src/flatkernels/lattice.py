@@ -73,15 +73,34 @@ def lattice_point(L: Lattice, m) -> np.ndarray:
     return m @ L.basis
 
 
-@lru_cache(maxsize=None)
+def _box(k: int, R: int) -> np.ndarray:
+    """Integer vectors with sup-norm at most R, lexicographic, shape ((2R+1)^k, k)."""
+    rng = np.arange(-R, R + 1, dtype=np.int64)
+    return np.stack(np.meshgrid(*([rng] * k), indexing="ij"), axis=-1).reshape(-1, k)
+
+
+def _faces(k: int, R: int) -> np.ndarray:
+    """The shell of radius R >= 1 in Z^k, built from its faces in lexicographic order.
+
+    m_1 = -R and m_1 = R carry the full (k-1)-box; every interior m_1 carries
+    the (k-1)-shell of radius R.
+    """
+    if k == 1:
+        return np.array([[-R], [R]], dtype=np.int64)
+    box = _box(k - 1, R)
+    inner = _faces(k - 1, R)
+    mid = np.arange(-R + 1, R, dtype=np.int64)
+    return np.concatenate((
+        np.column_stack((np.full(len(box), -R, dtype=np.int64), box)),
+        np.column_stack((np.repeat(mid, len(inner)), np.tile(inner, (len(mid), 1)))),
+        np.column_stack((np.full(len(box), R, dtype=np.int64), box)),
+    ))
+
+
+@lru_cache(maxsize=256)
 def _shell_array(k: int, R: int) -> np.ndarray:
     """Integer vectors with sup-norm exactly R, lexicographic, shape (m, k)."""
-    if R == 0:
-        out = np.zeros((1, k), dtype=np.int64)
-    else:
-        rng = np.arange(-R, R + 1, dtype=np.int64)
-        box = np.stack(np.meshgrid(*([rng] * k), indexing="ij"), axis=-1).reshape(-1, k)
-        out = box[np.max(np.abs(box), axis=1) == R]
+    out = np.zeros((1, k), dtype=np.int64) if R == 0 else _faces(k, R)
     out.setflags(write=False)
     return out
 

@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from flatkernels.calculus import dirac_residual_batch, laplace_residual_batch
-from flatkernels.errors import RegimeError, SingularPoint
+from flatkernels import kernels_periodic
+from flatkernels.errors import ConfigError, RegimeError, SingularPoint
 from flatkernels.kernels_euclid import cauchy_g
 from flatkernels.kernels_periodic import (
     NonConvergentSeriesWarning,
+    _chunks,
     cyl_cauchy,
     cyl_cauchy_diff,
     cyl_cauchy_reg,
@@ -19,7 +21,8 @@ from flatkernels.kernels_periodic import (
     eisenstein_tail,
     torus_cauchy_two_point,
 )
-from flatkernels.lattice import BundleCharacter, Lattice
+from flatkernels.kernels_pin import klein_green_batch, moebius_green_batch, proj_green_batch
+from flatkernels.lattice import BundleCharacter, Lattice, ManifoldSpec
 
 CH0 = BundleCharacter(0)
 CH1 = BundleCharacter(1)
@@ -277,15 +280,91 @@ class TestTorusTwoPoint:
 
 
 def test_batched_matches_single():
-    L = Lattice(np.eye(4)[:1])
+    # every point of a batch must carry the bits of its single-point evaluation
     rng = np.random.default_rng(0)
-    X = rng.uniform(0.2, 0.8, size=(5, 4))
-    y = np.array([0.9, 0.1, 0.3, 0.2]) + 1.0
-    vals, tails = cyl_cauchy(L, CH1, X, y, 15)
-    for i in range(5):
-        single = cyl_cauchy(L, CH1, X[i], y, 15)
-        assert np.array_equal(single.vector, vals[i])
-        assert single.tail_bound == tails[i]
+    X2, X3, X4, X5, X6 = (rng.uniform(0.2, 0.8, size=(5, n)) for n in (2, 3, 4, 5, 6))
+    y4 = np.array([0.9, 0.1, 0.3, 0.2]) + 1.0
+    y5 = np.array([0.8, 0.1, 0.3, -0.2, 0.35])
+    y6 = np.array([0.75, 0.9, -0.1, 0.4, 0.15, 1.2])
+    L1 = Lattice(np.eye(4)[:1])
+    L3 = Lattice(np.eye(3)[:2])
+    L4 = Lattice(np.eye(4)[:2])
+    Lskew = Lattice([[1.0, 0.0, 0.0, 0.0, 0.0], [0.3, 1.1, 0.0, 0.0, 0.0]])
+    T2 = Lattice(np.eye(2))
+    a, b = np.array([0.05, 0.1]), np.array([0.95, 0.9])
+    proj = ManifoldSpec("Projective", 4, L1, p=3)
+    moeb = ManifoldSpec("MoebiusStrip", 5, Lattice(np.eye(5)[:1]), sign_variant="SumParity")
+    klein = ManifoldSpec("KleinBottle", 6, Lattice(np.eye(6)[:2]))
+    y3 = np.array([0.9, 0.15, -0.1])
+    cases = [
+        ("cyl_cauchy", lambda X: cyl_cauchy(L1, CH1, X, y4, 15), X4),
+        ("cyl_cauchy_reg", lambda X: cyl_cauchy_reg(L3, CH1, X, y3, 10), X3),
+        ("cyl_green", lambda X: cyl_green(Lskew, CH1, X, y5, 15), X5),
+        ("cyl_green_reg", lambda X: cyl_green_reg(L4, CH0, X, y4, 10), X4),
+        ("torus", lambda X: torus_cauchy_two_point(T2, CH0, a, b, X, 15), X2),
+        ("proj_green_batch", lambda X: proj_green_batch(proj, X, y4, 15), X4),
+        ("moebius_green_batch", lambda X: moebius_green_batch(moeb, X, y5, 15), X5),
+        ("klein_green_batch", lambda X: klein_green_batch(klein, X, y6, 10), X6),
+    ]
+    for name, f, X in cases:
+        vals, tails = f(X)
+        for i in range(X.shape[0]):
+            one_vals, one_tails = f(X[i : i + 1])
+            assert np.array_equal(one_vals[0], vals[i]), name
+            assert one_tails[0] == tails[i], name
+    single = cyl_cauchy(L1, CH1, X4[2], y4, 15)
+    vals, tails = cyl_cauchy(L1, CH1, X4, y4, 15)
+    assert np.array_equal(single.vector, vals[2])
+    assert single.tail_bound == tails[2]
+
+    # a batch split into several chunks: bits must not depend on the split
+    L = Lattice(np.eye(5)[:3])
+    R = 10
+    X = rng.uniform(0.2, 0.8, size=(400, 5))
+    assert len(list(_chunks(400, (2 * R + 1) ** 3 - (2 * R - 1) ** 3, 5))) >= 3
+    vals, _ = cyl_cauchy(L, CH1, X, y5 + 1.0, R)
+    for i in (0, 150, 170, 330, 340, 399):
+        assert np.array_equal(cyl_cauchy(L, CH1, X[i], y5 + 1.0, R).vector, vals[i])
+
+
+def test_negative_radius_rejected():
+    L = Lattice(np.eye(5)[:1])
+    x = np.array([0.3, 0.4, -0.2, 0.5, 0.7])
+    y = np.array([0.8, 0.1, 0.3, -0.2, 0.35])
+    with pytest.raises(ConfigError, match="truncation radius R must be >= 0"):
+        cyl_green(L, CH0, x, y, -1)
+
+
+class TestSummationAccuracy:
+    """The engine's sum against math.fsum of the very same terms."""
+
+    @staticmethod
+    def _exact(monkeypatch, fn, *args):
+        def fsum_shells(shape, shells):
+            rows = np.concatenate([t.reshape(t.shape[0], -1) for t in shells])
+            return np.array([math.fsum(col) for col in rows.T]).reshape(shape)
+
+        monkeypatch.setattr(kernels_periodic, "kahan_shell_sum", fsum_shells)
+        return fn(*args)
+
+    def _check(self, monkeypatch, fn, *args):
+        got = fn(*args)
+        ref = self._exact(monkeypatch, fn, *args)
+        assert np.max(np.abs(got - ref) / np.abs(ref)) <= 4e-15
+
+    def _diffs(self, n):
+        rng = np.random.default_rng(11)
+        return rng.uniform(0.0, 1.0, size=(4, n)) - rng.uniform(0.0, 1.0, size=n)
+
+    def test_cyl_green_skewed_both_bundles(self, monkeypatch):
+        L = Lattice([[1.0, 0.0, 0.0, 0.0, 0.0], [0.3, 1.1, 0.0, 0.0, 0.0]])
+        for char in (CH0, CH1):
+            self._check(monkeypatch, cyl_green_diff, L, char, self._diffs(5), 40)
+            monkeypatch.undo()
+
+    def test_cyl_green_reg_rank3(self, monkeypatch):
+        L = Lattice(np.eye(5)[:3])
+        self._check(monkeypatch, cyl_green_reg_diff, L, CH0, self._diffs(5), 20)
 
 
 def test_eisenstein_tail_vectorized_offsets():
@@ -299,7 +378,7 @@ def test_eisenstein_tail_vectorized_offsets():
 
 
 class TestBruteForceOracle:
-    """Naive direct sums, independent of the shell/Kahan machinery."""
+    """Naive direct sums, independent of the shell-sum engine."""
 
     def test_cyl_cauchy_against_direct_sum(self):
         L = Lattice(np.array([[0.9, 0.2, 0.0, 0.0], [0.1, 1.1, 0.0, 0.0]]))

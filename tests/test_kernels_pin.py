@@ -3,7 +3,7 @@ import pytest
 
 from flatkernels.calculus import dirac_residual_batch, laplace_residual_batch
 from flatkernels.clifford import reflect_coords
-from flatkernels.errors import RegimeError
+from flatkernels.errors import ConfigError, RegimeError
 from flatkernels.kernels_euclid import cauchy_g
 from flatkernels.kernels_periodic import (
     cyl_cauchy,
@@ -164,6 +164,10 @@ class TestMoebiusGreen:
         assert abs(ev2.scalar - ev.scalar) <= 2.0 * ev.tail_bound
         rep = descent_check(Mr, lambda a, b: moebius_green(Mr, a, b, 12), [(X5, Y5)], 12)
         assert rep["within_bounds"]
+
+    def test_negative_radius_rejected(self):
+        with pytest.raises(ConfigError, match="truncation radius R must be >= 0"):
+            moebius_green(MOEB, X5, Y5, -1)
 
     def test_rank_guard(self):
         Lbad = Lattice(np.eye(5)[:4])

@@ -6,6 +6,7 @@ from flatkernels.lattice import (
     BundleCharacter,
     Lattice,
     ManifoldSpec,
+    _shell_array,
     apply_group_element,
     canonical_rep,
     char_sign,
@@ -74,6 +75,19 @@ class TestShell:
         assert np.unique(stacked, axis=0).shape[0] == stacked.shape[0]
         for s in shells:  # lexicographic within each shell
             assert np.array_equal(s, s[np.lexsort(s.T[::-1])])
+
+    def test_faces_match_box_filter(self):
+        # reference: filter the full (2R+1)^k box down to sup-norm R
+        for k in range(1, 5):
+            for R in range(11):
+                rng = np.arange(-R, R + 1, dtype=np.int64)
+                box = np.stack(np.meshgrid(*([rng] * k), indexing="ij"), axis=-1).reshape(-1, k)
+                expected = box[np.max(np.abs(box), axis=1) == R]
+                got = _shell_array(k, R)
+                assert got.dtype == np.int64
+                assert np.array_equal(got, expected), (k, R)
+                assert not got.flags.writeable
+        assert _shell_array.cache_info().maxsize is not None
 
 
 class TestCharSign:
