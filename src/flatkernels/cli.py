@@ -3,8 +3,11 @@
 Outputs are byte-deterministic for a fixed config and seed: JSON is emitted
 with sorted keys and round-trip float repr, CSV with '%.17g' formatting, and
 reports carry the library version plus a config echo but no timestamps.
-Worker threads (--threads) only fan out independent evaluations and collect
-them in input order, so the thread count never changes the bytes.
+Every kernel command evaluates through one batched op per kernel
+(`make_evaluator`).  Worker threads (--threads) fan out contiguous slices of
+the points in `table` and the radii in `converge`, and join the results in
+input order; a point's bits do not depend on the batch it shares, so the
+thread count never changes the bytes.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error.
 """
@@ -40,8 +43,6 @@ KERNEL_NAMES = (
     "klein-green",
 )
 
-_VECTOR_KERNELS = {"cyl-cauchy", "cyl-cauchy-reg", "torus-cauchy", "proj-cauchy", "realproj-cauchy"}
-
 
 def _fmt(x: float) -> str:
     return "%.17g" % float(x)
@@ -50,9 +51,12 @@ def _fmt(x: float) -> str:
 def _load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            cfg = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config {path} must hold a JSON object")
+    return cfg
 
 
 def _config_point(cfg: dict, key: str, n: int) -> np.ndarray:
@@ -62,85 +66,86 @@ def _config_point(cfg: dict, key: str, n: int) -> np.ndarray:
         raise ConfigError(f"config needs numeric point {key!r}: {exc}") from exc
     if p.shape != (n,):
         raise ConfigError(f"point {key!r} must have dimension {n}")
+    if not np.all(np.isfinite(p)):
+        raise ConfigError(f"point {key!r} must be finite")
     return p
 
 
+def _radius(value) -> int:
+    try:
+        R = int(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"truncation radius must be an integer: {exc}") from exc
+    if R < 0:
+        raise ConfigError("truncation radius R must be >= 0")
+    return R
+
+
 def _form(cfg: dict) -> str:
-    form = cfg.get("form", "orbit").replace("-", "_")
+    form = str(cfg.get("form", "orbit")).replace("-", "_")
     if form not in ("orbit", "paper_literal"):
         raise ConfigError(f"unknown form {cfg.get('form')!r}")
     return form
 
 
 def make_evaluator(cfg: dict):
-    """Build (evaluate(x) -> KernelEval, manifold, metadata) from a config."""
+    """Parse a config once into (op, manifold, R, form).
+
+    `op(X, R)` evaluates the kernel at the rows of X (B, n) and returns values,
+    (B, n) for vector kernels and (B,) for scalar ones, with tails (B,).
+    """
     name = cfg.get("kernel")
     if name not in KERNEL_NAMES:
         raise ConfigError(f"unknown kernel {name!r}; choose from {', '.join(KERNEL_NAMES)}")
     if "manifold" not in cfg:
         raise ConfigError("config needs a 'manifold' object")
-    M = ManifoldSpec.from_dict(cfg["manifold"])
-    R = int(cfg.get("R", 20))
-    if R < 0:
-        raise ConfigError("truncation radius R must be >= 0")
+    try:
+        M = ManifoldSpec.from_dict(cfg["manifold"])
+    except (TypeError, ValueError) as exc:  # e.g. a dependent basis or a non-numeric p
+        raise ConfigError(str(exc)) from exc
+    R = _radius(cfg.get("R", 20))
     form = _form(cfg)
     y = _config_point(cfg, "y", M.n)
     L, char = M.lattice, M.bundle
-
-    def need_lattice():
-        if L is None:
-            raise ConfigError(f"kernel {name} needs a lattice in the manifold spec")
-
-    if name == "cyl-cauchy":
-        need_lattice()
-        return (lambda x: kernels_periodic.cyl_cauchy(L, char, x, y, R)), M, R, form
-    if name == "cyl-cauchy-reg":
-        need_lattice()
-        return (lambda x: kernels_periodic.cyl_cauchy_reg(L, char, x, y, R)), M, R, form
-    if name == "cyl-green":
-        need_lattice()
-        return (lambda x: kernels_periodic.cyl_green(L, char, x, y, R)), M, R, form
-    if name == "cyl-green-reg":
-        need_lattice()
-        return (lambda x: kernels_periodic.cyl_green_reg(L, char, x, y, R)), M, R, form
+    if name.startswith(("cyl-", "torus-")) and L is None:
+        raise ConfigError(f"kernel {name} needs a lattice in the manifold spec")
     if name == "torus-cauchy":
-        need_lattice()
         a = _config_point(cfg, "a", M.n)
         b = _config_point(cfg, "b", M.n)
-        tform = cfg.get("form", "coupled_subtracted").replace("-", "_")
-        if tform == "orbit":
-            tform = "coupled_subtracted"
-        return (
-            lambda x: kernels_periodic.torus_cauchy_two_point(L, char, a, b, x, R, form=tform)
-        ), M, R, tform
-    if name == "proj-cauchy":
-        return (lambda x: kernels_pin.proj_cauchy(M, x, y, R, form=form)), M, R, form
-    if name == "proj-green":
-        return (lambda x: kernels_pin.proj_green(M, x, y, R, form=form)), M, R, form
+        if form == "orbit":
+            form = "coupled_subtracted"
     if name == "realproj-cauchy":
         if M.kind != "RealProjective":
             raise ConfigError("realproj-cauchy needs a RealProjective manifold spec")
+        R = 0
+    noncharacter = bool(cfg.get("allow_noncharacter", False))
+    ops = {
+        "cyl-cauchy": lambda X, R: kernels_periodic.cyl_cauchy(L, char, X, y, R),
+        "cyl-cauchy-reg": lambda X, R: kernels_periodic.cyl_cauchy_reg(L, char, X, y, R),
+        "cyl-green": lambda X, R: kernels_periodic.cyl_green(L, char, X, y, R),
+        "cyl-green-reg": lambda X, R: kernels_periodic.cyl_green_reg(L, char, X, y, R),
+        "torus-cauchy": lambda X, R: kernels_periodic.torus_cauchy_two_point(
+            L, char, a, b, X, R, form=form
+        ),
+        "proj-cauchy": lambda X, R: kernels_pin.proj_cauchy_batch(M, X, y, R, form),
+        "proj-green": lambda X, R: kernels_pin.proj_green_batch(M, X, y, R, form),
+        # the Euclidean reflection sum is finite: nothing is truncated, no tail
+        "realproj-cauchy": lambda X, R: (
+            kernels_pin.realproj_cauchy_batch(M.p, X, y, form, char.negate_fiber),
+            np.zeros(len(X)),
+        ),
+        "moebius-green": lambda X, R: kernels_pin.moebius_green_batch(
+            M, X, y, R, form, noncharacter
+        ),
+        "klein-green": lambda X, R: kernels_pin.klein_green_batch(M, X, y, R, form),
+    }
+    return ops[name], M, R, form
 
-        def ev(x):
-            mv = kernels_pin.realproj_cauchy(M.p, x, y, form=form, negate_fiber=M.bundle.negate_fiber)
-            return KernelEval(mv, 0, 0.0)
 
-        return ev, M, 0, form
-    if name == "moebius-green":
-        return (
-            lambda x: kernels_pin.moebius_green(
-                M, x, y, R, form=form, allow_noncharacter=bool(cfg.get("allow_noncharacter", False))
-            )
-        ), M, R, form
-    if name == "klein-green":
-        return (lambda x: kernels_pin.klein_green(M, x, y, R, form=form)), M, R, form
-    raise ConfigError(f"unhandled kernel {name!r}")  # pragma: no cover
-
-
-def _value_columns(name: str, ev: KernelEval) -> list[float]:
-    if name in _VECTOR_KERNELS:
-        return [float(v) for v in ev.vector]
-    return [float(ev.scalar)]
+def _columns(vals) -> np.ndarray:
+    """Batched values as a (B, columns) array: one column per vector component."""
+    vals = np.asarray(vals)
+    return vals.reshape(len(vals), -1)
 
 
 def _emit(text: str, out_path: str | None):
@@ -161,32 +166,34 @@ def _json_report(payload: dict) -> str:
 def cmd_eval(args) -> int:
     cfg = _load_config(args.config)
     _apply_overrides(cfg, args)
-    evaluate, M, R, form = make_evaluator(cfg)
+    op, M, R, form = make_evaluator(cfg)
     x = _config_point(cfg, "x", M.n)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        ev = evaluate(x)
+        vals, tails = op(x[None, :], R)
     payload = {
         "version": __version__,
         "config": cfg,
         "kernel": cfg["kernel"],
         "form": form,
         "R": R,
-        "value": ev.to_dict(),
-        "components": _value_columns(cfg["kernel"], ev),
+        "value": KernelEval.from_batch(vals, tails, R, M.n).to_dict(),
+        "components": [float(v) for v in _columns(vals)[0]],
     }
     _emit(_json_report(payload), args.out)
     return 0
 
 
-def _segment_points(cfg: dict, n: int) -> list[np.ndarray]:
+def _segment_points(cfg: dict, n: int) -> np.ndarray:
+    """The table's evaluation points as a finite (B, n) array, B >= 1."""
     if "points" in cfg:
-        pts = [np.asarray(p, dtype=float) for p in cfg["points"]]
-        for p in pts:
-            if p.shape != (n,):
-                raise ConfigError("every table point must match the manifold dimension")
-        return pts
-    if "segment" in cfg:
+        try:
+            pts = np.asarray(cfg["points"], dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"table points must be numeric: {exc}") from exc
+        if pts.ndim != 2 or pts.shape[0] < 1 or pts.shape[1] != n:
+            raise ConfigError("table points must be a nonempty list matching the manifold dimension")
+    elif "segment" in cfg:
         seg = cfg["segment"]
         try:
             start = np.asarray(seg["start"], dtype=float)
@@ -196,21 +203,24 @@ def _segment_points(cfg: dict, n: int) -> list[np.ndarray]:
             raise ConfigError(f"segment needs start/end/count: {exc}") from exc
         if count < 2 or start.shape != (n,) or end.shape != (n,):
             raise ConfigError("segment start/end must match dimension and count >= 2")
-        ts = np.linspace(0.0, 1.0, count)
-        return [start + t * (end - start) for t in ts]
-    if "samples" in cfg:
+        pts = np.array([start + t * (end - start) for t in np.linspace(0.0, 1.0, count)])
+    elif "samples" in cfg:
         box = cfg["samples"]
         try:
             count = int(box["count"])
             low = np.asarray(box.get("low", np.zeros(n)), dtype=float)
             high = np.asarray(box.get("high", np.ones(n)), dtype=float)
+            seed = int(cfg.get("seed", 0))
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"samples needs count (and optional low/high): {exc}") from exc
         if count < 1 or low.shape != (n,) or high.shape != (n,):
             raise ConfigError("samples low/high must match the manifold dimension")
-        rng = np.random.default_rng(int(cfg.get("seed", 0)))
-        return list(rng.uniform(low, high, size=(count, n)))
-    raise ConfigError("table needs 'points', 'segment', or 'samples' in the config")
+        pts = np.random.default_rng(seed).uniform(low, high, size=(count, n))
+    else:
+        raise ConfigError("table needs 'points', 'segment', or 'samples' in the config")
+    if not np.all(np.isfinite(pts)):
+        raise ConfigError("table points must be finite")
+    return pts
 
 
 def _pool_map(fn, items, threads: int):
@@ -223,29 +233,24 @@ def _pool_map(fn, items, threads: int):
 def cmd_table(args) -> int:
     cfg = _load_config(args.config)
     _apply_overrides(cfg, args)
-    evaluate, M, R, form = make_evaluator(cfg)
-    pts = _segment_points(cfg, M.n)
-
-    def row(idx_pt):
-        idx, pt = idx_pt
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            ev = evaluate(pt)
-        return idx, pt, ev
-
-    rows = _pool_map(row, list(enumerate(pts)), args.threads)
-    ncomp = len(_value_columns(cfg["kernel"], rows[0][2]))
+    op, M, R, form = make_evaluator(cfg)
+    X = _segment_points(cfg, M.n)
+    # contiguous slices, joined in order: a point's bits do not depend on its batch
+    slices = np.array_split(X, min(args.threads, len(X)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        parts = _pool_map(lambda Xs: op(Xs, R), slices, args.threads)
+    vals = np.concatenate([_columns(v) for v, _ in parts])
+    tails = np.concatenate([t for _, t in parts])
     header = (
         ["index"]
         + [f"x{j + 1}" for j in range(M.n)]
-        + [f"value{j + 1}" for j in range(ncomp)]
+        + [f"value{j + 1}" for j in range(vals.shape[1])]
         + ["tail_bound"]
     )
     lines = [",".join(header)]
-    for idx, pt, ev in rows:
-        cells = [str(idx)] + [_fmt(v) for v in pt]
-        cells += [_fmt(v) for v in _value_columns(cfg["kernel"], ev)]
-        cells.append(_fmt(ev.tail_bound))
+    for idx, (pt, row, tail) in enumerate(zip(X, vals, tails)):
+        cells = [str(idx)] + [_fmt(v) for v in pt] + [_fmt(v) for v in row] + [_fmt(tail)]
         lines.append(",".join(cells))
     _emit("\n".join(lines) + "\n", args.out)
     return 0
@@ -254,38 +259,26 @@ def cmd_table(args) -> int:
 def cmd_converge(args) -> int:
     cfg = _load_config(args.config)
     _apply_overrides(cfg, args)
-    if args.R_list:
-        R_list = [int(r) for r in args.R_list.split(",")]
-    else:
-        R_list = [int(r) for r in cfg.get("R_list", [10, 20, 40])]
-    if not R_list or any(r < 0 for r in R_list):
+    radii = args.R_list.split(",") if args.R_list else cfg.get("R_list", [10, 20, 40])
+    if not isinstance(radii, list) or not radii:
         raise ConfigError("R_list must hold nonnegative radii")
-    base_cfg = dict(cfg)
-
-    def at_radius(R):
-        c = dict(base_cfg)
-        c["R"] = R
-        evaluate, M, _, _ = make_evaluator(c)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            return evaluate(_config_point(c, "x", M.n))
-
-    evals = _pool_map(at_radius, R_list, args.threads)
-    comps = [_value_columns(cfg["kernel"], ev) for ev in evals]
-    diffs: list[float | None] = [None]
-    for prev, cur in zip(comps, comps[1:]):
-        diffs.append(float(np.linalg.norm(np.asarray(cur) - np.asarray(prev))))
-    real_diffs = [d for d in diffs if d is not None]
-    non_cauchy = any(b > a for a, b in zip(real_diffs, real_diffs[1:]))
-    status = "non-cauchy" if non_cauchy else "ok"
+    R_list = [_radius(r) for r in radii]
+    op, M, _, _ = make_evaluator(cfg)
+    x = _config_point(cfg, "x", M.n)[None, :]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        evals = _pool_map(lambda R: op(x, R), R_list, args.threads)
+    comps = [_columns(v)[0] for v, _ in evals]
+    diffs = [float(np.linalg.norm(cur - prev)) for prev, cur in zip(comps, comps[1:])]
+    status = "non-cauchy" if any(b > a for a, b in zip(diffs, diffs[1:])) else "ok"
     header = ["R"] + [f"value{j + 1}" for j in range(len(comps[0]))] + [
         "tail_bound",
         "successive_diff",
         "status",
     ]
     lines = [",".join(header)]
-    for R, ev, comp, d in zip(R_list, evals, comps, diffs):
-        cells = [str(R)] + [_fmt(v) for v in comp] + [_fmt(ev.tail_bound)]
+    for R, (_, tails), comp, d in zip(R_list, evals, comps, [None] + diffs):
+        cells = [str(R)] + [_fmt(v) for v in comp] + [_fmt(tails[0])]
         cells.append("" if d is None else _fmt(d))
         cells.append(status)
         lines.append(",".join(cells))
@@ -378,13 +371,14 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=f"flatkernels {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_config=True):
-        if needs_config:
-            p.add_argument("--config", required=True, help="JSON run configuration")
+    def common(p):
+        p.add_argument("--config", required=True, help="JSON run configuration")
         p.add_argument("--out", default=None, help="output path (default: stdout)")
         p.add_argument("--R", type=int, default=None, help="override truncation radius")
         p.add_argument("--form", choices=["orbit", "paper-literal"], default=None)
-        p.add_argument("--threads", type=int, default=1, help="worker threads (output-identical)")
+        p.add_argument("--threads", type=int, default=1,
+                       help="worker threads over contiguous point slices (table) or radii "
+                       "(converge); output-identical")
 
     p_eval = sub.add_parser("eval", help="single kernel evaluation to JSON")
     common(p_eval)
@@ -418,12 +412,11 @@ _COMMANDS = {
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
+    if getattr(args, "threads", 1) < 1:
+        ap.error("argument --threads: must be >= 1")
     try:
         return _COMMANDS[args.command](args)
-    except ConfigError as exc:
-        sys.stderr.write(f"config error: {exc}\n")
-        return 2
-    except (RegimeError, SingularPoint) as exc:
+    except (ConfigError, RegimeError, SingularPoint) as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return 2
 

@@ -68,6 +68,13 @@ class KernelEval:
             "tail_bound": float(self.tail_bound),
         }
 
+    @classmethod
+    def from_batch(cls, vals, tails, R: int, n: int) -> "KernelEval":
+        """Row 0 of a batched result: values (B, n) give a vector, (B,) a scalar."""
+        v = np.asarray(vals)[0]
+        value = MultiVector.from_vector(v) if v.ndim else MultiVector.scalar(n, float(v))
+        return cls(value, R, float(np.atleast_1d(tails)[0]))
+
 
 # -- tail machinery -----------------------------------------------------------
 
@@ -301,16 +308,17 @@ def torus_tail(L: Lattice, R: int, sep_a, sep_b, dab: float = 0.0, char: BundleC
 
 # -- public single/batch operations --------------------------------------------
 
-def _wrap_vector(vals: np.ndarray, tails, R: int, single: bool):
+def _wrap(vals: np.ndarray, tails, R: int, single: bool, n: int):
     if single:
-        return KernelEval(MultiVector.from_vector(vals[0]), R, float(np.atleast_1d(tails)[0]))
+        return KernelEval.from_batch(vals, tails, R, n)
     return vals, np.asarray(tails, dtype=float)
 
 
-def _wrap_scalar(vals: np.ndarray, tails, R: int, single: bool, n: int):
-    if single:
-        return KernelEval(MultiVector.scalar(n, float(vals[0])), R, float(np.atleast_1d(tails)[0]))
-    return vals, np.asarray(tails, dtype=float)
+def _cylinder(L: Lattice, char: BundleCharacter, x, y, R: int, diff, tail):
+    """Single point or batch through one cylinder regime's diff and tail(sep)."""
+    D, single = _pair_batch(x, y, L.n)
+    _check_not_on_orbit(L, D, "x - y")
+    return _wrap(diff(L, char, D, R), tail(np.linalg.norm(D, axis=1)), R, single, L.n)
 
 
 def cyl_cauchy(L: Lattice, char: BundleCharacter, x, y, R: int):
@@ -324,44 +332,30 @@ def cyl_cauchy(L: Lattice, char: BundleCharacter, x, y, R: int):
             "cyl_cauchy needs k <= n-2; use cyl_cauchy_reg at k = n-1 "
             "or torus_cauchy_two_point at k = n"
         )
-    D, single = _pair_batch(x, y, L.n)
-    _check_not_on_orbit(L, D, "x - y")
-    vals = cyl_cauchy_diff(L, char, D, R)
-    tails = cauchy_tail(L, R, np.linalg.norm(D, axis=1))
-    return _wrap_vector(vals, tails, R, single)
+    return _cylinder(L, char, x, y, R, cyl_cauchy_diff, lambda sep: cauchy_tail(L, R, sep))
 
 
 def cyl_cauchy_reg(L: Lattice, char: BundleCharacter, x, y, R: int):
     """Regularized Cauchy kernel at critical rank k = n-1."""
     if L.k != L.n - 1:
         raise RegimeError("cyl_cauchy_reg is the k = n-1 regime")
-    D, single = _pair_batch(x, y, L.n)
-    _check_not_on_orbit(L, D, "x - y")
-    vals = cyl_cauchy_reg_diff(L, char, D, R)
-    tails = cauchy_reg_tail(L, R, np.linalg.norm(D, axis=1))
-    return _wrap_vector(vals, tails, R, single)
+    return _cylinder(L, char, x, y, R, cyl_cauchy_reg_diff, lambda sep: cauchy_reg_tail(L, R, sep))
 
 
 def cyl_green(L: Lattice, char: BundleCharacter, x, y, R: int):
     """Periodized Green kernel on a rank-k cylinder, k <= n-3."""
     if L.k > L.n - 3:
         raise RegimeError("cyl_green needs k <= n-3; use cyl_green_reg at k = n-2")
-    D, single = _pair_batch(x, y, L.n)
-    _check_not_on_orbit(L, D, "x - y")
-    vals = cyl_green_diff(L, char, D, R)
-    tails = green_tail(L, R, np.linalg.norm(D, axis=1))
-    return _wrap_scalar(vals, tails, R, single, L.n)
+    return _cylinder(L, char, x, y, R, cyl_green_diff, lambda sep: green_tail(L, R, sep))
 
 
 def cyl_green_reg(L: Lattice, char: BundleCharacter, x, y, R: int):
     """Regularized Green kernel at critical rank k = n-2."""
     if L.k != L.n - 2:
         raise RegimeError("cyl_green_reg is the k = n-2 regime")
-    D, single = _pair_batch(x, y, L.n)
-    _check_not_on_orbit(L, D, "x - y")
-    vals = cyl_green_reg_diff(L, char, D, R)
-    tails = green_reg_tail(L, R, np.linalg.norm(D, axis=1), char)
-    return _wrap_scalar(vals, tails, R, single, L.n)
+    return _cylinder(
+        L, char, x, y, R, cyl_green_reg_diff, lambda sep: green_reg_tail(L, R, sep, char)
+    )
 
 
 # -- torus two-point kernel ------------------------------------------------------
@@ -444,7 +438,7 @@ def torus_cauchy_two_point(
 
     vals = shell_sum(L, char, D, R, pair, (n,), image, subtract)
     if literal:
-        return _wrap_vector(vals, np.full(D.shape[0], math.inf), R, single)
+        return _wrap(vals, np.full(D.shape[0], math.inf), R, single, n)
     dab = float(np.linalg.norm(a - b))
     tails = torus_tail(L, R, np.linalg.norm(Da, axis=1), np.linalg.norm(Db, axis=1), dab, char)
-    return _wrap_vector(vals, tails, R, single)
+    return _wrap(vals, tails, R, single, L.n)

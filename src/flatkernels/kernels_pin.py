@@ -30,8 +30,9 @@ import numpy as np
 from .calculus import FDScheme, dirac_fd
 from .clifford import MultiVector, reflect_coords
 from .errors import RegimeError, SingularPoint
-from .kernels_euclid import cauchy_g_batch, sphere_area
+from .kernels_euclid import cauchy_g_batch
 from .kernels_periodic import (
+    _SINGULAR_R2,
     KernelEval,
     _at_lattice,
     _green_term,
@@ -89,10 +90,6 @@ def _reflection_subsets(axes: list[int]) -> list[tuple[int, ...]]:
     return out
 
 
-def _twist(M: ManifoldSpec, subset: tuple[int, ...]) -> float:
-    return (-1.0) ** len(subset) if M.bundle.negate_fiber else 1.0
-
-
 def _flip_columns(D: np.ndarray, subset) -> np.ndarray:
     out = D.copy()
     for j in subset:
@@ -100,20 +97,20 @@ def _flip_columns(D: np.ndarray, subset) -> np.ndarray:
     return out
 
 
-def proj_cauchy_batch(M: ManifoldSpec, X, y, R: int, form: str = "orbit"):
-    """Batched projective Cauchy kernel: (values (B, n), tail_bounds (B,))."""
+def _superpose(X, y, n: int, axes, negate_fiber: bool, form: str, diff, tail):
+    """Sum rho(A) diff(D_A) and tail(|D_A|) over every subset A of the reflected axes.
+
+    D_A is the difference x - y with the source reflected on A (`orbit`) or
+    with the columns of A negated (`paper_literal`); the bundle twist rho(A)
+    is (-1)^|A| when the fiber is negated and 1 otherwise.
+    """
     _check_form(form)
-    if M.kind not in ("Projective", "Cylinder", "Torus"):
-        raise RegimeError(f"proj_cauchy expects a projective or oriented spec, got {M.kind}")
-    L, char = M.lattice, M.bundle
-    D, _ = _pair_batch(X, y, M.n)
-    axes = M.reflection_axes()
-    vals = np.zeros((D.shape[0], M.n))
-    tails = np.zeros(D.shape[0])
-    Xa = np.asarray(X, dtype=float).reshape(-1, M.n)
+    D, _ = _pair_batch(X, y, n)
+    Xa = np.asarray(X, dtype=float).reshape(-1, n)
     yv = np.atleast_2d(np.asarray(y, dtype=float))
+    vals = tails = 0.0
     for subset in _reflection_subsets(axes):
-        rho = _twist(M, subset)
+        rho = (-1.0) ** len(subset) if negate_fiber else 1.0
         if form == "orbit":
             # reflect the source point: the difference becomes x_j + y_j on the subset
             DA = D.copy()
@@ -121,66 +118,61 @@ def proj_cauchy_batch(M: ManifoldSpec, X, y, R: int, form: str = "orbit"):
                 DA[:, j] = Xa[:, j] + yv[:, j]
         else:
             DA = _flip_columns(D, subset)
-        vals += rho * periodic_cauchy_diff(L, char, DA, R)
-        tails += periodic_cauchy_tail(L, R, np.linalg.norm(DA, axis=1))
+        vals = vals + rho * diff(DA)
+        tails = tails + tail(np.linalg.norm(DA, axis=1))
     return vals, tails
+
+
+def _projective(M: ManifoldSpec, what: str):
+    if M.kind not in ("Projective", "Cylinder", "Torus"):
+        raise RegimeError(f"{what} expects a projective or oriented spec, got {M.kind}")
+    return M.lattice, M.bundle
+
+
+def proj_cauchy_batch(M: ManifoldSpec, X, y, R: int, form: str = "orbit"):
+    """Batched projective Cauchy kernel: (values (B, n), tail_bounds (B,))."""
+    L, char = _projective(M, "proj_cauchy")
+    return _superpose(
+        X, y, M.n, M.reflection_axes(), char.negate_fiber, form,
+        lambda D: periodic_cauchy_diff(L, char, D, R),
+        lambda sep: periodic_cauchy_tail(L, R, sep),
+    )
 
 
 def proj_cauchy(M: ManifoldSpec, x, y, R: int, form: str = "orbit") -> KernelEval:
     """Cauchy kernel on a projective cylinder (finite superposition of 2^(p-k))."""
     vals, tails = proj_cauchy_batch(M, np.atleast_2d(np.asarray(x, float)), y, R, form)
-    return KernelEval(MultiVector.from_vector(vals[0]), R, float(tails[0]))
+    return KernelEval.from_batch(vals, tails, R, M.n)
 
 
 def proj_green_batch(M: ManifoldSpec, X, y, R: int, form: str = "orbit"):
     """Batched projective Green kernel: (values (B,), tail_bounds (B,))."""
-    _check_form(form)
-    if M.kind not in ("Projective", "Cylinder", "Torus"):
-        raise RegimeError(f"proj_green expects a projective or oriented spec, got {M.kind}")
-    L, char = M.lattice, M.bundle
-    D, _ = _pair_batch(X, y, M.n)
-    axes = M.reflection_axes()
-    vals = np.zeros(D.shape[0])
-    tails = np.zeros(D.shape[0])
-    Xa = np.asarray(X, dtype=float).reshape(-1, M.n)
-    yv = np.atleast_2d(np.asarray(y, dtype=float))
-    for subset in _reflection_subsets(axes):
-        rho = _twist(M, subset)
-        if form == "orbit":
-            DA = D.copy()
-            for j in subset:
-                DA[:, j] = Xa[:, j] + yv[:, j]
-        else:
-            DA = _flip_columns(D, subset)
-        vals += rho * periodic_green_diff(L, char, DA, R)
-        tails += periodic_green_tail(L, R, np.linalg.norm(DA, axis=1), char)
-    return vals, tails
+    L, char = _projective(M, "proj_green")
+    return _superpose(
+        X, y, M.n, M.reflection_axes(), char.negate_fiber, form,
+        lambda D: periodic_green_diff(L, char, D, R),
+        lambda sep: periodic_green_tail(L, R, sep, char),
+    )
 
 
 def proj_green(M: ManifoldSpec, x, y, R: int, form: str = "orbit") -> KernelEval:
     vals, tails = proj_green_batch(M, np.atleast_2d(np.asarray(x, float)), y, R, form)
-    return KernelEval(MultiVector.scalar(M.n, float(vals[0])), R, float(tails[0]))
+    return KernelEval.from_batch(vals, tails, R, M.n)
 
 
 def realproj_cauchy_batch(p: int, X, y, form: str = "orbit", negate_fiber: bool = False):
     """k = 0 specialisation: finite reflection sum of the Euclidean kernel."""
-    _check_form(form)
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    y = np.asarray(y, dtype=float)
     n = X.shape[1]
     if not 0 <= p <= n:
         raise RegimeError(f"reflection count p must satisfy 0 <= p <= n, got {p}")
-    vals = np.zeros((X.shape[0], n))
-    for subset in _reflection_subsets(list(range(p))):
-        rho = (-1.0) ** len(subset) if negate_fiber else 1.0
-        if form == "orbit":
-            vals += rho * cauchy_g_batch(X, reflect_coords(y, subset))
-        else:
-            D = _flip_columns(X - y[None, :], subset)
-            r2 = np.sum(D * D, axis=1)
-            if np.any(r2 < 1e-18):
-                raise SingularPoint("evaluation point on a kernel singularity")
-            vals += rho * D * (r2 ** (-n / 2.0))[:, None] / sphere_area(n)
+    # every literal difference has the norm of x - y; guard it like a lattice sum
+    if form == "paper_literal" and np.any(np.sum((X - y) ** 2, axis=1) < _SINGULAR_R2):
+        raise SingularPoint("evaluation point on a kernel singularity")
+    vals, _ = _superpose(
+        X, y, n, list(range(p)), negate_fiber, form,
+        lambda D: cauchy_g_batch(D, 0.0), lambda sep: 0.0,
+    )
     return vals
 
 
@@ -253,7 +245,7 @@ def moebius_green(
     vals, tails = moebius_green_batch(
         M, np.atleast_2d(np.asarray(x, float)), y, R, form, allow_noncharacter
     )
-    return KernelEval(MultiVector.scalar(M.n, float(vals[0])), R, float(tails[0]))
+    return KernelEval.from_batch(vals, tails, R, M.n)
 
 
 # -- Class B: Klein quotients ----------------------------------------------------
@@ -302,7 +294,7 @@ def klein_green_batch(M: ManifoldSpec, X, y, R: int, form: str = "orbit"):
 
 def klein_green(M: ManifoldSpec, x, y, R: int, form: str = "orbit") -> KernelEval:
     vals, tails = klein_green_batch(M, np.atleast_2d(np.asarray(x, float)), y, R, form)
-    return KernelEval(MultiVector.scalar(M.n, float(vals[0])), R, float(tails[0]))
+    return KernelEval.from_batch(vals, tails, R, M.n)
 
 
 # -- descent and obstruction probes ----------------------------------------------

@@ -44,9 +44,11 @@ class Lattice:
         k, n = basis.shape
         if not 1 <= k <= n:
             raise DimensionMismatch(f"lattice rank must satisfy 1 <= k <= n, got k={k}, n={n}")
+        if not np.all(np.isfinite(basis)):
+            raise ConfigError("lattice basis must be finite")
         gram = basis @ basis.T
         if np.linalg.det(gram) <= _GRAM_TOL:
-            raise ValueError("lattice basis is not R-linearly independent")
+            raise ConfigError("lattice basis is not R-linearly independent")
         self.basis = basis.copy()
         self.basis.setflags(write=False)
         self.n = n

@@ -1,11 +1,14 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
 
-from flatkernels.cli import main
+from flatkernels import kernels_periodic as kp
+from flatkernels import kernels_pin as kpin
+from flatkernels.cli import KERNEL_NAMES, main
 from flatkernels.kernels_periodic import cyl_cauchy
-from flatkernels.lattice import BundleCharacter, Lattice
+from flatkernels.lattice import BundleCharacter, Lattice, ManifoldSpec
 
 
 @pytest.fixture
@@ -253,3 +256,128 @@ class TestTableSampleMode:
             assert main(["table", "--config", str(p), "--out", str(out)]) == 0
             outs.append(out.read_text())
         assert outs[0] != outs[1]
+
+
+def _exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+class TestMalformedConfig:
+    NAN = float("nan")
+
+    @pytest.mark.parametrize("command,override,extra", [
+        pytest.param("eval", {"manifold": {"kind": "Cylinder", "n": 4,
+                                           "basis": [[1.0, 0, 0, 0], [2.0, 0, 0, 0]]}}, [],
+                     id="dependent-basis"),
+        pytest.param("eval", {"manifold": {"kind": "Cylinder", "n": 4, "basis": [[NAN, 0, 0, 0]]}}, [],
+                     id="nan-basis"),
+        pytest.param("eval", {"R": "abc"}, [], id="non-numeric-R"),
+        pytest.param("eval", {"x": [NAN, 0.4, -0.2, 0.6]}, [], id="nan-x"),
+        pytest.param("eval", {"y": [0.9, float("inf"), 0.3, 0.2]}, [], id="inf-y"),
+        pytest.param("converge", {}, ["--R-list", "1,x"], id="non-numeric-R-list"),
+        pytest.param("table", {"points": [[0.1, "a", 0.2, 0.3]]}, [], id="non-numeric-point"),
+        pytest.param("table", {"points": []}, [], id="empty-points"),
+        pytest.param("table", {"points": [[0.1, 0.2, NAN, 0.3]]}, [], id="nan-point"),
+        pytest.param("table", {"segment": {"start": [0.1, 0.2, 0.3, NAN], "end": [0.2] * 4, "count": 3}},
+                     [], id="nan-segment"),
+    ])
+    def test_exits_2_with_one_line_message(self, cyl_config, tmp_path, capsys, command, override, extra):
+        _, cfg = cyl_config
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(dict(cfg, **override)))
+        assert _exit_code([command, "--config", str(p)] + extra) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    def test_threads_below_one_is_a_usage_error(self, cyl_config, tmp_path, threads):
+        _, cfg = cyl_config
+        p = tmp_path / "table.json"
+        p.write_text(json.dumps(dict(cfg, points=[cfg["x"]])))
+        assert _exit_code(["table", "--config", str(p)]) == 0
+        assert _exit_code(["table", "--config", str(p), "--threads", threads]) == 2
+
+
+# One small valid case per CLI kernel name; the library calls below are the reference.
+PARITY_CASES = {
+    "cyl-cauchy": ({"kind": "Cylinder", "n": 4, "basis": [[1.0, 0, 0, 0]], "bundle": {"l": 1}},
+                   [0.9, 0.1, 0.3, 0.2]),
+    "cyl-cauchy-reg": ({"kind": "Cylinder", "n": 3, "basis": [[1.0, 0, 0], [0.2, 1.0, 0]]},
+                       [0.9, 0.15, -0.1]),
+    "cyl-green": ({"kind": "Cylinder", "n": 5, "basis": [[1.0, 0, 0, 0, 0], [0.3, 1.1, 0, 0, 0]],
+                   "bundle": {"l": 1}}, [0.7, 0.2, 0.1, 0.6, 0.4]),
+    "cyl-green-reg": ({"kind": "Cylinder", "n": 4, "basis": [[1.0, 0, 0, 0], [0, 1.0, 0, 0]],
+                       "bundle": {"l": 1}}, [0.7, 0.2, 0.1, 0.6]),
+    "torus-cauchy": ({"kind": "Torus", "n": 2, "basis": [[1.0, 0.0], [0.0, 1.0]]}, [0.0, 0.0]),
+    "proj-cauchy": ({"kind": "Projective", "n": 3, "basis": [[1.0, 0, 0]], "p": 2,
+                     "bundle": {"negate_fiber": True}}, [0.7, 0.8, 0.25]),
+    "proj-green": ({"kind": "Projective", "n": 4, "basis": [[1.0, 0, 0, 0]], "p": 3},
+                   [0.7, 0.8, 0.25, 0.5]),
+    "realproj-cauchy": ({"kind": "RealProjective", "n": 3, "p": 2, "bundle": {"negate_fiber": True}},
+                        [0.7, 0.8, 0.25]),
+    "moebius-green": ({"kind": "MoebiusStrip", "n": 4, "basis": [[1.0, 0, 0, 0], [0, 1.0, 0, 0]],
+                       "sign_variant": "SumParity"}, [0.7, 0.8, 0.25, 0.5]),
+    "klein-green": ({"kind": "KleinBottle", "n": 4, "basis": [[1.0, 0, 0, 0]]}, [0.7, 0.8, 0.25, 0.5]),
+}
+TORUS_A, TORUS_B = [0.25, 0.25], [0.75, 0.6]
+
+
+def _library(name, spec, X, y, R, form):
+    """(batched (values, tails), single-point (coeffs, tail)) straight from the library."""
+    M = ManifoldSpec.from_dict(spec)
+    L, char = M.lattice, M.bundle
+    calls = {
+        "cyl-cauchy": lambda P: kp.cyl_cauchy(L, char, P, y, R),
+        "cyl-cauchy-reg": lambda P: kp.cyl_cauchy_reg(L, char, P, y, R),
+        "cyl-green": lambda P: kp.cyl_green(L, char, P, y, R),
+        "cyl-green-reg": lambda P: kp.cyl_green_reg(L, char, P, y, R),
+        "torus-cauchy": lambda P: kp.torus_cauchy_two_point(
+            L, char, TORUS_A, TORUS_B, P, R, form="coupled_subtracted" if form == "orbit" else form),
+        "proj-cauchy": lambda P: (kpin.proj_cauchy_batch if P.ndim == 2 else kpin.proj_cauchy)(M, P, y, R, form),
+        "proj-green": lambda P: (kpin.proj_green_batch if P.ndim == 2 else kpin.proj_green)(M, P, y, R, form),
+        "realproj-cauchy": lambda P: (kpin.realproj_cauchy_batch if P.ndim == 2 else kpin.realproj_cauchy)(
+            M.p, P, y, form, char.negate_fiber),
+        "moebius-green": lambda P: (kpin.moebius_green_batch if P.ndim == 2 else kpin.moebius_green)(
+            M, P, y, R, form),
+        "klein-green": lambda P: (kpin.klein_green_batch if P.ndim == 2 else kpin.klein_green)(M, P, y, R, form),
+    }
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        batch = calls[name](X)
+        single = calls[name](X[0])
+    if name == "realproj-cauchy":
+        return (batch, np.zeros(len(X))), (single.coeffs, 0.0)
+    return batch, (single.value.coeffs, single.tail_bound)
+
+
+class TestLibraryParity:
+    @pytest.mark.parametrize("form", ["orbit", "paper-literal"])
+    @pytest.mark.parametrize("name", sorted(PARITY_CASES))
+    def test_cli_matches_library_bits(self, tmp_path, name, form):
+        assert set(PARITY_CASES) == set(KERNEL_NAMES)
+        spec, y = PARITY_CASES[name]
+        n = spec["n"]
+        X = np.random.default_rng(7).uniform(0.05, 0.45, size=(5, n))
+        cfg = {"kernel": name, "manifold": spec, "R": 6, "form": form, "y": y,
+               "x": X[0].tolist(), "points": X.tolist(), "a": TORUS_A, "b": TORUS_B}
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        (ref_vals, ref_tails), (ref_coeffs, ref_tail) = _library(
+            name, spec, X, np.array(y), 6, form.replace("-", "_"))
+        ref_vals = np.asarray(ref_vals, dtype=float).reshape(len(X), -1)
+        for threads in ("1", "3"):
+            out = tmp_path / f"t{threads}.csv"
+            assert main(["table", "--config", str(p), "--threads", threads, "--out", str(out)]) == 0
+            body = np.array([[float(v) for v in ln.split(",")]
+                             for ln in out.read_text().splitlines()[1:]])
+            assert body[:, 1:1 + n].tobytes() == X.tobytes()
+            assert body[:, 1 + n:-1].tobytes() == ref_vals.tobytes()
+            assert body[:, -1].tobytes() == np.asarray(ref_tails, dtype=float).tobytes()
+        out = tmp_path / "eval.json"
+        assert main(["eval", "--config", str(p), "--out", str(out)]) == 0
+        rec = json.loads(out.read_text())["value"]
+        assert rec["coeffs"] == [float(c) for c in ref_coeffs]
+        assert rec["tail_bound"] == ref_tail

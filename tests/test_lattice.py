@@ -22,6 +22,11 @@ class TestLattice:
         with pytest.raises(ValueError):
             Lattice([[1.0, 0.0], [2.0, 0.0]])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_basis_rejected(self, bad):
+        with pytest.raises(ConfigError):
+            Lattice([[bad, 0.0, 0.0, 0.0, 0.0]])
+
     def test_rank_bounds(self):
         with pytest.raises(DimensionMismatch):
             Lattice(np.zeros((0, 3)))
