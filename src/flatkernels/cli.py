@@ -316,11 +316,20 @@ def _order_map(name: str, c: np.ndarray):
 
 def cmd_order(args) -> int:
     cfg = _load_config(args.config)
-    c = np.asarray(cfg.get("center", [0.0, 0.0]), dtype=float)
+    try:
+        c = np.asarray(cfg.get("center", [0.0, 0.0]), dtype=float)
+        delta = float(cfg.get("delta", 0.5))
+        grid = int(cfg.get("grid", 256))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"order needs a numeric center, delta and grid: {exc}") from exc
     if c.shape != (2,):
         raise ConfigError("order command is shipped for planar maps (center of length 2)")
-    delta = float(cfg.get("delta", 0.5))
-    grid = int(cfg.get("grid", 256))
+    if not np.all(np.isfinite(c)):
+        raise ConfigError("center must be finite")
+    if not (math.isfinite(delta) and delta > 0.0):
+        raise ConfigError("delta must be finite and > 0")
+    if grid < 1:
+        raise ConfigError("grid must be >= 1")
     gmap = _order_map(cfg.get("map", "winding1"), c)
     kernel0 = lambda X, yy: cauchy_g_batch(X, yy)
     order = quadrature.order_of_zero(gmap, c, delta, kernel0, (grid,))

@@ -3,8 +3,15 @@
 A multivector is stored as 2^n coefficients; coefficient index b is read as a
 bitmask selecting the canonical blade e_{i1}...e_{ir} with i1 < ... < ir
 (0-based axes).  Blade products are signed by the standard transposition-count
-algorithm plus one sign flip per annihilated generator pair, which makes every
-product bit-reproducible.
+algorithm plus one sign flip per annihilated generator pair.
+
+`gp` evaluates a product by gathering: one cached table per algebra holds, for
+output slot k, the partner blade i ^ k of every blade i and the sign of
+e_i e_(i^k).  Slot k is then a sum of (sign a_i) b_(i^k) started at +0.0 and
+taken in ascending blade order i, skipping blades of `a` that are zero
+throughout.  That order alone fixes the bits of every product, signed zeros
+included; for finite operands they do not depend on the operand layout or the
+batch size.
 
 Module-level helpers (`gp`, `reversion_coeffs`) operate on raw coefficient
 arrays of shape (..., 2^n) so that batched kernel and quadrature code can stay
@@ -60,19 +67,50 @@ def _tables(n: int):
     return xor, sign, grade, rev
 
 
-def gp(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
-    """Geometric product on coefficient arrays of shape (..., 2^n)."""
+@lru_cache(maxsize=None)
+def _gather_table(n: int):
+    """Gather table of `gp`: (partner, sign), both indexed [i, k].
+
+    partner[i, k] = i ^ k is the blade j of b with e_i e_j = +-e_k, and
+    sign[i, k] is that sign, read from `_tables` in output-slot order.
+    """
     xor, sign, _, _ = _tables(n)
+    gather_sign = np.take_along_axis(sign, xor, axis=1)
+    gather_sign.setflags(write=False)
+    return xor, gather_sign
+
+
+def gp(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """Geometric product on coefficient arrays of shape (..., 2^n).
+
+    Output slot k is the sum over blades i of (sign[i, k] a_i) b_partner[i, k],
+    read by gathers through `_gather_table` (signs from the transposition
+    count in `_tables`), started at +0.0 and taken in ascending i; that order
+    fixes the bits.  Blades of `a` that are zero throughout are skipped.  Two
+    1-D operands form one (nonzero blades of a) x 2^n term matrix whose rows
+    are added in order; batched operands add one gathered term array per
+    nonzero blade of `a`, with no (..., 2^n, 2^n) temporary.  Raises
+    DimensionMismatch unless both trailing axes have length 2^n.
+    """
+    partner, sign = _gather_table(n)
     dim = 1 << n
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    shape = np.broadcast_shapes(a.shape, b.shape)
-    out = np.zeros(shape, dtype=float)
-    for i in range(dim):
-        ai = a[..., i]
-        if a.ndim == 1 and ai == 0.0:
-            continue
-        out[..., xor[i]] += (sign[i] * ai[..., None]) * b
+    if a.shape[-1:] != (dim,) or b.shape[-1:] != (dim,):
+        raise DimensionMismatch(
+            f"Cl_{n} products need a trailing axis of {dim}, got {a.shape} and {b.shape}"
+        )
+    if a.ndim == 1 and b.ndim == 1:
+        blades = a.nonzero()[0]
+        terms = (a.take(blades)[:, None] * sign.take(blades, axis=0)) * b.take(
+            partner.take(blades, axis=0)
+        )
+        # a reduction over the outer axis adds whole rows, one after another
+        return np.add.reduce(terms, axis=0, initial=0.0)
+    blades = a.reshape(-1, dim).any(axis=0).nonzero()[0]
+    out = np.zeros(np.broadcast_shapes(a.shape, b.shape))
+    for i in blades:
+        out += (a[..., i, None] * sign[i]) * np.take(b, partner[i], axis=-1)
     return out
 
 

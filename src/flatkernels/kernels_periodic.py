@@ -109,6 +109,8 @@ def _pair_batch(x, y, n: int) -> tuple[np.ndarray, bool]:
     Y = np.atleast_2d(Y)
     if X.shape[1] != n or Y.shape[1] != n:
         raise ValueError(f"points must have dimension {n}")
+    if not (np.isfinite(X).all() and np.isfinite(Y).all()):
+        raise ConfigError("points must be finite")
     return X - np.broadcast_to(Y, np.broadcast_shapes(X.shape, Y.shape)), single
 
 

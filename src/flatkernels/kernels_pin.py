@@ -209,7 +209,7 @@ def moebius_green_batch(
     regularized = k == n - 2
     X = np.atleast_2d(np.asarray(X, dtype=float))
     yv = np.asarray(y, dtype=float)
-    D0 = X - yv[None, :]
+    D0, _ = _pair_batch(X, yv, n)
     D = D0.copy()
     if form == "orbit":
         D[:, -1] = X[:, -1]
@@ -266,7 +266,7 @@ def klein_green_batch(M: ManifoldSpec, X, y, R: int, form: str = "orbit"):
         )
     X = np.atleast_2d(np.asarray(X, dtype=float))
     yv = np.asarray(y, dtype=float)
-    D0 = X - yv[None, :]
+    D0, _ = _pair_batch(X, yv, n)
     D = D0.copy()
     if form == "orbit":
         D[:, k - 1] = X[:, k - 1]

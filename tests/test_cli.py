@@ -292,6 +292,23 @@ class TestMalformedConfig:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("override", [
+        pytest.param({"delta": "abc"}, id="non-numeric-delta"),
+        pytest.param({"delta": NAN}, id="nan-delta"),
+        pytest.param({"delta": 0.0}, id="zero-delta"),
+        pytest.param({"delta": -0.5}, id="negative-delta"),
+        pytest.param({"grid": "many"}, id="non-numeric-grid"),
+        pytest.param({"grid": 0}, id="zero-grid"),
+        pytest.param({"center": ["a", 0.0]}, id="non-numeric-center"),
+        pytest.param({"center": [NAN, 0.0]}, id="nan-center"),
+    ])
+    def test_order_exits_2_with_one_line_message(self, tmp_path, capsys, override):
+        p = tmp_path / "order.json"
+        p.write_text(json.dumps(dict({"map": "winding1", "grid": 32}, **override)))
+        assert _exit_code(["order", "--config", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+
     @pytest.mark.parametrize("threads", ["0", "-2"])
     def test_threads_below_one_is_a_usage_error(self, cyl_config, tmp_path, threads):
         _, cfg = cyl_config

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flatkernels.clifford import (
+    MAX_DIM,
     MultiVector,
     DimensionMismatch,
+    _tables,
     geometric_product,
+    gp,
     norm,
     reflect_coords,
     reversion,
@@ -76,6 +80,70 @@ class TestGeometricProduct:
         lhs = a * (b * 2.0 + c * -3.5)
         rhs = (a * b) * 2.0 + (a * c) * -3.5
         assert (lhs - rhs).norm() <= 1e-12
+
+
+def scatter_gp(a, b, n):
+    """Blade-by-blade scatter loop: the reference whose bits `gp` must keep."""
+    xor, sign, _, _ = _tables(n)
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    out = np.zeros(np.broadcast_shapes(a.shape, b.shape))
+    for i in range(1 << n):
+        ai = a[..., i]
+        if a.ndim == 1 and ai == 0.0:
+            continue
+        out[..., xor[i]] += (sign[i] * ai[..., None]) * b
+    return out
+
+
+# (a batch shape, b batch shape) for each operand layout
+LAYOUTS = {
+    "1-D": lambda B, C: ((), ()),
+    "batched": lambda B, C: ((B,), (B,)),
+    "1-D times batched": lambda B, C: ((), (B,)),
+    "batched times 1-D": lambda B, C: ((B,), ()),
+    "broadcast": lambda B, C: ((B, 1), (1, C)),
+}
+
+
+@st.composite
+def operand_pairs(draw):
+    n = draw(st.integers(1, MAX_DIM))
+    lead_a, lead_b = LAYOUTS[draw(st.sampled_from(sorted(LAYOUTS)))](
+        draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    zeros = draw(st.sampled_from([0.0, 0.5, 0.9, 1.0]))
+
+    def operand(lead):
+        shape = lead + (1 << n,)
+        x = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 9, size=shape)
+        hit = rng.random(shape) < zeros
+        x[hit] = np.where(rng.random(shape) < 0.5, 0.0, -0.0)[hit]
+        return x
+
+    return n, operand(lead_a), operand(lead_b)
+
+
+class TestTableProduct:
+    @settings(max_examples=300, deadline=None)
+    @given(operand_pairs())
+    def test_bits_match_scatter_loop(self, case):
+        n, a, b = case
+        got, ref = gp(a, b, n), scatter_gp(a, b, n)
+        assert got.shape == ref.shape
+        assert np.array_equal(got, ref)
+        assert np.array_equal(np.signbit(got), np.signbit(ref))
+
+    @pytest.mark.parametrize("a_shape,b_shape", [
+        ((4,), (8,)),
+        ((8,), (2, 16)),
+        ((3, 7), (3, 8)),
+        ((), (8,)),
+    ])
+    def test_trailing_axis_must_be_2_to_the_n(self, a_shape, b_shape):
+        with pytest.raises(DimensionMismatch):
+            gp(np.ones(a_shape), np.ones(b_shape), 3)
 
 
 class TestReversion:

@@ -21,7 +21,12 @@ from flatkernels.kernels_periodic import (
     eisenstein_tail,
     torus_cauchy_two_point,
 )
-from flatkernels.kernels_pin import klein_green_batch, moebius_green_batch, proj_green_batch
+from flatkernels.kernels_pin import (
+    klein_green_batch,
+    moebius_green_batch,
+    proj_cauchy_batch,
+    proj_green_batch,
+)
 from flatkernels.lattice import BundleCharacter, Lattice, ManifoldSpec
 
 CH0 = BundleCharacter(0)
@@ -333,6 +338,32 @@ def test_negative_radius_rejected():
     y = np.array([0.8, 0.1, 0.3, -0.2, 0.35])
     with pytest.raises(ConfigError, match="truncation radius R must be >= 0"):
         cyl_green(L, CH0, x, y, -1)
+
+
+NAN = float("nan")
+L5 = Lattice(np.eye(5)[:1])
+T2, A2, B2 = Lattice(np.eye(2)), np.array([0.25, 0.25]), np.array([0.75, 0.6])
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: cyl_green(L5, CH0, [NAN, 0.1, 0.2, 0.3, 0.4], [0.5] * 5, 10), id="cyl_green-x"),
+    pytest.param(lambda: cyl_green(L5, CH0, [0.5] * 5, [0.1, np.inf, 0.2, 0.3, 0.4], 10), id="cyl_green-y"),
+    pytest.param(lambda: proj_cauchy_batch(ManifoldSpec("Projective", 3, Lattice(np.eye(3)[:1]), p=2),
+                                           [[0.3, NAN, 0.6]], [0.7, 0.8, 0.25], 10),
+                 id="proj_cauchy_batch"),
+    pytest.param(lambda: moebius_green_batch(ManifoldSpec("MoebiusStrip", 5, L5, sign_variant="SumParity"),
+                                             [[0.3, 0.4, -0.2, 0.5, 0.7]], [0.8, 0.1, 0.3, -0.2, NAN], 10),
+                 id="moebius_green_batch"),
+    pytest.param(lambda: klein_green_batch(ManifoldSpec("KleinBottle", 6, Lattice(np.eye(6)[:2])),
+                                           [[0.3, 0.4, NAN, -0.3, 0.55, 0.6]], [0.75, 0.9, -0.1, 0.4, 0.15, 1.2], 10),
+                 id="klein_green_batch"),
+    pytest.param(lambda: torus_cauchy_two_point(T2, CH0, A2, B2, [0.4, -np.inf], 10), id="torus-x"),
+    pytest.param(lambda: torus_cauchy_two_point(T2, CH0, [NAN, 0.25], B2, [0.4, 0.8], 10), id="torus-a"),
+    pytest.param(lambda: torus_cauchy_two_point(T2, CH0, A2, [0.75, NAN], [0.4, 0.8], 10), id="torus-b"),
+])
+def test_nonfinite_points_rejected(call):
+    with pytest.raises(ConfigError, match="points must be finite"):
+        call()
 
 
 class TestSummationAccuracy:
