@@ -5,10 +5,15 @@ a field passes a monogenicity/harmonicity check only if its FD residual is
 small, regardless of how the field was constructed.  Default step 1e-3 with
 order-4 stencils balances truncation against roundoff for fields that stay
 O(1) away from their singularities.
+
+One stencil engine (`_stencil`) serves the pointwise operators and the
+batched residuals alike: the pointwise forms wrap their single-point field
+as a batched one, so both share every bit of arithmetic.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -16,7 +21,7 @@ import numpy as np
 
 from .clifford import MultiVector, gp
 
-# (offset multiples of h, weight); weights already include the 1/h power.
+# (offset multiples of h, weight); the 1/h power is applied by the caller.
 _D1 = {
     2: ((-1, -0.5), (1, 0.5)),
     4: ((-2, 1.0 / 12.0), (-1, -8.0 / 12.0), (1, 8.0 / 12.0), (2, -1.0 / 12.0)),
@@ -35,74 +40,16 @@ _D2 = {
 
 @dataclass(frozen=True)
 class FDScheme:
-    """Central stencil: step h > 0, order 2 or 4."""
+    """Central stencil: finite step h > 0, order 2 or 4."""
 
     h: float = 1e-3
     order: int = 4
 
     def __post_init__(self):
-        if self.h <= 0:
-            raise ValueError("FD step must be positive")
+        if not (self.h > 0 and math.isfinite(self.h)):
+            raise ValueError("FD step must be positive and finite")
         if self.order not in (2, 4):
             raise ValueError("stencil order must be 2 or 4")
-
-
-def _to_mv(value, n: int) -> MultiVector:
-    if isinstance(value, MultiVector):
-        return value
-    arr = np.asarray(value, dtype=float)
-    if arr.ndim == 0:
-        return MultiVector.scalar(n, float(arr))
-    if arr.shape == (n,):
-        return MultiVector.from_vector(arr)
-    if arr.shape == (1 << n,):
-        return MultiVector(n, arr)
-    raise ValueError(f"cannot interpret field value of shape {arr.shape} in Cl_{n}")
-
-
-def _partial(f, x: np.ndarray, j: int, s: FDScheme) -> MultiVector:
-    n = x.shape[0]
-    acc = MultiVector.zero(n)
-    for off, w in _D1[s.order]:
-        xp = x.copy()
-        xp[j] += off * s.h
-        acc = acc + _to_mv(f(xp), n) * (w / s.h)
-    return acc
-
-
-def dirac_fd(f: Callable, x, s: FDScheme = FDScheme(), side: str = "left") -> MultiVector:
-    """FD Dirac operator: sum_j e_j d_j f (left) or sum_j (d_j f) e_j (right)."""
-    if side not in ("left", "right"):
-        raise ValueError("side must be 'left' or 'right'")
-    x = np.asarray(x, dtype=float)
-    n = x.shape[0]
-    acc = MultiVector.zero(n)
-    for j in range(n):
-        df = _partial(f, x, j, s)
-        ej = MultiVector.basis_vector(n, j)
-        acc = acc + (ej * df if side == "left" else df * ej)
-    return acc
-
-
-def laplace_fd(f: Callable, x, s: FDScheme = FDScheme()) -> MultiVector:
-    """FD Laplacian applied componentwise to a Clifford-valued field."""
-    x = np.asarray(x, dtype=float)
-    n = x.shape[0]
-    acc = MultiVector.zero(n)
-    h2 = s.h * s.h
-    for j in range(n):
-        for off, w in _D2[s.order]:
-            xp = x.copy()
-            xp[j] += off * s.h
-            acc = acc + _to_mv(f(xp), n) * (w / h2)
-    return acc
-
-
-# -- batched residuals for lattice-kernel fields ------------------------------
-#
-# Kernel fields evaluate whole point batches at once; building the full
-# stencil point set first keeps an FD sweep over many samples to a handful of
-# kernel evaluations.
 
 
 def _coerce_batch(vals: np.ndarray, n: int) -> np.ndarray:
@@ -122,16 +69,70 @@ def _coerce_batch(vals: np.ndarray, n: int) -> np.ndarray:
     raise ValueError(f"cannot interpret batched field values of shape {vals.shape}")
 
 
-def _stencil_points(X: np.ndarray, offsets, h: float) -> np.ndarray:
-    """All X shifted along every axis by every offset: (S, B, n) flattened."""
+def _pointwise(f: Callable, n: int):
+    """A single-point field as a batched one; f returns a float, an n-vector,
+    2^n coefficients or a MultiVector."""
+    return lambda P: _coerce_batch(
+        [v.coeffs if isinstance(v, MultiVector) else v for v in map(f, P)], n
+    )
+
+
+def _stencil(field, X: np.ndarray, table, h: float, scale: float) -> np.ndarray:
+    """Weighted stencil terms of a batched field along every axis.
+
+    Term [j, t] is (w_t / scale) f(X + off_t h e_j) for the t-th (off_t, w_t)
+    of `table`, shape (n, len(table), B, 2^n).  `field` maps an (M, n) point
+    array to (M,), (M, n) or (M, 2^n) values; it is called once on all
+    shifted points and, when the table has a zero offset, once on X.
+    """
     B, n = X.shape
-    pts = []
+    offsets = [off for off, _ in table]
+    shifted = [off for off in offsets if off != 0]
+    P = np.tile(X, (n, len(shifted), 1, 1))
+    steps = np.asarray(shifted, dtype=float) * h
     for j in range(n):
-        for off in offsets:
-            P = X.copy()
-            P[:, j] += off * h
-            pts.append(P)
-    return np.concatenate(pts, axis=0)
+        P[j, :, :, j] += steps[:, None]
+    vals = _coerce_batch(field(P.reshape(-1, n)), n).reshape(n, len(shifted), B, 1 << n)
+    if 0 in offsets:
+        z = offsets.index(0)
+        center = np.broadcast_to(_coerce_batch(field(X), n), (n, 1, B, 1 << n))
+        vals = np.concatenate([vals[:, :z], center, vals[:, z:]], axis=1)
+    weights = np.array([w / scale for _, w in table])
+    return weights[:, None, None] * vals
+
+
+def _dirac(field, X: np.ndarray, s: FDScheme, side: str) -> np.ndarray:
+    """FD Dirac of a batched field at the rows of X, (B, 2^n)."""
+    if side not in ("left", "right"):
+        raise ValueError("side must be 'left' or 'right'")
+    terms = _stencil(field, X, _D1[s.order], s.h, s.h)
+    n = X.shape[1]
+    res = np.zeros(terms.shape[2:])
+    for j, axis_terms in enumerate(terms):
+        df = sum(axis_terms, 0.0)
+        ej = MultiVector.basis_vector(n, j).coeffs
+        res += gp(ej, df, n) if side == "left" else gp(df, ej, n)
+    return res
+
+
+def _laplace(field, X: np.ndarray, s: FDScheme) -> np.ndarray:
+    """FD Laplacian of a batched field at the rows of X, componentwise, (B, 2^n)."""
+    terms = _stencil(field, X, _D2[s.order], s.h, s.h * s.h)
+    return sum(terms.reshape((-1,) + terms.shape[2:]), 0.0)
+
+
+def dirac_fd(f: Callable, x, s: FDScheme = FDScheme(), side: str = "left") -> MultiVector:
+    """FD Dirac operator: sum_j e_j d_j f (left) or sum_j (d_j f) e_j (right)."""
+    x = np.asarray(x, dtype=float)
+    n = x.shape[0]
+    return MultiVector(n, _dirac(_pointwise(f, n), x[None, :], s, side)[0])
+
+
+def laplace_fd(f: Callable, x, s: FDScheme = FDScheme()) -> MultiVector:
+    """FD Laplacian applied componentwise to a Clifford-valued field."""
+    x = np.asarray(x, dtype=float)
+    n = x.shape[0]
+    return MultiVector(n, _laplace(_pointwise(f, n), x[None, :], s)[0])
 
 
 def dirac_residual_batch(field, X, s: FDScheme = FDScheme(), side: str = "left") -> np.ndarray:
@@ -140,37 +141,9 @@ def dirac_residual_batch(field, X, s: FDScheme = FDScheme(), side: str = "left")
     `field` maps an (M, n) point array to (M,), (M, n) or (M, 2^n) values.
     Returns the coefficient-norm of the residual, shape (B,).
     """
-    X = np.asarray(X, dtype=float)
-    B, n = X.shape
-    offsets = [off for off, _ in _D1[s.order]]
-    weights = [w for _, w in _D1[s.order]]
-    vals = _coerce_batch(field(_stencil_points(X, offsets, s.h)), n)
-    vals = vals.reshape(n, len(offsets), B, 1 << n)
-    dim = 1 << n
-    res = np.zeros((B, dim))
-    for j in range(n):
-        df = np.zeros((B, dim))
-        for si, w in enumerate(weights):
-            df += (w / s.h) * vals[j, si]
-        ej = np.zeros(dim)
-        ej[1 << j] = 1.0
-        res += gp(ej, df, n) if side == "left" else gp(df, ej, n)
-    return np.linalg.norm(res, axis=1)
+    return np.linalg.norm(_dirac(field, np.asarray(X, dtype=float), s, side), axis=1)
 
 
 def laplace_residual_batch(field, X, s: FDScheme = FDScheme()) -> np.ndarray:
     """Norm of the FD Laplacian of a batched field at each row of X."""
-    X = np.asarray(X, dtype=float)
-    B, n = X.shape
-    offsets = [off for off, _ in _D2[s.order] if off != 0]
-    weights = {off: w for off, w in _D2[s.order]}
-    vals = _coerce_batch(field(_stencil_points(X, offsets, s.h)), n)
-    vals = vals.reshape(n, len(offsets), B, 1 << n)
-    center = _coerce_batch(field(X), n)
-    h2 = s.h * s.h
-    res = np.zeros((B, 1 << n))
-    for j in range(n):
-        for si, off in enumerate(offsets):
-            res += (weights[off] / h2) * vals[j, si]
-        res += (weights[0] / h2) * center
-    return np.linalg.norm(res, axis=1)
+    return np.linalg.norm(_laplace(field, np.asarray(X, dtype=float), s), axis=1)

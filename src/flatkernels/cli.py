@@ -296,24 +296,6 @@ def cmd_verify(args) -> int:
     return 0 if report["passed"] else 1
 
 
-_ORDER_MAPS = ("winding1", "winding2", "nozero")
-
-
-def _order_map(name: str, c: np.ndarray):
-    if name == "winding1":
-        return lambda x: x - c
-    if name == "winding2":
-
-        def squaring(x):
-            u, v = x - c
-            return np.array([u * u - v * v, 2.0 * u * v])
-
-        return squaring
-    if name == "nozero":
-        return lambda x: x - c + np.array([5.0, 0.0])
-    raise ConfigError(f"unknown map {name!r}; choose from {', '.join(_ORDER_MAPS)}")
-
-
 def cmd_order(args) -> int:
     cfg = _load_config(args.config)
     try:
@@ -330,12 +312,15 @@ def cmd_order(args) -> int:
         raise ConfigError("delta must be finite and > 0")
     if grid < 1:
         raise ConfigError("grid must be >= 1")
-    gmap = _order_map(cfg.get("map", "winding1"), c)
+    name = cfg.get("map", "winding1")
+    if not isinstance(name, str) or name not in suites.ORDER_MAPS:
+        raise ConfigError(f"unknown map {name!r}; choose from {', '.join(suites.ORDER_MAPS)}")
+    gmap = lambda x: suites.ORDER_MAPS[name](x, c)
     kernel0 = lambda X, yy: cauchy_g_batch(X, yy)
     order = quadrature.order_of_zero(gmap, c, delta, kernel0, (grid,))
     theta = 2.0 * math.pi * (np.arange(2 * grid) + 0.5) / (2 * grid)
     circle = c[None, :] + delta * np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    oracle = quadrature.polygon_winding(np.array([gmap(p) for p in circle]))
+    oracle = quadrature.polygon_winding(gmap(circle))
     payload = {
         "version": __version__,
         "config": cfg,

@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .errors import RegimeError, SingularPoint
+from .errors import ConfigError, RegimeError, SingularPoint
 
 
 def sphere_area(n: int) -> float:
@@ -28,11 +28,18 @@ def sphere_area(n: int) -> float:
     return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
 
 
-def cauchy_g(x, y) -> np.ndarray:
-    """Vector-valued fundamental solution of the Dirac operator; antisymmetric."""
+def _difference(x, y) -> np.ndarray:
+    """x - y; a non-finite coordinate raises ConfigError."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    d = x - y
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ConfigError("points must be finite")
+    return x - y
+
+
+def cauchy_g(x, y) -> np.ndarray:
+    """Vector-valued fundamental solution of the Dirac operator; antisymmetric."""
+    d = _difference(x, y)
     r2 = float(np.dot(d, d))
     if r2 == 0.0:
         raise SingularPoint("cauchy_g evaluated at coincident points")
@@ -42,12 +49,10 @@ def cauchy_g(x, y) -> np.ndarray:
 
 def green_h(x, y) -> float:
     """Scalar fundamental solution of the Laplacian (n > 2); symmetric."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    n = x.shape[0]
+    d = _difference(x, y)
+    n = d.shape[0]
     if n <= 2:
         raise RegimeError("green_h requires n > 2")
-    d = x - y
     r2 = float(np.dot(d, d))
     if r2 == 0.0:
         raise SingularPoint("green_h evaluated at coincident points")
@@ -67,9 +72,7 @@ def green_to_cauchy_factor(n: int) -> float:
 
 def cauchy_g_batch(X, Y) -> np.ndarray:
     """cauchy_g on batched points; X, Y broadcast to (B, n), returns (B, n)."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    Y = np.atleast_2d(np.asarray(Y, dtype=float))
-    D = X - Y
+    D = _difference(np.atleast_2d(X), np.atleast_2d(Y))
     n = D.shape[1]
     r2 = np.sum(D * D, axis=1)
     if np.any(r2 == 0.0):
@@ -79,9 +82,7 @@ def cauchy_g_batch(X, Y) -> np.ndarray:
 
 def green_h_batch(X, Y) -> np.ndarray:
     """green_h on batched points; returns (B,)."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    Y = np.atleast_2d(np.asarray(Y, dtype=float))
-    D = X - Y
+    D = _difference(np.atleast_2d(X), np.atleast_2d(Y))
     n = D.shape[1]
     if n <= 2:
         raise RegimeError("green_h requires n > 2")

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .calculus import FDScheme, dirac_fd
+from .calculus import FDScheme, _pointwise, dirac_residual_batch
 from .clifford import MultiVector, reflect_coords
 from .errors import RegimeError, SingularPoint
 from .kernels_euclid import cauchy_g_batch
@@ -186,17 +186,33 @@ def _check_form(form: str):
         raise ValueError(f"unknown kernel form {form!r}; use 'orbit' or 'paper_literal'")
 
 
-# -- Class B: Moebius strips ----------------------------------------------------
+# -- Class B: Moebius strips and Klein quotients -------------------------------
+
+def _class_b_pairs(M: ManifoldSpec, kind: str, X, y, form: str, column: int):
+    """Checks and pair batch shared by the Class-B kernels: (X, y, D0, D).
+
+    D0 = x - y; D is D0 except that the orbit form carries x in `column`,
+    where each kernel's image map writes the image of the source coordinate.
+    """
+    _check_form(form)
+    if M.kind != kind:
+        raise RegimeError(f"the {kind} Green kernel requires a {kind} spec")
+    if M.bundle.l != 0 or M.bundle.negate_fiber:
+        raise RegimeError(f"only the trivial pin bundle is constructed on {kind} quotients")
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    yv = np.asarray(y, dtype=float)
+    D0, _ = _pair_batch(X, yv, M.n)
+    D = D0.copy()
+    if form == "orbit":
+        D[:, column] = X[:, column]
+    return X, yv, D0, D
+
 
 def moebius_green_batch(
     M: ManifoldSpec, X, y, R: int, form: str = "orbit", allow_noncharacter: bool = False
 ):
     """Batched Moebius-strip Green kernel: (values (B,), tail_bounds (B,))."""
-    _check_form(form)
-    if M.kind != "MoebiusStrip":
-        raise RegimeError("moebius_green requires a MoebiusStrip spec")
-    if M.bundle.l != 0 or M.bundle.negate_fiber:
-        raise RegimeError("only the trivial pin bundle is constructed on Moebius strips")
+    X, yv, D0, D = _class_b_pairs(M, "MoebiusStrip", X, y, form, -1)
     if M.sign_variant == "AllEven" and not allow_noncharacter:
         raise RegimeError(
             "AllEven sign variant is not a lattice character; pass allow_noncharacter=True "
@@ -207,12 +223,6 @@ def moebius_green_batch(
     if k > n - 2:
         raise RegimeError("Moebius Green kernel needs k <= n-2")
     regularized = k == n - 2
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    yv = np.asarray(y, dtype=float)
-    D0, _ = _pair_batch(X, yv, n)
-    D = D0.copy()
-    if form == "orbit":
-        D[:, -1] = X[:, -1]
 
     def image(D, Ms, W):
         U = _translate(D, Ms, W)
@@ -248,15 +258,9 @@ def moebius_green(
     return KernelEval.from_batch(vals, tails, R, M.n)
 
 
-# -- Class B: Klein quotients ----------------------------------------------------
-
 def klein_green_batch(M: ManifoldSpec, X, y, R: int, form: str = "orbit"):
     """Batched Klein-quotient Green kernel: (values (B,), tail_bounds (B,))."""
-    _check_form(form)
-    if M.kind != "KleinBottle":
-        raise RegimeError("klein_green requires a KleinBottle spec")
-    if M.bundle.l != 0 or M.bundle.negate_fiber:
-        raise RegimeError("only the trivial pin bundle is constructed on Klein quotients")
+    X, yv, D0, D = _class_b_pairs(M, "KleinBottle", X, y, form, M.k - 1)
     L = M.lattice
     n, k = M.n, M.k
     if not k < n - 2:
@@ -264,12 +268,6 @@ def klein_green_batch(M: ManifoldSpec, X, y, R: int, form: str = "orbit"):
             "Klein Green kernel implemented for k < n-2 (higher ranks need a regularization "
             "that is not constructed here)"
         )
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    yv = np.asarray(y, dtype=float)
-    D0, _ = _pair_batch(X, yv, n)
-    D = D0.copy()
-    if form == "orbit":
-        D[:, k - 1] = X[:, k - 1]
 
     def image(D, Ms, W):
         U = _translate(D, Ms, W)
@@ -391,14 +389,12 @@ def monogenic_obstruction_probe(f, axis: int, samples, scheme: FDScheme = FDSche
     coordinate; the probe reports min/max residuals so the caller can check
     the obstruction is bounded away from zero on its sample set.
     """
+    X = np.asarray(samples, dtype=float)
     residuals = []
-    for x in samples:
-        x = np.asarray(x, dtype=float)
-
-        def reflected(z):
-            return f(reflect_coords(z, [axis]))
-
-        residuals.append(float(dirac_fd(reflected, x, scheme).norm()))
+    if X.size:
+        field = _pointwise(f, X.shape[1])
+        res = dirac_residual_batch(lambda P: field(reflect_coords(P, [axis])), X, scheme)
+        residuals = [float(r) for r in res]
     return {
         "axis": axis,
         "residuals": residuals,

@@ -3,6 +3,10 @@
 Surfaces are spheres (Gauss-Legendre in the polar angles, uniform in the
 azimuth) and axis-aligned boxes (midpoint rule per face); both suffice for
 every contract in this library and keep node enumeration deterministic.
+Every integral (Cauchy, both Green terms, the jump probe's principal value
+and the order-of-zero integral) is one flux sum, `_flux`: the weighted node
+sum of K n f, with n the node normal (for the order integral, the normal
+pushed through g by the cofactor matrix).
 
 Orientation convention.  With the anticommuting generators squaring to -1 and
 the kernel normalisations of `kernels_euclid`, the flux of the vector kernel
@@ -26,7 +30,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .calculus import _coerce_batch
-from .clifford import gp, reflect_coords
+from .clifford import MultiVector, gp, reflect_coords
 from .errors import AccuracyError, SurfaceError
 from .kernels_euclid import green_to_cauchy_factor, sphere_area
 
@@ -90,13 +94,17 @@ def sphere_surface(center, radius: float, grid) -> Hypersurface:
     """
     center = np.asarray(center, dtype=float)
     n = center.shape[0]
-    if radius <= 0:
-        raise SurfaceError("sphere radius must be positive")
+    if not np.all(np.isfinite(center)):
+        raise SurfaceError("sphere center must be finite")
+    if not (math.isfinite(radius) and radius > 0):
+        raise SurfaceError("sphere radius must be finite and positive")
     if isinstance(grid, int):
         grid = (grid,)
     grid = tuple(int(g) for g in grid)
     if len(grid) != n - 1:
         raise SurfaceError(f"sphere in R^{n} needs {n - 1} grid resolutions, got {len(grid)}")
+    if any(g < 1 for g in grid):
+        raise SurfaceError("sphere grid resolutions must be >= 1")
 
     angle_nodes = []
     angle_weights = []
@@ -146,8 +154,12 @@ def box_surface(corner, extents, per_face: int) -> Hypersurface:
     corner = np.asarray(corner, dtype=float)
     extents = np.asarray(extents, dtype=float)
     n = corner.shape[0]
+    if not (np.all(np.isfinite(corner)) and np.all(np.isfinite(extents))):
+        raise SurfaceError("box corner and extents must be finite")
     if np.any(extents <= 0):
         raise SurfaceError("box extents must be positive")
+    if per_face < 1:
+        raise SurfaceError("box needs per_face >= 1 nodes along each face edge")
     positions, normals, weights = [], [], []
     for axis in range(n):
         others = [j for j in range(n) if j != axis]
@@ -191,12 +203,8 @@ def mirrored_surface(S: Hypersurface, axes) -> Hypersurface:
 # -- engines -------------------------------------------------------------------
 
 def _field_values(field_fn, X: np.ndarray, n: int) -> np.ndarray:
-    if callable(field_fn):
-        vals = field_fn(X)
-    else:
-        vals = np.full(X.shape[0], float(field_fn))
-    vals = np.asarray(vals, dtype=float)
-    if vals.ndim == 0:
+    vals = np.asarray(field_fn(X) if callable(field_fn) else float(field_fn), dtype=float)
+    if vals.ndim == 0:  # a constant section
         vals = np.full(X.shape[0], float(vals))
     return _coerce_batch(vals, n)
 
@@ -204,6 +212,18 @@ def _field_values(field_fn, X: np.ndarray, n: int) -> np.ndarray:
 def _surface_sum(S: Hypersurface, integrand: np.ndarray) -> np.ndarray:
     # fixed node order; numpy pairwise summation is deterministic per shape
     return np.sum(S.weights[:, None] * integrand, axis=0)
+
+
+def _flux(S: Hypersurface, K, section) -> np.ndarray:
+    """Flux sum over the nodes of S: w K n f, 2^n coefficients.
+
+    K holds the kernel values at the nodes, (B,), (B, n) or (B, 2^n); n is
+    the node normal; `section` maps the node positions to f, or is a constant.
+    """
+    n = S.dim
+    K = _coerce_batch(K, n)
+    N = _coerce_batch(S.normals, n)
+    return _surface_sum(S, gp(gp(K, N, n), _field_values(section, S.positions, n), n))
 
 
 def _warn_if_not_inside(S: Hypersurface, y: np.ndarray, what: str):
@@ -220,16 +240,9 @@ def cauchy_integral(kernel, S: Hypersurface, section, y) -> "object":
     section and an interior y the result approximates f(y); for exterior y it
     approximates zero (a warning flags that case).
     """
-    from .clifford import MultiVector
-
-    n = S.dim
     y = np.asarray(y, dtype=float)
     _warn_if_not_inside(S, y, "evaluation point")
-    K = _coerce_batch(np.asarray(kernel(S.positions, y), dtype=float), n)
-    Nc = _coerce_batch(S.normals, n)
-    F = _field_values(section, S.positions, n)
-    integrand = gp(gp(K, Nc, n), F, n)
-    return MultiVector(n, REPRODUCING_SIGN * _surface_sum(S, integrand))
+    return MultiVector(S.dim, REPRODUCING_SIGN * _flux(S, kernel(S.positions, y), section))
 
 
 def green_integral(g_kernel, h_kernel, S: Hypersurface, section, dsection, y) -> "object":
@@ -239,18 +252,11 @@ def green_integral(g_kernel, h_kernel, S: Hypersurface, section, dsection, y) ->
     via an FD wrapper).  For harmonic sections the result approximates f(y);
     for monogenic sections (dsection = 0) it reduces to `cauchy_integral`.
     """
-    from .clifford import MultiVector
-
     n = S.dim
     y = np.asarray(y, dtype=float)
     _warn_if_not_inside(S, y, "evaluation point")
-    G = _coerce_batch(np.asarray(g_kernel(S.positions, y), dtype=float), n)
-    H = _coerce_batch(np.asarray(h_kernel(S.positions, y), dtype=float), n)
-    Nc = _coerce_batch(S.normals, n)
-    F = _field_values(section, S.positions, n)
-    DF = _field_values(dsection, S.positions, n)
-    first = REPRODUCING_SIGN * _surface_sum(S, gp(gp(G, Nc, n), F, n))
-    second = green_formula_factor(n) * _surface_sum(S, gp(gp(H, Nc, n), DF, n))
+    first = REPRODUCING_SIGN * _flux(S, g_kernel(S.positions, y), section)
+    second = green_formula_factor(n) * _flux(S, h_kernel(S.positions, y), dsection)
     return MultiVector(n, first + second)
 
 
@@ -305,10 +311,7 @@ def pv_jump_probe(kernel, S: Hypersurface, density, w_index: int, t_values=None,
     cap = cap_factor * spacing
     keep = dists > cap
     Scap = Hypersurface(S.positions[keep], S.normals[keep], S.weights[keep], S.descriptor)
-    K = _coerce_batch(np.asarray(kernel(Scap.positions, w), dtype=float), n)
-    Nc = _coerce_batch(Scap.normals, n)
-    F = _field_values(density, Scap.positions, n)
-    pv = REPRODUCING_SIGN * _surface_sum(Scap, gp(gp(K, Nc, n), F, n))
+    pv = REPRODUCING_SIGN * _flux(Scap, kernel(Scap.positions, w), density)
     eta_w = _field_values(density, w[None, :], n)[0]
     jump = limit_est - pv
     return {
@@ -365,8 +368,6 @@ def order_of_zero(g, c, delta: float, kernel0, grid, fd_h: float = 1e-5) -> int:
     Jacobian and integrates the kernel based at the origin over the image;
     the result must round to an integer within 0.2 or AccuracyError is raised.
     """
-    from .clifford import MultiVector
-
     c = np.asarray(c, dtype=float)
     n = c.shape[0]
     S = sphere_surface(c, delta, grid)
@@ -378,11 +379,9 @@ def order_of_zero(g, c, delta: float, kernel0, grid, fd_h: float = 1e-5) -> int:
         Mn[i] = adjugate(J).T @ S.normals[i]  # cofactor matrix on the normal
     if float(np.min(np.linalg.norm(gx, axis=1))) < 1e-12:
         raise SurfaceError("g vanishes on the integration contour")
-    K = _coerce_batch(np.asarray(kernel0(gx, np.zeros(n)), dtype=float), n)
-    Nc = _coerce_batch(Mn, n)
-    integrand = gp(K, Nc, n)
-    val = MultiVector(n, REPRODUCING_SIGN * _surface_sum(S, integrand))
-    raw = val.scalar_part
+    # the image surface g(S): nodes g(x), area vectors (cofactor . n) w
+    image = Hypersurface(gx, Mn, S.weights)
+    raw = float(REPRODUCING_SIGN * _flux(image, kernel0(gx, np.zeros(n)), 1.0)[0])
     nearest = round(raw)
     if abs(raw - nearest) > 0.2:
         raise AccuracyError(f"order integral {raw} is not close to an integer")

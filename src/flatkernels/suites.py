@@ -157,18 +157,22 @@ def suite_euclid(seed: int = 0) -> dict:
     h = kernels_euclid.green_h(np.array([1.0, 0.0, 0.0]), np.zeros(3))
     _check(checks, "scalar_value", abs(h + 1.0 / (8.0 * math.pi)) <= 1e-15, h)
     worst = 0.0
+    cauchy = lambda Z: kernels_euclid.cauchy_g_batch(Z, 0.0)
+    green = lambda Z: kernels_euclid.green_h_batch(Z, 0.0)
     for n in (3, 4, 5):
-        for _ in range(20):
+        D = np.empty((20, n))
+        for i in range(20):
             x = rng.normal(size=n)
             y = rng.normal(size=n)
             while np.linalg.norm(x - y) < 0.5:
                 y = y + rng.normal(size=n)
-            worst = max(
-                worst,
-                calculus.dirac_fd(lambda z: kernels_euclid.cauchy_g(z, y), x).norm(),
-                calculus.dirac_fd(lambda z: kernels_euclid.cauchy_g(z, y), x, side="right").norm(),
-                calculus.laplace_fd(lambda z: kernels_euclid.green_h(z, y), x).norm(),
-            )
+            D[i] = x - y  # both kernels depend on x - y only
+        res = (
+            calculus.dirac_residual_batch(cauchy, D),
+            calculus.dirac_residual_batch(cauchy, D, side="right"),
+            calculus.laplace_residual_batch(green, D),
+        )
+        worst = max(worst, float(np.max(res)))
     _check(checks, "fd_residuals", worst <= 1e-6, worst)
     x, y, lam = rng.normal(size=4), rng.normal(size=4), 1.7
     s = kernels_euclid.cauchy_g(lam * x, lam * y) - lam ** (1 - 4) * kernels_euclid.cauchy_g(x, y)
@@ -355,26 +359,33 @@ def suite_quadrature(seed: int = 0) -> dict:
     return _report("quadrature", checks)
 
 
+def _squaring(x, c):
+    d = x - c
+    u, v = d[..., 0], d[..., 1]
+    return np.stack([u * u - v * v, 2.0 * u * v], axis=-1)
+
+
+# Shipped planar maps g(x, c) with a zero of order 1, 2 and none at the centre
+# c; x holds points along its last axis, so one call maps a whole contour.
+ORDER_MAPS = {
+    "winding1": lambda x, c: x - c,
+    "winding2": _squaring,
+    "nozero": lambda x, c: x - c + np.array([5.0, 0.0]),
+}
+
+
 def suite_order(seed: int = 0) -> dict:
     checks = []
     kernel0 = lambda X, y: kernels_euclid.cauchy_g_batch(X, y)
     c = np.array([0.2, -0.1])
-
-    def squaring(x):
-        u, v = x - c
-        return np.array([u * u - v * v, 2.0 * u * v])
-
-    vals = [
-        quadrature.order_of_zero(lambda x: x - c, c, 0.5, kernel0, (256,)),
-        quadrature.order_of_zero(squaring, c, 0.5, kernel0, (256,)),
-        quadrature.order_of_zero(lambda x: x - c + np.array([5.0, 0.0]), c, 0.5, kernel0, (256,)),
-    ]
+    maps = {name: (lambda x, g=g: g(x, c)) for name, g in ORDER_MAPS.items()}
+    vals = [quadrature.order_of_zero(maps[name], c, 0.5, kernel0, (256,)) for name in ORDER_MAPS]
     _check(checks, "winding_values", vals == [1, 2, 0], vals)
-    halved = quadrature.order_of_zero(squaring, c, 0.25, kernel0, (256,))
+    halved = quadrature.order_of_zero(maps["winding2"], c, 0.25, kernel0, (256,))
     _check(checks, "delta_halving", halved == 2, halved)
     theta = 2.0 * math.pi * (np.arange(512) + 0.5) / 512
     circle = c[None, :] + 0.5 * np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    oracle = quadrature.polygon_winding(np.array([squaring(p) for p in circle]))
+    oracle = quadrature.polygon_winding(maps["winding2"](circle))
     _check(checks, "brute_force_oracle", oracle == 2, oracle)
     return _report("order", checks)
 
@@ -397,28 +408,22 @@ def probe_reports() -> dict:
     y = np.array([0.7, 0.8, 0.25])
     x = np.array([0.3, 0.45, 0.6])
     R = 30
-    orb = float(
-        calculus.dirac_residual_batch(
-            lambda X: kernels_pin.proj_cauchy_batch(M, X, y, R)[0], x[None, :]
-        )[0]
-    )
-    lit = float(
-        calculus.dirac_residual_batch(
-            lambda X: kernels_pin.proj_cauchy_batch(M, X, y, R, form="paper_literal")[0],
-            x[None, :],
-        )[0]
-    )
-    rp = float(
-        calculus.dirac_residual_batch(
-            lambda X: kernels_pin.realproj_cauchy_batch(2, X, y, form="paper_literal"), x[None, :]
-        )[0]
-    )
-    out["literal_form_fd_residuals"] = {
-        "orbit_residual": orb,
-        "paper_literal_residual": lit,
-        "realproj_literal_residual": rp,
-        "note": "orbit form is monogenic to stencil accuracy; the literal sum is not",
+    fields = {
+        "orbit_residual": lambda X: kernels_pin.proj_cauchy_batch(M, X, y, R)[0],
+        "paper_literal_residual": lambda X: kernels_pin.proj_cauchy_batch(
+            M, X, y, R, form="paper_literal"
+        )[0],
+        "realproj_literal_residual": lambda X: kernels_pin.realproj_cauchy_batch(
+            2, X, y, form="paper_literal"
+        ),
     }
+    out["literal_form_fd_residuals"] = {
+        name: float(calculus.dirac_residual_batch(field, x[None, :])[0])
+        for name, field in fields.items()
+    }
+    out["literal_form_fd_residuals"]["note"] = (
+        "orbit form is monogenic to stencil accuracy; the literal sum is not"
+    )
     # Hardy-type jump probe on the Euclidean sphere at an equatorial node
     # (node spacing is widest there, keeping the cap exclusion well resolved)
     Sp = quadrature.sphere_surface(np.zeros(3), 1.0, (48, 96))

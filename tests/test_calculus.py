@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flatkernels.calculus import (
+    _D1,
+    _D2,
     FDScheme,
     dirac_fd,
     dirac_residual_batch,
@@ -19,6 +22,12 @@ def test_scheme_validation():
         FDScheme(h=-1.0)
     with pytest.raises(ValueError):
         FDScheme(order=3)
+
+
+@pytest.mark.parametrize("h", [math.nan, math.inf])
+def test_scheme_rejects_non_finite_step(h):
+    with pytest.raises(ValueError, match="finite"):
+        FDScheme(h=h)
 
 
 def test_constant_field_is_annihilated():
@@ -97,3 +106,101 @@ def test_batched_laplace_residual():
     X = np.array([[0.1, 0.2, 0.3, -0.2]])
     res = laplace_residual_batch(lambda Z: np.array([green_h(z, y) for z in Z]), X)
     assert res[0] <= 1e-6
+
+
+# -- the pointwise loops the stencil engine replaced, kept as its reference ----
+
+
+def _ref_to_mv(value, n):
+    if isinstance(value, MultiVector):
+        return value
+    arr = np.asarray(value, dtype=float)
+    if arr.ndim == 0:
+        return MultiVector.scalar(n, float(arr))
+    if arr.shape == (n,):
+        return MultiVector.from_vector(arr)
+    return MultiVector(n, arr)
+
+
+def _ref_partial(f, x, j, s):
+    n = x.shape[0]
+    acc = MultiVector.zero(n)
+    for off, w in _D1[s.order]:
+        xp = x.copy()
+        xp[j] += off * s.h
+        acc = acc + _ref_to_mv(f(xp), n) * (w / s.h)
+    return acc
+
+
+def ref_dirac_fd(f, x, s, side):
+    n = x.shape[0]
+    acc = MultiVector.zero(n)
+    for j in range(n):
+        df = _ref_partial(f, x, j, s)
+        ej = MultiVector.basis_vector(n, j)
+        acc = acc + (ej * df if side == "left" else df * ej)
+    return acc
+
+
+def ref_laplace_fd(f, x, s):
+    n = x.shape[0]
+    acc = MultiVector.zero(n)
+    h2 = s.h * s.h
+    for j in range(n):
+        for off, w in _D2[s.order]:
+            xp = x.copy()
+            xp[j] += off * s.h
+            acc = acc + _ref_to_mv(f(xp), n) * (w / h2)
+    return acc
+
+
+KINDS = ("scalar", "vector", "coeffs", "multivector")
+
+
+@st.composite
+def fd_cases(draw, kinds=KINDS):
+    """(f, x, scheme): f is a smooth field written with [..., j] indexing, so
+    the same function maps one point (n,) or a batch (M, n), bit for bit."""
+    n = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(kinds))
+    width = {"scalar": 1, "vector": n}.get(kind, 1 << n)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    A, b, c = rng.normal(size=(width, n)), rng.normal(size=width), rng.normal(size=width)
+
+    def f(x):
+        comps = []
+        for k in range(width):
+            arg = b[k]
+            for j in range(n):
+                arg = arg + A[k, j] * x[..., j]
+            comps.append(c[k] * np.sin(arg))
+        if kind == "scalar":
+            return comps[0]
+        v = np.stack(comps, axis=-1)
+        return MultiVector(n, v) if kind == "multivector" else v
+
+    x = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n)))
+    scheme = FDScheme(h=draw(st.floats(1e-4, 1e-1)), order=draw(st.sampled_from([2, 4])))
+    return f, x, scheme
+
+
+class TestStencilEngine:
+    @settings(max_examples=150, deadline=None)
+    @given(fd_cases(), st.sampled_from(["left", "right"]))
+    def test_pointwise_bits_match_reference_loops(self, case, side):
+        f, x, s = case
+        got, ref = dirac_fd(f, x, s, side), ref_dirac_fd(f, x, s, side)
+        assert got.coeffs.tobytes() == ref.coeffs.tobytes()
+        got, ref = laplace_fd(f, x, s), ref_laplace_fd(f, x, s)
+        assert got.coeffs.tobytes() == ref.coeffs.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(fd_cases(kinds=("scalar",)), st.integers(1, 4))
+    def test_batched_laplace_residual_matches_pointwise_bits(self, case, B):
+        # scalar fields: a residual with one nonzero coefficient has the same
+        # norm bits whichever way numpy reduces the squares
+        f, x, s = case
+        X = x[None, :] + 0.25 * np.arange(B)[:, None]
+        batch = laplace_residual_batch(f, X, s)
+        for i in range(B):
+            assert batch[i] == laplace_fd(f, X[i], s).norm()

@@ -301,6 +301,8 @@ class TestMalformedConfig:
         pytest.param({"grid": 0}, id="zero-grid"),
         pytest.param({"center": ["a", 0.0]}, id="non-numeric-center"),
         pytest.param({"center": [NAN, 0.0]}, id="nan-center"),
+        pytest.param({"map": "spiral"}, id="unknown-map"),
+        pytest.param({"map": ["winding1"]}, id="non-string-map"),
     ])
     def test_order_exits_2_with_one_line_message(self, tmp_path, capsys, override):
         p = tmp_path / "order.json"

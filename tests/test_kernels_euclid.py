@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from flatkernels.calculus import dirac_fd, laplace_fd
-from flatkernels.errors import RegimeError, SingularPoint
+from flatkernels.errors import ConfigError, RegimeError, SingularPoint
 from flatkernels.kernels_euclid import (
     cauchy_g,
     cauchy_g_batch,
@@ -88,6 +88,16 @@ class TestGreenKernel:
         X = rng.normal(size=(6, 5))
         y = rng.normal(size=5) + 3.0
         assert np.allclose(green_h_batch(X, y), [green_h(x, y) for x in X], rtol=1e-15)
+
+
+@pytest.mark.parametrize("kernel", [cauchy_g, green_h, cauchy_g_batch, green_h_batch])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_points_rejected(kernel, bad):
+    x, y = np.array([bad, 0.1, 0.2]), np.array([0.5, 0.5, 0.5])
+    with pytest.raises(ConfigError, match="finite"):
+        kernel(x, y)
+    with pytest.raises(ConfigError, match="finite"):
+        kernel(y, x)
 
 
 class TestFundamentalSolutionResiduals:

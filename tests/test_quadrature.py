@@ -50,6 +50,26 @@ class TestSurfaces:
         with pytest.raises(SurfaceError):
             sphere_surface(np.zeros(3), -1.0, (8, 16))
 
+    @pytest.mark.parametrize("center,radius,grid", [
+        ([math.nan, 0.0, 0.0], 0.2, (4, 8)),
+        ([0.0, 0.0, 0.0], math.nan, (4, 8)),
+        ([0.0, 0.0, 0.0], math.inf, (4, 8)),
+        ([0.0, 0.0, 0.0], 0.2, (0, 8)),
+        ([0.0, 0.0, 0.0], 0.2, (4, 0)),
+    ])
+    def test_sphere_rejects_degenerate_input(self, center, radius, grid):
+        with pytest.raises(SurfaceError):
+            sphere_surface(center, radius, grid)
+
+    @pytest.mark.parametrize("corner,extents,per_face", [
+        ([math.nan, 0.0, 0.0], [1.0, 1.0, 1.0], 4),
+        ([0.0, 0.0, 0.0], [1.0, math.nan, 1.0], 4),
+        ([0.0, 0.0, 0.0], [1.0, 1.0, 1.0], 0),
+    ])
+    def test_box_rejects_degenerate_input(self, corner, extents, per_face):
+        with pytest.raises(SurfaceError):
+            box_surface(corner, extents, per_face)
+
     def test_box_total_area(self):
         S = box_surface(np.zeros(3), np.array([1.0, 2.0, 3.0]), 8)
         expect = 2 * (1 * 2 + 2 * 3 + 1 * 3)
