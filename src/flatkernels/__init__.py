@@ -68,6 +68,7 @@ from .quadrature import (
     jacobian_fd,
     mirrored_surface,
     order_of_zero,
+    order_of_zero_batch,
     polygon_winding,
     pv_jump_probe,
     sphere_surface,
@@ -121,6 +122,7 @@ __all__ = [
     "monogenic_obstruction_probe",
     "norm",
     "order_of_zero",
+    "order_of_zero_batch",
     "polygon_winding",
     "proj_cauchy",
     "proj_green",

@@ -301,9 +301,12 @@ def cmd_order(args) -> int:
     try:
         c = np.asarray(cfg.get("center", [0.0, 0.0]), dtype=float)
         delta = float(cfg.get("delta", 0.5))
-        grid = int(cfg.get("grid", 256))
+        grid = float(cfg.get("grid", 256))
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"order needs a numeric center, delta and grid: {exc}") from exc
+    if not grid.is_integer():
+        raise ConfigError("grid must be an integer")
+    grid = int(grid)
     if c.shape != (2,):
         raise ConfigError("order command is shipped for planar maps (center of length 2)")
     if not np.all(np.isfinite(c)):
@@ -317,7 +320,7 @@ def cmd_order(args) -> int:
         raise ConfigError(f"unknown map {name!r}; choose from {', '.join(suites.ORDER_MAPS)}")
     gmap = lambda x: suites.ORDER_MAPS[name](x, c)
     kernel0 = lambda X, yy: cauchy_g_batch(X, yy)
-    order = quadrature.order_of_zero(gmap, c, delta, kernel0, (grid,))
+    order = quadrature.order_of_zero_batch(gmap, c, delta, kernel0, (grid,))
     theta = 2.0 * math.pi * (np.arange(2 * grid) + 0.5) / (2 * grid)
     circle = c[None, :] + delta * np.stack([np.cos(theta), np.sin(theta)], axis=1)
     oracle = quadrature.polygon_winding(gmap(circle))
@@ -329,7 +332,7 @@ def cmd_order(args) -> int:
             "delta": delta,
             "grid": grid,
             "polygon_winding_oracle": int(oracle),
-            "delta_halved_order": quadrature.order_of_zero(gmap, c, delta / 2.0, kernel0, (grid,)),
+            "delta_halved_order": quadrature.order_of_zero_batch(gmap, c, delta / 2.0, kernel0, (grid,)),
         },
     }
     _emit(_json_report(payload), args.out)

@@ -8,6 +8,12 @@ and the order-of-zero integral) is one flux sum, `_flux`: the weighted node
 sum of K n f, with n the node normal (for the order integral, the normal
 pushed through g by the cofactor matrix).
 
+Maps g come in two forms.  `order_of_zero_batch` takes a batched map, (M, n)
+points to (M, n) values, and calls it twice per contour: on the nodes and on
+their whole FD stencil.  `order_of_zero` and `jacobian_fd` take a
+single-point map g(x) -> (n,) and wrap it as a batched one; `adjugate`
+accepts one matrix or a stack.
+
 Orientation convention.  With the anticommuting generators squaring to -1 and
 the kernel normalisations of `kernels_euclid`, the flux of the vector kernel
 through a sphere with outward unit normals is -1, not +1 (the kernels solve
@@ -23,6 +29,7 @@ relating the Dirac derivative of the scalar kernel to the vector kernel
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 
@@ -98,8 +105,10 @@ def sphere_surface(center, radius: float, grid) -> Hypersurface:
         raise SurfaceError("sphere center must be finite")
     if not (math.isfinite(radius) and radius > 0):
         raise SurfaceError("sphere radius must be finite and positive")
-    if isinstance(grid, int):
+    if np.ndim(grid) == 0:
         grid = (grid,)
+    if not all(float(g).is_integer() for g in grid):
+        raise SurfaceError("sphere grid resolutions must be integers")
     grid = tuple(int(g) for g in grid)
     if len(grid) != n - 1:
         raise SurfaceError(f"sphere in R^{n} needs {n - 1} grid resolutions, got {len(grid)}")
@@ -154,12 +163,17 @@ def box_surface(corner, extents, per_face: int) -> Hypersurface:
     corner = np.asarray(corner, dtype=float)
     extents = np.asarray(extents, dtype=float)
     n = corner.shape[0]
+    if extents.shape != corner.shape:
+        raise SurfaceError(f"box extents must have the corner's shape {corner.shape}, got {extents.shape}")
     if not (np.all(np.isfinite(corner)) and np.all(np.isfinite(extents))):
         raise SurfaceError("box corner and extents must be finite")
     if np.any(extents <= 0):
         raise SurfaceError("box extents must be positive")
+    if isinstance(per_face, bool) or not isinstance(per_face, numbers.Integral):
+        raise SurfaceError("box per_face must be an integer")
     if per_face < 1:
         raise SurfaceError("box needs per_face >= 1 nodes along each face edge")
+    per_face = int(per_face)
     positions, normals, weights = [], [], []
     for axis in range(n):
         others = [j for j in range(n) if j != axis]
@@ -333,52 +347,70 @@ def pv_jump_probe(kernel, S: Hypersurface, density, w_index: int, t_values=None,
 
 # -- order of an isolated zero ---------------------------------------------------
 
-def jacobian_fd(g, x, h: float = 1e-5) -> np.ndarray:
-    """Jacobian of g at x by central differences, one column per axis."""
-    x = np.asarray(x, dtype=float)
-    n = x.shape[0]
-    J = np.empty((n, n))
+def _jacobians(g, X: np.ndarray, h: float) -> np.ndarray:
+    """Central-difference Jacobians of a batched map at every row of X, (B, n, n).
+
+    `g` maps an (M, n) point array to (M, n) values; it is called once, on
+    all 2nB shifted points, ordered by axis, then +h before -h, then row.
+    """
+    B, n = X.shape
+    shifted = np.repeat(X[None, :, :], 2 * n, axis=0)  # (2n, B, n)
     for j in range(n):
-        xp = x.copy()
-        xm = x.copy()
-        xp[j] += h
-        xm[j] -= h
-        J[:, j] = (np.asarray(g(xp), float) - np.asarray(g(xm), float)) / (2.0 * h)
-    return J
+        shifted[2 * j, :, j] += h
+        shifted[2 * j + 1, :, j] -= h
+    G = np.asarray(g(shifted.reshape(-1, n)), dtype=float).reshape(n, 2, B, n)
+    # column j of each Jacobian is the j-th difference quotient
+    return np.transpose((G[:, 0] - G[:, 1]) / (2.0 * h), (1, 2, 0))
+
+
+def _single_point(g):
+    """A single-point map g(x) -> (n,) as a batched one."""
+    return lambda P: np.array([np.asarray(g(p), dtype=float) for p in P])
+
+
+def jacobian_fd(g, x, h: float = 1e-5) -> np.ndarray:
+    """Jacobian of a single-point map g at x by central differences, one column per axis.
+
+    `g` maps one point (n,) to (n,) values; the batched form is `_jacobians`.
+    """
+    x = np.asarray(x, dtype=float)
+    return _jacobians(_single_point(g), x[None, :], h)[0]
 
 
 def adjugate(A: np.ndarray) -> np.ndarray:
-    """Adjugate (transpose of the cofactor matrix): A @ adjugate(A) = det(A) I."""
+    """Adjugate (transpose of the cofactor matrix): A @ adjugate(A) = det(A) I.
+
+    Accepts one (n, n) matrix or a (..., n, n) stack; all cofactors come from
+    one `det` over the stacked (n-1) x (n-1) minors.
+    """
     A = np.asarray(A, dtype=float)
-    n = A.shape[0]
-    if n == 1:
-        return np.ones((1, 1))
-    out = np.empty((n, n))
-    for i in range(n):
-        for j in range(n):
-            minor = np.delete(np.delete(A, i, axis=0), j, axis=1)
-            out[j, i] = (-1.0) ** (i + j) * np.linalg.det(minor)
-    return out
+    n = A.shape[-1]
+    keep = np.array([[k for k in range(n) if k != i] for i in range(n)], dtype=np.intp)
+    # minors[..., j, i] is A without row i and column j: det gives the adjugate
+    minors = A[..., keep[None, :, :, None], keep[:, None, None, :]]
+    sign = (-1.0) ** np.add.outer(np.arange(n), np.arange(n))
+    return np.ascontiguousarray(sign * np.linalg.det(minors))
 
 
-def order_of_zero(g, c, delta: float, kernel0, grid, fd_h: float = 1e-5) -> int:
-    """Winding count of g around its isolated zero at c via a sphere integral.
+def order_of_zero_batch(g, c, delta: float, kernel0, grid, fd_h: float = 1e-5) -> int:
+    """Winding count of a batched map g around its isolated zero at c via a sphere integral.
 
-    Pushes the surface element through g with the cofactor matrix of the FD
-    Jacobian and integrates the kernel based at the origin over the image;
-    the result must round to an integer within 0.2 or AccuracyError is raised.
+    `g` maps an (M, n) point array to (M, n) values and is called twice: on
+    the sphere's nodes and on their FD stencil.  Pushes the surface element
+    through g with the cofactor matrices of the FD Jacobians and integrates
+    the kernel based at the origin over the image; the result must round to
+    an integer within 0.2 or AccuracyError is raised.
     """
     c = np.asarray(c, dtype=float)
     n = c.shape[0]
     S = sphere_surface(c, delta, grid)
-    gx = np.empty_like(S.positions)
-    Mn = np.empty_like(S.positions)
-    for i, x in enumerate(S.positions):
-        gx[i] = np.asarray(g(x), dtype=float)
-        J = jacobian_fd(g, x, fd_h)
-        Mn[i] = adjugate(J).T @ S.normals[i]  # cofactor matrix on the normal
+    gx = np.asarray(g(S.positions), dtype=float)
     if float(np.min(np.linalg.norm(gx, axis=1))) < 1e-12:
         raise SurfaceError("g vanishes on the integration contour")
+    # cofactor matrices as transposed views of C-ordered adjugates, so matmul
+    # takes the same per-node BLAS path as adjugate(J).T @ n on one matrix
+    cof = np.swapaxes(adjugate(_jacobians(g, S.positions, fd_h)), -1, -2)
+    Mn = np.matmul(cof, S.normals[:, :, None])[:, :, 0]  # cofactor matrix on the normal
     # the image surface g(S): nodes g(x), area vectors (cofactor . n) w
     image = Hypersurface(gx, Mn, S.weights)
     raw = float(REPRODUCING_SIGN * _flux(image, kernel0(gx, np.zeros(n)), 1.0)[0])
@@ -386,6 +418,15 @@ def order_of_zero(g, c, delta: float, kernel0, grid, fd_h: float = 1e-5) -> int:
     if abs(raw - nearest) > 0.2:
         raise AccuracyError(f"order integral {raw} is not close to an integer")
     return int(nearest)
+
+
+def order_of_zero(g, c, delta: float, kernel0, grid, fd_h: float = 1e-5) -> int:
+    """Winding count of a single-point map g(x) -> (n,) around its zero at c.
+
+    Wraps g as a batched map and calls `order_of_zero_batch`; the bits are
+    those of the batched call on the same values.
+    """
+    return order_of_zero_batch(_single_point(g), c, delta, kernel0, grid, fd_h)
 
 
 def polygon_winding(points: np.ndarray, origin=None) -> int:

@@ -234,7 +234,8 @@ def suite_periodic(seed: int = 0) -> dict:
     checks = []
     L1 = Lattice([[1.0]])
     bound = kernels_periodic.eisenstein_tail(L1, 10, 2.0)
-    brute = 2.0 * float(sum(r**-2.0 for r in range(11, 200000)))
+    # cumsum adds left to right (np.sum would add pairwise), as a plain Python sum does
+    brute = 2.0 * float(np.cumsum(np.arange(11, 200000, dtype=float) ** -2.0)[-1])
     _check(checks, "eisenstein_bound", bound >= brute and bound <= 2 * brute + 0.1, {"bound": bound, "brute": brute})
     L = Lattice(np.eye(4)[:1])
     R = 30
@@ -379,9 +380,9 @@ def suite_order(seed: int = 0) -> dict:
     kernel0 = lambda X, y: kernels_euclid.cauchy_g_batch(X, y)
     c = np.array([0.2, -0.1])
     maps = {name: (lambda x, g=g: g(x, c)) for name, g in ORDER_MAPS.items()}
-    vals = [quadrature.order_of_zero(maps[name], c, 0.5, kernel0, (256,)) for name in ORDER_MAPS]
+    vals = [quadrature.order_of_zero_batch(maps[name], c, 0.5, kernel0, (256,)) for name in ORDER_MAPS]
     _check(checks, "winding_values", vals == [1, 2, 0], vals)
-    halved = quadrature.order_of_zero(maps["winding2"], c, 0.25, kernel0, (256,))
+    halved = quadrature.order_of_zero_batch(maps["winding2"], c, 0.25, kernel0, (256,))
     _check(checks, "delta_halving", halved == 2, halved)
     theta = 2.0 * math.pi * (np.arange(512) + 0.5) / 512
     circle = c[None, :] + 0.5 * np.stack([np.cos(theta), np.sin(theta)], axis=1)

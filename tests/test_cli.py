@@ -311,6 +311,22 @@ class TestMalformedConfig:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("grid", [4.7, 64.5])
+    def test_order_rejects_non_integral_grid(self, tmp_path, capsys, grid):
+        p = tmp_path / "order.json"
+        p.write_text(json.dumps({"map": "winding1", "grid": grid}))
+        assert _exit_code(["order", "--config", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+
+    def test_order_accepts_integer_valued_grid(self, tmp_path):
+        p = tmp_path / "order.json"
+        p.write_text(json.dumps({"map": "winding2", "grid": 32.0}))
+        out = tmp_path / "out.json"
+        assert main(["order", "--config", str(p), "--out", str(out)]) == 0
+        rec = json.loads(out.read_text())
+        assert rec["order"] == 2 and rec["diagnostics"]["grid"] == 32
+
     @pytest.mark.parametrize("threads", ["0", "-2"])
     def test_threads_below_one_is_a_usage_error(self, cyl_config, tmp_path, threads):
         _, cfg = cyl_config

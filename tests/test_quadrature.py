@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flatkernels.calculus import _coerce_batch
 from flatkernels.clifford import gp, reflect_coords
@@ -16,6 +17,7 @@ from flatkernels.kernels_euclid import (
 from flatkernels.quadrature import (
     ExteriorPointWarning,
     REPRODUCING_SIGN,
+    _jacobians,
     adjugate,
     box_surface,
     cauchy_integral,
@@ -25,10 +27,12 @@ from flatkernels.quadrature import (
     jacobian_fd,
     mirrored_surface,
     order_of_zero,
+    order_of_zero_batch,
     polygon_winding,
     pv_jump_probe,
     sphere_surface,
 )
+from flatkernels.suites import ORDER_MAPS
 
 EUCLID = lambda X, y: cauchy_g_batch(X, y)
 EUCLID_H = lambda X, y: green_h_batch(X, y)
@@ -337,3 +341,146 @@ class TestBoxReproduction:
             errs.append(abs(cauchy_integral(EUCLID, S, 1.0, y).scalar_part - 1.0))
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.3)
         assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.3)
+
+
+class TestSurfaceSizes:
+    @pytest.mark.parametrize("grid", [(4.7, 8), (4, 8.5), (math.nan, 8), (4, math.inf)])
+    def test_sphere_rejects_non_integral_grid(self, grid):
+        with pytest.raises(SurfaceError):
+            sphere_surface(np.zeros(3), 0.2, grid)
+
+    def test_sphere_accepts_integer_valued_grid(self):
+        S = sphere_surface(np.zeros(3), 0.2, (4.0, np.int64(8)))
+        assert S.descriptor["grid"] == [4, 8]
+        assert S.node_count == 32
+
+    @pytest.mark.parametrize("per_face", [2.5, 4.0, True, "4"])
+    def test_box_rejects_non_integer_per_face(self, per_face):
+        with pytest.raises(SurfaceError):
+            box_surface(np.zeros(3), [1.0, 1.0, 1.0], per_face)
+
+    @pytest.mark.parametrize("extents", [[1.0, 1.0], [1.0, 1.0, 1.0, 1.0], [[1.0, 1.0, 1.0]]])
+    def test_box_rejects_extents_of_another_shape(self, extents):
+        with pytest.raises(SurfaceError):
+            box_surface(np.zeros(3), extents, 4)
+
+    def test_box_accepts_numpy_integer_per_face(self):
+        S = box_surface(np.zeros(3), [1.0, 1.0, 1.0], np.int64(3))
+        assert S.node_count == 6 * 9 and S.descriptor["per_face"] == 3
+
+
+def loop_adjugate(A):
+    """The entry-by-entry adjugate: np.delete minors, one det each."""
+    n = A.shape[0]
+    if n == 1:
+        return np.ones((1, 1))
+    out = np.empty((n, n))
+    for i in range(n):
+        for j in range(n):
+            minor = np.delete(np.delete(A, i, axis=0), j, axis=1)
+            out[j, i] = (-1.0) ** (i + j) * np.linalg.det(minor)
+    return out
+
+
+@st.composite
+def matrix_stacks(draw):
+    n = draw(st.integers(1, 5))
+    B = draw(st.integers(1, 6))
+    entries = st.one_of(st.floats(-1e3, 1e3), st.sampled_from([0.0, -0.0, 1.0]))
+    flat = draw(st.lists(entries, min_size=B * n * n, max_size=B * n * n))
+    return np.array(flat).reshape(B, n, n)
+
+
+def _batched(g):
+    """A single-point test map as a batched one."""
+    return lambda P: np.array([g(p) for p in P])
+
+
+# every shipped planar map at both contour radii
+ORDER_CASES = [
+    pytest.param(name, delta, id=f"{name}-{delta}")
+    for name in ORDER_MAPS for delta in (0.5, 0.25)
+]
+R3_CENTRE = np.array([0.1, -0.2, 0.3])
+R3_MAPS = {
+    "identity": (lambda x: x - R3_CENTRE, R3_CENTRE),
+    "flip": (lambda x: np.array([x[0], x[1], -x[2]]), np.zeros(3)),
+}
+
+
+class TestBatchedOrderEngine:
+    KERNEL = staticmethod(lambda X, y: cauchy_g_batch(X, y))
+    C = np.array([0.2, -0.1])
+
+    @settings(max_examples=200, deadline=None)
+    @given(matrix_stacks())
+    def test_stacked_adjugate_matches_entry_loop(self, A):
+        with np.errstate(divide="ignore", invalid="ignore"):  # singular draws
+            ref = np.array([loop_adjugate(a) for a in A])
+            got = adjugate(A)
+            single = adjugate(A[0])
+            det = np.linalg.det(A)
+        assert got.shape == A.shape
+        assert got.tobytes() == ref.tobytes()
+        assert single.tobytes() == ref[0].tobytes()
+        n = A.shape[-1]
+        scale = (1.0 + float(np.max(np.abs(A)))) ** n
+        prod = np.matmul(A, got)
+        expect = det[:, None, None] * np.eye(n)
+        assert np.max(np.abs(prod - expect)) <= 1e-10 * scale
+
+    @pytest.mark.parametrize("name", list(ORDER_MAPS))
+    def test_jacobian_stack_rows_match_jacobian_fd(self, name):
+        g = lambda x: ORDER_MAPS[name](x, self.C)
+        X = sphere_surface(self.C, 0.5, (64,)).positions
+        J = _jacobians(g, X, 1e-5)
+        ref = np.array([jacobian_fd(g, x) for x in X])
+        assert J.shape == (64, 2, 2)
+        assert J.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("name", list(R3_MAPS))
+    def test_jacobian_stack_rows_match_jacobian_fd_in_r3(self, name):
+        g, c = R3_MAPS[name]
+        X = sphere_surface(c, 0.4, (6, 12)).positions
+        ref = np.array([jacobian_fd(g, x) for x in X])
+        assert _jacobians(_batched(g), X, 1e-5).tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("name,delta", ORDER_CASES)
+    def test_batched_order_matches_single_point(self, name, delta):
+        g = lambda x: ORDER_MAPS[name](x, self.C)
+        expect = order_of_zero(g, self.C, delta, self.KERNEL, (256,))
+        assert order_of_zero_batch(g, self.C, delta, self.KERNEL, (256,)) == expect
+        assert expect == {"winding1": 1, "winding2": 2, "nozero": 0}[name]
+
+    @pytest.mark.parametrize("name,expect", [("identity", 1), ("flip", -1)])
+    def test_batched_order_matches_single_point_in_r3(self, name, expect):
+        g, c = R3_MAPS[name]
+        assert order_of_zero(g, c, 0.4, self.KERNEL, (24, 48)) == expect
+        assert order_of_zero_batch(_batched(g), c, 0.4, self.KERNEL, (24, 48)) == expect
+
+    def test_map_called_twice_per_contour(self):
+        calls = []
+
+        def g(P):
+            calls.append(P.shape)
+            return ORDER_MAPS["winding2"](P, self.C)
+
+        assert order_of_zero_batch(g, self.C, 0.5, self.KERNEL, (32,)) == 2
+        assert calls == [(32, 2), (4 * 32, 2)]
+
+    def test_zero_on_contour_rejected(self):
+        g = lambda P: P - np.array([0.5, 0.0])
+        with pytest.raises((AccuracyError, SurfaceError)):
+            order_of_zero_batch(g, np.zeros(2), 0.5, self.KERNEL, (64,))
+
+    def test_node_on_zero_rejected(self):
+        # the zero of g is a node of the contour: the contour guard fires
+        node = sphere_surface(np.zeros(2), 0.5, (4,)).positions[1]
+        g = lambda P: P - node
+        with pytest.raises(SurfaceError):
+            order_of_zero_batch(g, np.zeros(2), 0.5, self.KERNEL, (4,))
+
+    def test_off_contour_rejected(self):
+        g = lambda P: P - np.array([0.503, 0.0])
+        with pytest.raises(AccuracyError):
+            order_of_zero_batch(g, np.zeros(2), 0.5, self.KERNEL, (16,))
