@@ -28,7 +28,7 @@ from . import __version__, kernels_periodic, kernels_pin, quadrature, suites
 from .errors import ConfigError, RegimeError, SingularPoint
 from .kernels_euclid import cauchy_g_batch
 from .kernels_periodic import KernelEval
-from .lattice import ManifoldSpec
+from .lattice import ManifoldSpec, config_int
 
 KERNEL_NAMES = (
     "cyl-cauchy",
@@ -72,10 +72,7 @@ def _config_point(cfg: dict, key: str, n: int) -> np.ndarray:
 
 
 def _radius(value) -> int:
-    try:
-        R = int(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"truncation radius must be an integer: {exc}") from exc
+    R = config_int(value, "truncation radius")
     if R < 0:
         raise ConfigError("truncation radius R must be >= 0")
     return R
@@ -198,21 +195,23 @@ def _segment_points(cfg: dict, n: int) -> np.ndarray:
         try:
             start = np.asarray(seg["start"], dtype=float)
             end = np.asarray(seg["end"], dtype=float)
-            count = int(seg["count"])
+            count = seg["count"]
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"segment needs start/end/count: {exc}") from exc
+        count = config_int(count, "segment count")
         if count < 2 or start.shape != (n,) or end.shape != (n,):
             raise ConfigError("segment start/end must match dimension and count >= 2")
         pts = np.array([start + t * (end - start) for t in np.linspace(0.0, 1.0, count)])
     elif "samples" in cfg:
         box = cfg["samples"]
         try:
-            count = int(box["count"])
+            count = box["count"]
             low = np.asarray(box.get("low", np.zeros(n)), dtype=float)
             high = np.asarray(box.get("high", np.ones(n)), dtype=float)
-            seed = int(cfg.get("seed", 0))
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"samples needs count (and optional low/high): {exc}") from exc
+        count = config_int(count, "samples count")
+        seed = config_int(cfg.get("seed", 0), "seed")
         if count < 1 or low.shape != (n,) or high.shape != (n,):
             raise ConfigError("samples low/high must match the manifold dimension")
         pts = np.random.default_rng(seed).uniform(low, high, size=(count, n))
@@ -301,12 +300,9 @@ def cmd_order(args) -> int:
     try:
         c = np.asarray(cfg.get("center", [0.0, 0.0]), dtype=float)
         delta = float(cfg.get("delta", 0.5))
-        grid = float(cfg.get("grid", 256))
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"order needs a numeric center, delta and grid: {exc}") from exc
-    if not grid.is_integer():
-        raise ConfigError("grid must be an integer")
-    grid = int(grid)
+        raise ConfigError(f"order needs a numeric center and delta: {exc}") from exc
+    grid = config_int(cfg.get("grid", 256), "grid")
     if c.shape != (2,):
         raise ConfigError("order command is shipped for planar maps (center of length 2)")
     if not np.all(np.isfinite(c)):

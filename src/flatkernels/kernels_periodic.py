@@ -7,7 +7,8 @@ add is elementwise across points, so evaluations stay bit-reproducible: the
 bits of a point's value do not depend on the batch it shares, on how the
 batch is chunked, or on how callers parallelise around it.
 
-Regimes (k = lattice rank, n = ambient dimension):
+Regimes (k = lattice rank, n = ambient dimension; `periodic_regime` is the
+one place that picks between the plain and the regularized sum):
 
 * `cyl_cauchy`: k <= n-2, plain sum of vector kernels;
 * `cyl_cauchy_reg`: k = n-1, subtracts the lattice-point value G(w) per term;
@@ -316,11 +317,37 @@ def _wrap(vals: np.ndarray, tails, R: int, single: bool, n: int):
     return vals, np.asarray(tails, dtype=float)
 
 
-def _cylinder(L: Lattice, char: BundleCharacter, x, y, R: int, diff, tail):
-    """Single point or batch through one cylinder regime's diff and tail(sep)."""
+def periodic_regime(L: Lattice, char: BundleCharacter, vector: bool):
+    """The regime the rank picks for a vector or scalar kernel: (diff, tail).
+
+    `diff(L, char, D, R)` is one of the four `cyl_*_diff` sums and
+    `tail(R, sep)` its bound.  Vector kernels sum plainly at k <= n-2 and
+    regularized at k = n-1; scalar kernels plainly at k <= n-3 and
+    regularized at k = n-2.  Higher ranks raise `RegimeError`.
+    """
+    critical = L.n - 1 if vector else L.n - 2
+    if L.k > critical:
+        raise RegimeError(
+            "vector kernel needs k <= n-1; use torus_cauchy_two_point at k = n"
+            if vector else "scalar kernel needs k <= n-2"
+        )
+    if vector and L.k < critical:
+        return cyl_cauchy_diff, lambda R, sep: cauchy_tail(L, R, sep)
+    if vector:
+        return cyl_cauchy_reg_diff, lambda R, sep: cauchy_reg_tail(L, R, sep)
+    if L.k < critical:
+        return cyl_green_diff, lambda R, sep: green_tail(L, R, sep)
+    return cyl_green_reg_diff, lambda R, sep: green_reg_tail(L, R, sep, char)
+
+
+def _cylinder(L: Lattice, char: BundleCharacter, x, y, R: int, vector: bool, want, message: str):
+    """Single point or batch through `want`, which must be the regime the rank picks."""
+    diff, tail = periodic_regime(L, char, vector)
+    if diff is not want:
+        raise RegimeError(message)
     D, single = _pair_batch(x, y, L.n)
     _check_not_on_orbit(L, D, "x - y")
-    return _wrap(diff(L, char, D, R), tail(np.linalg.norm(D, axis=1)), R, single, L.n)
+    return _wrap(diff(L, char, D, R), tail(R, np.linalg.norm(D, axis=1)), R, single, L.n)
 
 
 def cyl_cauchy(L: Lattice, char: BundleCharacter, x, y, R: int):
@@ -329,35 +356,27 @@ def cyl_cauchy(L: Lattice, char: BundleCharacter, x, y, R: int):
     Accepts single points or (B, n) batches; the single-point form returns a
     `KernelEval`, the batched form `(values (B, n), tail_bounds (B,))`.
     """
-    if L.k > L.n - 2:
-        raise RegimeError(
-            "cyl_cauchy needs k <= n-2; use cyl_cauchy_reg at k = n-1 "
-            "or torus_cauchy_two_point at k = n"
-        )
-    return _cylinder(L, char, x, y, R, cyl_cauchy_diff, lambda sep: cauchy_tail(L, R, sep))
+    return _cylinder(L, char, x, y, R, True, cyl_cauchy_diff,
+                     "cyl_cauchy needs k <= n-2; use cyl_cauchy_reg at k = n-1 "
+                     "or torus_cauchy_two_point at k = n")
 
 
 def cyl_cauchy_reg(L: Lattice, char: BundleCharacter, x, y, R: int):
     """Regularized Cauchy kernel at critical rank k = n-1."""
-    if L.k != L.n - 1:
-        raise RegimeError("cyl_cauchy_reg is the k = n-1 regime")
-    return _cylinder(L, char, x, y, R, cyl_cauchy_reg_diff, lambda sep: cauchy_reg_tail(L, R, sep))
+    return _cylinder(L, char, x, y, R, True, cyl_cauchy_reg_diff,
+                     "cyl_cauchy_reg is the k = n-1 regime")
 
 
 def cyl_green(L: Lattice, char: BundleCharacter, x, y, R: int):
     """Periodized Green kernel on a rank-k cylinder, k <= n-3."""
-    if L.k > L.n - 3:
-        raise RegimeError("cyl_green needs k <= n-3; use cyl_green_reg at k = n-2")
-    return _cylinder(L, char, x, y, R, cyl_green_diff, lambda sep: green_tail(L, R, sep))
+    return _cylinder(L, char, x, y, R, False, cyl_green_diff,
+                     "cyl_green needs k <= n-3; use cyl_green_reg at k = n-2")
 
 
 def cyl_green_reg(L: Lattice, char: BundleCharacter, x, y, R: int):
     """Regularized Green kernel at critical rank k = n-2."""
-    if L.k != L.n - 2:
-        raise RegimeError("cyl_green_reg is the k = n-2 regime")
-    return _cylinder(
-        L, char, x, y, R, cyl_green_reg_diff, lambda sep: green_reg_tail(L, R, sep, char)
-    )
+    return _cylinder(L, char, x, y, R, False, cyl_green_reg_diff,
+                     "cyl_green_reg is the k = n-2 regime")
 
 
 # -- torus two-point kernel ------------------------------------------------------

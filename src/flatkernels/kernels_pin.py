@@ -14,13 +14,17 @@ Each kernel ships in two forms:
   vector literal sum averages components away and generally fails the Dirac
   residual check.  It is retained for the discrepancy probes.
 
-Class A (projective) reflections act on the coordinate block k..p-1; the
-bundle twist is rho(A) = +1 for the trivial bundle and (-1)^|A| when the
-fiber is negated.  Class B uses the twisted translations of the Moebius
-strip (sign of the translation flips the last coordinate) and the folded
-k-th axis of the Klein quotient; only the trivial pin bundle is constructed
-there, and only the SumParity sign variant defines a character (AllEven is
-reachable with `allow_noncharacter=True` for the probe pathway).
+The deck group itself (generators, action, inverse) comes from `lattice`,
+and the plain/regularized choice from `kernels_periodic.periodic_regime`;
+this module adds what belongs to the pin bundle: the twist rho and the block
+reflection's value map.  Class A (projective) reflections act on the
+coordinate block k..p-1; the bundle twist is rho(A) = +1 for the trivial
+bundle and (-1)^|A| when the fiber is negated.  Class B uses the twisted
+translations of the Moebius strip (sign of the translation flips the last
+coordinate) and the folded k-th axis of the Klein quotient; only the
+trivial pin bundle is constructed there, and only the SumParity sign
+variant defines a character (AllEven is reachable with
+`allow_noncharacter=True` for the probe pathway).
 """
 
 from __future__ import annotations
@@ -38,45 +42,12 @@ from .kernels_periodic import (
     _green_term,
     _pair_batch,
     _translate,
-    cauchy_reg_tail,
-    cauchy_tail,
-    cyl_cauchy_diff,
-    cyl_cauchy_reg_diff,
-    cyl_green_diff,
-    cyl_green_reg_diff,
     green_reg_tail,
     green_tail,
+    periodic_regime,
     shell_sum,
 )
-from .lattice import BundleCharacter, ManifoldSpec, char_sign, moebius_sgn
-
-
-# -- regime dispatch over the oriented-cylinder kernels ------------------------
-
-def periodic_cauchy_diff(L, char, D, R):
-    if L.k <= L.n - 2:
-        return cyl_cauchy_diff(L, char, D, R)
-    if L.k == L.n - 1:
-        return cyl_cauchy_reg_diff(L, char, D, R)
-    raise RegimeError("vector kernel needs k <= n-1; use torus_cauchy_two_point at k = n")
-
-
-def periodic_cauchy_tail(L, R, sep):
-    return cauchy_tail(L, R, sep) if L.k <= L.n - 2 else cauchy_reg_tail(L, R, sep)
-
-
-def periodic_green_diff(L, char, D, R):
-    if L.k <= L.n - 3:
-        return cyl_green_diff(L, char, D, R)
-    if L.k == L.n - 2:
-        return cyl_green_reg_diff(L, char, D, R)
-    raise RegimeError("scalar kernel needs k <= n-2")
-
-
-def periodic_green_tail(L, R, sep, char=None):
-    if L.k <= L.n - 3:
-        return green_tail(L, R, sep)
-    return green_reg_tail(L, R, sep, char or BundleCharacter(0))
+from .lattice import ManifoldSpec, apply_group_element, char_sign, deck_generators, moebius_sgn
 
 
 # -- Class A: projective cylinders and real projective space -------------------
@@ -90,53 +61,38 @@ def _reflection_subsets(axes: list[int]) -> list[tuple[int, ...]]:
     return out
 
 
-def _flip_columns(D: np.ndarray, subset) -> np.ndarray:
-    out = D.copy()
-    for j in subset:
-        out[:, j] = -out[:, j]
-    return out
-
-
 def _superpose(X, y, n: int, axes, negate_fiber: bool, form: str, diff, tail):
     """Sum rho(A) diff(D_A) and tail(|D_A|) over every subset A of the reflected axes.
 
-    D_A is the difference x - y with the source reflected on A (`orbit`) or
-    with the columns of A negated (`paper_literal`); the bundle twist rho(A)
-    is (-1)^|A| when the fiber is negated and 1 otherwise.
+    D_A is x minus the source reflected on A (`orbit`) or x - y reflected on
+    A (`paper_literal`); the bundle twist rho(A) is (-1)^|A| when the fiber
+    is negated and 1 otherwise.
     """
     _check_form(form)
     D, _ = _pair_batch(X, y, n)
-    Xa = np.asarray(X, dtype=float).reshape(-1, n)
-    yv = np.atleast_2d(np.asarray(y, dtype=float))
+    X = np.asarray(X, dtype=float).reshape(-1, n)
     vals = tails = 0.0
     for subset in _reflection_subsets(axes):
         rho = (-1.0) ** len(subset) if negate_fiber else 1.0
-        if form == "orbit":
-            # reflect the source point: the difference becomes x_j + y_j on the subset
-            DA = D.copy()
-            for j in subset:
-                DA[:, j] = Xa[:, j] + yv[:, j]
-        else:
-            DA = _flip_columns(D, subset)
+        DA = X - reflect_coords(y, subset) if form == "orbit" else reflect_coords(D, subset)
         vals = vals + rho * diff(DA)
         tails = tails + tail(np.linalg.norm(DA, axis=1))
     return vals, tails
 
 
-def _projective(M: ManifoldSpec, what: str):
+def _projective(M: ManifoldSpec, what: str, vector: bool, R: int):
+    """The regime's diff(D) and tail(sep) at radius R for a projective or oriented spec."""
     if M.kind not in ("Projective", "Cylinder", "Torus"):
         raise RegimeError(f"{what} expects a projective or oriented spec, got {M.kind}")
-    return M.lattice, M.bundle
+    L, char = M.lattice, M.bundle
+    diff, tail = periodic_regime(L, char, vector)
+    return lambda D: diff(L, char, D, R), lambda sep: tail(R, sep)
 
 
 def proj_cauchy_batch(M: ManifoldSpec, X, y, R: int, form: str = "orbit"):
     """Batched projective Cauchy kernel: (values (B, n), tail_bounds (B,))."""
-    L, char = _projective(M, "proj_cauchy")
-    return _superpose(
-        X, y, M.n, M.reflection_axes(), char.negate_fiber, form,
-        lambda D: periodic_cauchy_diff(L, char, D, R),
-        lambda sep: periodic_cauchy_tail(L, R, sep),
-    )
+    diff, tail = _projective(M, "proj_cauchy", True, R)
+    return _superpose(X, y, M.n, M.reflection_axes(), M.bundle.negate_fiber, form, diff, tail)
 
 
 def proj_cauchy(M: ManifoldSpec, x, y, R: int, form: str = "orbit") -> KernelEval:
@@ -147,12 +103,8 @@ def proj_cauchy(M: ManifoldSpec, x, y, R: int, form: str = "orbit") -> KernelEva
 
 def proj_green_batch(M: ManifoldSpec, X, y, R: int, form: str = "orbit"):
     """Batched projective Green kernel: (values (B,), tail_bounds (B,))."""
-    L, char = _projective(M, "proj_green")
-    return _superpose(
-        X, y, M.n, M.reflection_axes(), char.negate_fiber, form,
-        lambda D: periodic_green_diff(L, char, D, R),
-        lambda sep: periodic_green_tail(L, R, sep, char),
-    )
+    diff, tail = _projective(M, "proj_green", False, R)
+    return _superpose(X, y, M.n, M.reflection_axes(), M.bundle.negate_fiber, form, diff, tail)
 
 
 def proj_green(M: ManifoldSpec, x, y, R: int, form: str = "orbit") -> KernelEval:
@@ -298,68 +250,40 @@ def klein_green(M: ManifoldSpec, x, y, R: int, form: str = "orbit") -> KernelEva
 # -- descent and obstruction probes ----------------------------------------------
 
 
-def _generators(M: ManifoldSpec):
-    """(label, x-action, value sign, value map) for each deck generator."""
-    gens = []
-    if M.kind in ("Cylinder", "Torus", "Projective", "MoebiusStrip"):
-        basis = M.lattice.basis
-        for i in range(M.k):
-            vi = basis[i]
-            if M.kind == "MoebiusStrip":
-                def act(x, vi=vi):
-                    out = np.asarray(x, dtype=float).copy()
-                    out[: M.k] += vi[: M.k]
-                    out[-1] = -out[-1]
-                    return out
+def _twist(M: ManifoldSpec, g) -> float:
+    """rho(g): the pin bundle's sign on one deck generator."""
+    if g.flip:
+        return -1.0 if M.bundle.negate_fiber else 1.0
+    if M.kind in ("MoebiusStrip", "KleinBottle"):
+        return 1.0  # only the trivial pin bundle is constructed on Class B
+    return float(char_sign(M.bundle, g.m))
 
-                gens.append((f"twisted translation v{i + 1}", act, 1.0, None))
-            else:
-                delta = np.zeros(M.k, dtype=np.int64)
-                delta[i] = 1
-                rho = float(char_sign(M.bundle, delta))
-                gens.append((f"translation v{i + 1}", lambda x, vi=vi: np.asarray(x, float) + vi, rho, None))
-    if M.kind == "Projective":
-        axes = M.reflection_axes()
-        rho = -1.0 if M.bundle.negate_fiber else 1.0
 
-        def value_map(mv: MultiVector) -> MultiVector:
-            out = MultiVector(mv.n, mv.coeffs)
-            vec = reflect_coords(mv.vector_part, axes)
-            for j in range(mv.n):
-                out.coeffs[1 << j] = vec[j]
-            return out
-
-        gens.append(("block reflection", lambda x: reflect_coords(x, axes), rho, value_map))
-    if M.kind == "KleinBottle":
-        basis = M.lattice.basis
-        for i in range(M.k - 1):
-            vi = basis[i]
-            gens.append((f"translation v{i + 1}", lambda x, vi=vi: np.asarray(x, float) + vi, 1.0, None))
-
-        def fold(x):
-            out = np.asarray(x, dtype=float).copy()
-            out[M.k - 1] = 1.0 - out[M.k - 1]
-            return out
-
-        gens.append(("fold translation e_k", fold, 1.0, None))
-    return gens
+def _reflect_value(mv: MultiVector, axes) -> MultiVector:
+    """The block reflection's value map: negate the reflected vector components."""
+    out = MultiVector(mv.n, mv.coeffs)
+    for j in axes:
+        out.coeffs[1 << j] = -out.coeffs[1 << j]
+    return out
 
 
 def descent_check(M: ManifoldSpec, kernel, samples, R: int) -> dict:
     """Max deviation of K(gamma x, y) from rho(gamma) K(x, y) over samples.
 
-    `kernel` is a callable (x, y) -> KernelEval.  Report-only: the caller
-    decides what deviation is acceptable; `tail_context` carries the 2*tau
-    certificate that equivariance of a truncated sum can honestly meet.
+    gamma runs over `lattice.deck_generators(M)`.  `kernel` is a callable
+    (x, y) -> KernelEval.  Report-only: the caller decides what deviation is
+    acceptable; `tail_context` carries the 2*tau certificate that
+    equivariance of a truncated sum can honestly meet.
     """
     rows = []
-    for label, act, rho, value_map in _generators(M):
+    for label, g in deck_generators(M):
         for idx, (x, y) in enumerate(samples):
-            base = kernel(np.asarray(x, float), np.asarray(y, float))
-            moved = kernel(act(x), np.asarray(y, float))
-            expect = base.value * rho
-            if value_map is not None:
-                expect = value_map(expect)
+            x, y = np.asarray(x, float), np.asarray(y, float)
+            base = kernel(x, y)
+            moved = kernel(apply_group_element(M, g, x), y)
+            expect = base.value * _twist(M, g)
+            if g.flip:
+                expect = _reflect_value(expect, M.reflection_axes())
             dev = float((moved.value - expect).norm())
             thr = float(base.tail_bound + moved.tail_bound)
             rows.append(

@@ -1,4 +1,9 @@
-"""Period lattices, bundle sign characters, manifold specs, and reductions.
+"""Period lattices, bundle sign characters, manifold specs, and the deck group.
+
+This module is the one owner of each quotient's deck group: how a group
+element acts on points (`apply_group_element`), its inverse, the generators
+(`deck_generators`) and the reduction to a canonical representative.  The
+pin bundle's twist and value map live with the kernels (`kernels_pin`).
 
 Coordinate conventions (0-based axes throughout the code):
 
@@ -29,7 +34,27 @@ from .errors import ConfigError, DimensionMismatch
 KINDS = ("Cylinder", "Torus", "Projective", "RealProjective", "MoebiusStrip", "KleinBottle")
 SIGN_VARIANTS = ("AllEven", "SumParity")
 
+# det(gram) / prod(diag(gram)) lies in [0, 1] (Hadamard) and does not change
+# when the basis is rescaled; below this the rows are treated as dependent.
 _GRAM_TOL = 1e-12
+# Beyond 2^52 cells a float coordinate has no fractional digits left, so a
+# point there cannot be reduced to the cell (and int64 shifts would overflow).
+_MAX_CELLS = 2.0**52
+
+
+def config_int(value, what: str) -> int:
+    """An integer from a config: an int, an integral float or an integer string.
+
+    A bool, a fraction such as 2.5, or anything else raises `ConfigError`
+    rather than being truncated.
+    """
+    try:
+        out = int(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{what} must be an integer: {exc}") from exc
+    if isinstance(value, bool) or (not isinstance(value, str) and out != value):
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    return out
 
 
 class Lattice:
@@ -47,7 +72,7 @@ class Lattice:
         if not np.all(np.isfinite(basis)):
             raise ConfigError("lattice basis must be finite")
         gram = basis @ basis.T
-        if np.linalg.det(gram) <= _GRAM_TOL:
+        if np.linalg.det(gram) <= _GRAM_TOL * np.prod(np.diag(gram)):
             raise ConfigError("lattice basis is not R-linearly independent")
         self.basis = basis.copy()
         self.basis.setflags(write=False)
@@ -251,24 +276,25 @@ class ManifoldSpec:
     @classmethod
     def from_dict(cls, data: dict) -> "ManifoldSpec":
         try:
-            kind = data["kind"]
-            n = int(data["n"])
-        except (KeyError, TypeError, ValueError) as exc:
+            kind, n = data["kind"], data["n"]
+        except (KeyError, TypeError) as exc:
             raise ConfigError(f"manifold spec needs 'kind' and integer 'n': {exc}") from exc
+        n = config_int(n, "manifold n")
         lattice = None
         if "basis" in data and data["basis"] is not None:
             lattice = Lattice(np.asarray(data["basis"], dtype=float))
-            if "k" in data and int(data["k"]) != lattice.k:
+            if "k" in data and config_int(data["k"], "manifold k") != lattice.k:
                 raise ConfigError("declared k does not match the basis rank")
         elif data.get("k", 0) not in (0, None):
             raise ConfigError("nonzero k declared but no basis given")
         bd = data.get("bundle", {}) or {}
-        bundle = BundleCharacter(int(bd.get("l", 0)), bool(bd.get("negate_fiber", False)))
+        bundle = BundleCharacter(config_int(bd.get("l", 0), "bundle l"),
+                                 bool(bd.get("negate_fiber", False)))
         return cls(
             kind=kind,
             n=n,
             lattice=lattice,
-            p=int(data["p"]) if data.get("p") is not None else None,
+            p=config_int(data["p"], "manifold p") if data.get("p") is not None else None,
             sign_variant=data.get("sign_variant"),
             bundle=bundle,
         )
@@ -287,66 +313,72 @@ class ManifoldSpec:
 
 @dataclass(frozen=True)
 class GroupElement:
-    """Descriptor of the identification mapping a point to its representative.
+    """A deck-group element: lattice coefficients m and an optional block flip.
 
-    `apply_group_element(M, g, x)` realises the x -> representative direction;
-    `recover_point(M, g, rep)` inverts it.
+    `apply_group_element(M, g, x)` translates x by m (twisted on the Moebius
+    strip, folding the k-th axis on the Klein quotient) and then reflects the
+    block when `flip` is set; `canonical_rep` returns the element mapping x to
+    its representative, and `recover_point` inverts it.
     """
 
     m: tuple[int, ...] = ()
     flip: bool = False
 
 
-def _moebius_action(M: ManifoldSpec, m: np.ndarray, x: np.ndarray) -> np.ndarray:
-    out = x.copy()
-    out[: M.k] = x[: M.k] + m @ M.lattice.basis[:, : M.k]
-    out[-1] = moebius_sgn(m, M.sign_variant) * x[-1]
-    return out
+def deck_generators(M: ManifoldSpec) -> list[tuple[str, GroupElement]]:
+    """(label, element) for each generator of the deck group of a lattice quotient.
 
-
-def _klein_action(M: ManifoldSpec, m: np.ndarray, x: np.ndarray) -> np.ndarray:
-    k = M.k
-    out = x.copy()
-    if k > 1:
-        out[: k - 1] = x[: k - 1] + m[: k - 1] @ M.lattice.basis[: k - 1, : k - 1]
-    out[k - 1] = (-1.0) ** m[k - 1] * x[k - 1] + m[k - 1]
-    return out
+    One unit translation per basis vector (twisted on the Moebius strip; the
+    last one is the fold on the Klein quotient), plus the block reflection on
+    a projective cylinder.
+    """
+    units = [GroupElement(tuple(int(i == j) for j in range(M.k))) for i in range(M.k)]
+    if M.kind == "MoebiusStrip":
+        return [(f"twisted translation v{i + 1}", g) for i, g in enumerate(units)]
+    gens = [(f"translation v{i + 1}", g) for i, g in enumerate(units)]
+    if M.kind == "KleinBottle":
+        gens[-1] = ("fold translation e_k", units[-1])
+    if M.kind == "Projective":
+        gens.append(("block reflection", GroupElement((0,) * M.k, True)))
+    return gens
 
 
 def apply_group_element(M: ManifoldSpec, g: GroupElement, x) -> np.ndarray:
-    """Apply the descriptor to a point (maps x to its canonical companion)."""
+    """Apply a deck-group element to a point: translate by m, then flip the block."""
     x = np.asarray(x, dtype=float)
     m = np.asarray(g.m, dtype=np.int64)
-    if M.kind in ("Cylinder", "Torus"):
-        return x + m @ M.lattice.basis
-    if M.kind == "Projective":
+    k = M.k
+    if M.kind in ("Cylinder", "Torus", "Projective"):
         out = x + m @ M.lattice.basis
-        return reflect_coords(out, M.reflection_axes()) if g.flip else out
-    if M.kind == "RealProjective":
-        return reflect_coords(x, M.reflection_axes()) if g.flip else x.copy()
-    if M.kind == "MoebiusStrip":
-        return _moebius_action(M, m, x)
-    if M.kind == "KleinBottle":
-        return _klein_action(M, m, x)
-    raise ConfigError(f"unsupported kind {M.kind}")
+    elif M.kind == "RealProjective":
+        out = x.copy()
+    elif M.kind == "MoebiusStrip":
+        out = x.copy()
+        out[:k] = x[:k] + m @ M.lattice.basis[:, :k]
+        out[-1] = moebius_sgn(m, M.sign_variant) * x[-1]
+    else:  # KleinBottle
+        out = x.copy()
+        if k > 1:
+            out[: k - 1] = x[: k - 1] + m[: k - 1] @ M.lattice.basis[: k - 1, : k - 1]
+        out[k - 1] = (-1.0) ** m[k - 1] * x[k - 1] + m[k - 1]
+    return reflect_coords(out, M.reflection_axes()) if g.flip else out
 
 
 def group_element_inverse(M: ManifoldSpec, g: GroupElement) -> GroupElement:
-    m = np.asarray(g.m, dtype=np.int64)
-    if M.kind == "KleinBottle" and m.size:
-        minv = -m.copy()
-        minv[-1] = -((-1) ** int(m[-1])) * int(m[-1])
-        return GroupElement(tuple(int(v) for v in minv), g.flip)
-    return GroupElement(tuple(int(-v) for v in m), g.flip)
+    """The inverse element, (-m, flip) up to the Klein fold.
+
+    Pin kinds use a basis supported off the reflected block, so translations
+    commute with the block reflection.  An odd fold x_k -> m_k - x_k is its
+    own inverse on the k-th axis.
+    """
+    m = [-int(v) for v in g.m]
+    if M.kind == "KleinBottle" and m and m[-1] % 2:
+        m[-1] = -m[-1]
+    return GroupElement(tuple(m), g.flip)
 
 
 def recover_point(M: ManifoldSpec, g: GroupElement, rep) -> np.ndarray:
     """Invert the descriptor: maps the representative back to the original x."""
-    if M.kind == "Projective":
-        # apply_group_element does translate-then-flip; undo in reverse order.
-        rep = np.asarray(rep, dtype=float)
-        out = reflect_coords(rep, M.reflection_axes()) if g.flip else rep.copy()
-        return out - np.asarray(g.m, dtype=float) @ M.lattice.basis
     return apply_group_element(M, group_element_inverse(M, g), rep)
 
 
@@ -359,65 +391,44 @@ def canonical_rep(M: ManifoldSpec, x) -> tuple[np.ndarray, GroupElement]:
     the sign of the last coordinate; the Klein quotient folds the k-th
     coordinate into [0, 1) when the fold reaches it and into [1, 3/2]
     otherwise (the identification family has a fixed locus, so a half-open
-    interval cannot always be reached; see `klein_green` notes).
+    interval cannot always be reached; see `klein_green` notes).  A point
+    that is not finite, or too far from the cell to reduce, raises
+    `ConfigError`.
     """
     x = np.asarray(x, dtype=float)
     if x.shape != (M.n,):
         raise DimensionMismatch(f"point must have dimension {M.n}")
-
-    if M.kind == "RealProjective":
-        block = M.reflection_axes()
-        flip = _needs_block_flip(x, block)
-        rep = reflect_coords(x, block) if flip else x.copy()
-        return rep, GroupElement((), flip)
-
-    if M.kind in ("Cylinder", "Torus", "Projective"):
+    if not np.all(np.isfinite(x)):
+        raise ConfigError("point must be finite")
+    m = np.zeros(0, dtype=np.int64)
+    if M.lattice is not None:
         t = M.lattice.coords(x)
+        if not np.all(np.abs(t) < _MAX_CELLS):
+            raise ConfigError("point lies too far from the fundamental cell to reduce")
         m = -np.floor(t).astype(np.int64)
-        rep = x + m @ M.lattice.basis
-        flip = False
-        if M.kind == "Projective":
-            block = M.reflection_axes()
-            flip = _needs_block_flip(rep, block)
-            if flip:
-                rep = reflect_coords(rep, block)
-        return rep, GroupElement(tuple(int(v) for v in m), flip)
+        if M.kind == "KleinBottle":
+            m[-1] = _klein_fold(x[M.k - 1])
+    m = tuple(int(v) for v in m)
+    rep = apply_group_element(M, GroupElement(m), x)
+    block = M.reflection_axes()
+    flip = _needs_block_flip(rep, block)
+    return (reflect_coords(rep, block) if flip else rep), GroupElement(m, flip)
 
-    if M.kind == "MoebiusStrip":
-        t = np.linalg.solve(
-            M.lattice.basis[:, : M.k] @ M.lattice.basis[:, : M.k].T,
-            M.lattice.basis[:, : M.k] @ x[: M.k],
-        )
-        m = -np.floor(t).astype(np.int64)
-        rep = _moebius_action(M, m, x)
-        return rep, GroupElement(tuple(int(v) for v in m), False)
 
-    if M.kind == "KleinBottle":
-        k = M.k
-        m = np.zeros(k, dtype=np.int64)
-        if k > 1:
-            sub = M.lattice.basis[: k - 1, : k - 1]
-            t = np.linalg.solve(sub @ sub.T, sub @ x[: k - 1])
-            m[: k - 1] = -np.floor(t).astype(np.int64)
-        # Fold the k-th coordinate: orbit values are {w + 2Z} u {-w + 1 + 2Z}.
-        w = x[k - 1]
-        best = None
-        for parity, base in ((0, w), (1, -w)):
-            # choose the translation of matching parity landing lowest >= 0
-            shift = int(np.ceil((0.0 - base - parity) / 2.0)) * 2 + parity
-            val = ((-1.0) ** parity) * w + shift
-            if val < 0.0:  # guard against roundoff at the boundary
-                shift += 2
-                val += 2.0
-            cand = (val, parity, shift)
-            if best is None or cand[0] < best[0] - 1e-15:
-                best = cand
-        _, parity, shift = best
-        m[k - 1] = shift  # shift parity encodes whether the fold was applied
-        rep = _klein_action(M, m, x)
-        return rep, GroupElement(tuple(int(v) for v in m), False)
-
-    raise ConfigError(f"unsupported kind {M.kind}")
+def _klein_fold(w: float) -> int:
+    """The k-th entry of the Klein descriptor; its parity says whether the fold applies."""
+    # Orbit values are {w + 2Z} u {-w + 1 + 2Z}.
+    best = None
+    for parity, base in ((0, w), (1, -w)):
+        # choose the translation of matching parity landing lowest >= 0
+        shift = int(np.ceil((0.0 - base - parity) / 2.0)) * 2 + parity
+        val = ((-1.0) ** parity) * w + shift
+        if val < 0.0:  # guard against roundoff at the boundary
+            shift += 2
+            val += 2.0
+        if best is None or val < best[0] - 1e-15:
+            best = (val, shift)
+    return best[1]
 
 
 def _needs_block_flip(x: np.ndarray, block: list[int]) -> bool:

@@ -100,6 +100,8 @@ def sphere_surface(center, radius: float, grid) -> Hypersurface:
     count).  Node order is lexicographic over the grid indices.
     """
     center = np.asarray(center, dtype=float)
+    if center.ndim != 1:
+        raise SurfaceError(f"sphere center must be a point (1-d), got shape {center.shape}")
     n = center.shape[0]
     if not np.all(np.isfinite(center)):
         raise SurfaceError("sphere center must be finite")
@@ -162,6 +164,8 @@ def box_surface(corner, extents, per_face: int) -> Hypersurface:
     """Axis-aligned box boundary, midpoint rule with per_face^(n-1) nodes a face."""
     corner = np.asarray(corner, dtype=float)
     extents = np.asarray(extents, dtype=float)
+    if corner.ndim != 1:
+        raise SurfaceError(f"box corner must be a point (1-d), got shape {corner.shape}")
     n = corner.shape[0]
     if extents.shape != corner.shape:
         raise SurfaceError(f"box extents must have the corner's shape {corner.shape}, got {extents.shape}")

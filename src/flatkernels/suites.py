@@ -18,8 +18,10 @@ from . import calculus, conformal, kernels_euclid, kernels_periodic, kernels_pin
 from .clifford import MultiVector, reflect_coords
 from .lattice import (
     BundleCharacter,
+    GroupElement,
     Lattice,
     ManifoldSpec,
+    apply_group_element,
     canonical_rep,
     char_sign,
     moebius_sgn,
@@ -438,17 +440,11 @@ def probe_reports() -> dict:
     MS = ManifoldSpec("MoebiusStrip", 5, L5, sign_variant="SumParity")
     x5 = np.array([0.3, 0.4, -0.2, 0.5, 0.7])
     y5 = np.array([0.8, 0.1, 0.3, -0.2, 0.35])
-
-    def shifted(xx):
-        out_ = xx.copy()
-        out_[0] += 1.0
-        out_[-1] = -out_[-1]
-        return out_
-
+    x5_moved = apply_group_element(MA, GroupElement((1, 0)), x5)  # twisted v1
     ga = kernels_pin.moebius_green(MA, x5, y5, 30, allow_noncharacter=True)
-    ga2 = kernels_pin.moebius_green(MA, shifted(x5), y5, 30, allow_noncharacter=True)
+    ga2 = kernels_pin.moebius_green(MA, x5_moved, y5, 30, allow_noncharacter=True)
     gs = kernels_pin.moebius_green(MS, x5, y5, 30)
-    gs2 = kernels_pin.moebius_green(MS, shifted(x5), y5, 30)
+    gs2 = kernels_pin.moebius_green(MS, x5_moved, y5, 30)
     out["alleven_witness"] = {
         "character_identity_fails": bool(
             moebius_sgn(np.array([1, 1]), "AllEven")

@@ -283,6 +283,23 @@ class TestMalformedConfig:
         pytest.param("table", {"points": [[0.1, 0.2, NAN, 0.3]]}, [], id="nan-point"),
         pytest.param("table", {"segment": {"start": [0.1, 0.2, 0.3, NAN], "end": [0.2] * 4, "count": 3}},
                      [], id="nan-segment"),
+        # integer fields: a fraction is rejected, never truncated
+        pytest.param("eval", {"R": 2.5}, [], id="fractional-R"),
+        pytest.param("eval", {"manifold": {"kind": "Cylinder", "n": 4.5, "basis": [[1.0, 0, 0, 0]]}}, [],
+                     id="fractional-n"),
+        pytest.param("eval", {"manifold": {"kind": "Cylinder", "n": 4, "k": 1.5, "basis": [[1.0, 0, 0, 0]]}},
+                     [], id="fractional-k"),
+        pytest.param("eval", {"manifold": {"kind": "Cylinder", "n": 4, "basis": [[1.0, 0, 0, 0]],
+                                           "bundle": {"l": 0.9}}}, [], id="fractional-bundle-l"),
+        pytest.param("eval", {"kernel": "proj-cauchy",
+                              "manifold": {"kind": "Projective", "n": 4, "basis": [[1.0, 0, 0, 0]], "p": 2.7}},
+                     [], id="fractional-p"),
+        pytest.param("converge", {"R_list": [10, 2.5]}, [], id="fractional-R-list-entry"),
+        pytest.param("table", {"segment": {"start": [0.1] * 4, "end": [0.2] * 4, "count": 3.5}},
+                     [], id="fractional-segment-count"),
+        pytest.param("table", {"samples": {"count": 2.5}}, [], id="fractional-samples-count"),
+        pytest.param("table", {"samples": {"count": 2}, "seed": 1.5}, [], id="fractional-seed"),
+        pytest.param("eval", {"R": True}, [], id="boolean-R"),
     ])
     def test_exits_2_with_one_line_message(self, cyl_config, tmp_path, capsys, command, override, extra):
         _, cfg = cyl_config

@@ -6,6 +6,7 @@ from flatkernels.clifford import (
     MAX_DIM,
     MultiVector,
     DimensionMismatch,
+    _popcount,
     _tables,
     geometric_product,
     gp,
@@ -243,3 +244,18 @@ class TestVersorInverse:
     def test_singular(self):
         with pytest.raises(SingularPoint):
             versor_inverse(MultiVector.zero(3))
+
+
+class TestPopcount:
+    def test_fallback_matches_bitwise_count(self, monkeypatch):
+        a = np.arange(1 << 12, dtype=np.int64).reshape(64, 64)
+        ref = np.array([bin(int(v)).count("1") for v in a.ravel()]).reshape(a.shape)
+        fast = _popcount(a)
+        tables = [_tables(n) for n in range(1, MAX_DIM + 1)]
+        monkeypatch.delattr(np, "bitwise_count", raising=False)  # the numpy < 2 path
+        slow = _popcount(a)
+        assert slow.dtype == fast.dtype == np.int64
+        assert np.array_equal(fast, ref) and np.array_equal(slow, ref)
+        for n, want in zip(range(1, MAX_DIM + 1), tables):
+            got = _tables.__wrapped__(n)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))

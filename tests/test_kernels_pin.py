@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from flatkernels.calculus import dirac_residual_batch, laplace_residual_batch
-from flatkernels.clifford import reflect_coords
+from flatkernels.clifford import MultiVector, reflect_coords
 from flatkernels.errors import ConfigError, RegimeError
 from flatkernels.kernels_euclid import cauchy_g
 from flatkernels.kernels_periodic import (
@@ -11,6 +11,8 @@ from flatkernels.kernels_periodic import (
     cyl_green_reg,
 )
 from flatkernels.kernels_pin import (
+    _reflect_value,
+    _twist,
     descent_check,
     klein_green,
     klein_green_batch,
@@ -24,7 +26,14 @@ from flatkernels.kernels_pin import (
     realproj_cauchy,
     realproj_cauchy_batch,
 )
-from flatkernels.lattice import BundleCharacter, Lattice, ManifoldSpec
+from flatkernels.lattice import (
+    BundleCharacter,
+    Lattice,
+    ManifoldSpec,
+    apply_group_element,
+    char_sign,
+    deck_generators,
+)
 
 L3 = Lattice([[1.0, 0.0, 0.0]])
 PROJ = ManifoldSpec("Projective", 3, L3, p=2)
@@ -347,3 +356,81 @@ class TestBruteForceOracles:
                 )
         ev = proj_cauchy(M, x, y, R)
         assert np.allclose(ev.vector, expected, rtol=1e-12, atol=1e-15)
+
+
+def _reference_generators(M: ManifoldSpec):
+    """The hand-written generator closures descent_check used before the deck
+    group moved to `lattice`: (label, x-action, value sign, value map)."""
+    gens = []
+    if M.kind in ("Cylinder", "Torus", "Projective", "MoebiusStrip"):
+        basis = M.lattice.basis
+        for i in range(M.k):
+            vi = basis[i]
+            if M.kind == "MoebiusStrip":
+                def act(x, vi=vi):
+                    out = np.asarray(x, dtype=float).copy()
+                    out[: M.k] += vi[: M.k]
+                    out[-1] = -out[-1]
+                    return out
+
+                gens.append((f"twisted translation v{i + 1}", act, 1.0, None))
+            else:
+                delta = np.zeros(M.k, dtype=np.int64)
+                delta[i] = 1
+                rho = float(char_sign(M.bundle, delta))
+                gens.append((f"translation v{i + 1}", lambda x, vi=vi: np.asarray(x, float) + vi, rho, None))
+    if M.kind == "Projective":
+        axes = M.reflection_axes()
+        rho = -1.0 if M.bundle.negate_fiber else 1.0
+
+        def value_map(mv):
+            out = MultiVector(mv.n, mv.coeffs)
+            vec = reflect_coords(mv.vector_part, axes)
+            for j in range(mv.n):
+                out.coeffs[1 << j] = vec[j]
+            return out
+
+        gens.append(("block reflection", lambda x: reflect_coords(x, axes), rho, value_map))
+    if M.kind == "KleinBottle":
+        basis = M.lattice.basis
+        for i in range(M.k - 1):
+            vi = basis[i]
+            gens.append((f"translation v{i + 1}", lambda x, vi=vi: np.asarray(x, float) + vi, 1.0, None))
+
+        def fold(x):
+            out = np.asarray(x, dtype=float).copy()
+            out[M.k - 1] = 1.0 - out[M.k - 1]
+            return out
+
+        gens.append(("fold translation e_k", fold, 1.0, None))
+    return gens
+
+
+class TestDeckGenerators:
+    SPECS = [
+        ManifoldSpec("Cylinder", 5, Lattice([[1.0, 0, 0, 0, 0], [0.3, 1.1, 0, 0, 0]]), bundle=BundleCharacter(l))
+        for l in (0, 1, 2)
+    ] + [
+        ManifoldSpec("Torus", 2, Lattice([[1.0, 0.2], [-0.1, 0.9]]), bundle=BundleCharacter(1)),
+        ManifoldSpec("Projective", 4, Lattice([[1.0, 0, 0, 0], [0.4, 1.3, 0, 0]]), p=4),
+        ManifoldSpec("Projective", 4, Lattice([[1.2, 0, 0, 0]]), p=3, bundle=BundleCharacter(1, True)),
+        ManifoldSpec("RealProjective", 3, p=2),
+        ManifoldSpec("MoebiusStrip", 5, Lattice([[1.0, 0, 0, 0, 0], [0.3, 1.7, 0, 0, 0]]), sign_variant="AllEven"),
+        ManifoldSpec("MoebiusStrip", 4, Lattice([[1.3, 0, 0, 0]]), sign_variant="SumParity"),
+        ManifoldSpec("KleinBottle", 4, Lattice([[1.0, 0, 0, 0]])),
+        ManifoldSpec("KleinBottle", 6, Lattice([[0.7, 0, 0, 0, 0, 0], [0.2, 1.3, 0, 0, 0, 0], [0, 0, 1.0, 0, 0, 0]])),
+    ]
+
+    @pytest.mark.parametrize("M", SPECS, ids=lambda M: f"{M.kind}-k{M.k}")
+    def test_bits_match_reference_closures(self, M):
+        rng = np.random.default_rng(11)
+        new, ref = deck_generators(M), _reference_generators(M)
+        assert [label for label, _ in new] == [label for label, *_ in ref]
+        mv = MultiVector(M.n, rng.normal(size=1 << M.n))
+        for (_, g), (_, act, rho, value_map) in zip(new, ref):
+            assert _twist(M, g) == rho
+            if value_map is not None:
+                assert _reflect_value(mv, M.reflection_axes()).coeffs.tobytes() == value_map(mv).coeffs.tobytes()
+            for _ in range(20):
+                x = rng.normal(size=M.n) * 3.0
+                assert apply_group_element(M, g, x).tobytes() == act(x).tobytes()

@@ -1,15 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flatkernels.errors import ConfigError, DimensionMismatch
 from flatkernels.lattice import (
     BundleCharacter,
+    GroupElement,
     Lattice,
     ManifoldSpec,
     _shell_array,
     apply_group_element,
     canonical_rep,
     char_sign,
+    group_element_inverse,
     lattice_point,
     moebius_sgn,
     recover_point,
@@ -36,6 +39,14 @@ class TestLattice:
     def test_sigma_min_unit(self):
         L = Lattice(np.eye(3)[:2])
         assert L.sigma_min == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("scale", [1e-7, 1.0, 1e7])
+    def test_independence_check_is_scale_aware(self, scale):
+        L = Lattice(np.array([[1.0, 0.0, 0.0], [0.3, 1.2, 0.0]]) * scale)
+        assert L.sigma_min == pytest.approx(scale * Lattice([[1.0, 0, 0], [0.3, 1.2, 0]]).sigma_min)
+        for dependent in ([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0]], [[1.0, 0.0, 0.0], [1.0, 1e-8, 0.0]]):
+            with pytest.raises(ConfigError):
+                Lattice(np.array(dependent) * scale)
 
 
 class TestLatticePoint:
@@ -234,8 +245,52 @@ class TestCanonicalRep:
                 if t is not None:
                     assert np.all(t >= -1e-12) and np.all(t < 1.0)
 
+    @pytest.mark.parametrize("spec,x", [
+        (ManifoldSpec("Cylinder", 2, Lattice([[1.0, 0.0]])), [np.nan, 0.0]),
+        (ManifoldSpec("Cylinder", 2, Lattice([[1.0, 0.0]])), [np.inf, 0.0]),
+        (ManifoldSpec("Cylinder", 2, Lattice([[1.0, 0.0]])), [1e30, 0.0]),
+        (ManifoldSpec("MoebiusStrip", 3, Lattice([[1.0, 0, 0]]), sign_variant="SumParity"), [-1e30, 0.0, 0.5]),
+        (ManifoldSpec("KleinBottle", 4, Lattice([[1.0, 0, 0, 0]])), [np.nan, 0.0, 0.0, 0.0]),
+        (ManifoldSpec("KleinBottle", 4, Lattice([[1.0, 0, 0, 0]])), [1e30, 0.0, 0.0, 0.0]),
+        (ManifoldSpec("RealProjective", 3, p=2), [0.1, np.nan, 0.0]),
+    ])
+    def test_unreducible_point_raises(self, spec, x):
+        with pytest.raises(ConfigError):
+            canonical_rep(spec, x)
+
     def test_projective_block_sign(self):
         M = ManifoldSpec("Projective", 3, Lattice([[1.0, 0, 0]]), p=3)
         rep, g = canonical_rep(M, np.array([0.3, -0.4, 0.9]))
         assert rep[1] > 0 and g.flip  # first nonzero block entry made positive
         assert np.allclose(rep[2], -0.9)  # whole block flips together
+
+
+# One spec per kind; the pin kinds use a skewed basis off the reflected block.
+GROUP_SPECS = [
+    ManifoldSpec("Cylinder", 3, Lattice([[1.0, 0, 0], [0.3, 1.2, 0]]), bundle=BundleCharacter(1)),
+    ManifoldSpec("Torus", 2, Lattice([[1.0, 0.1], [0.2, 1.1]])),
+    ManifoldSpec("Projective", 4, Lattice([[1.0, 0, 0, 0], [0.4, 0.9, 0, 0]]), p=4),
+    ManifoldSpec("RealProjective", 3, p=2),
+    ManifoldSpec("MoebiusStrip", 4, Lattice([[1.0, 0, 0, 0], [0.3, 1.7, 0, 0]]), sign_variant="AllEven"),
+    ManifoldSpec("KleinBottle", 5, Lattice([[1.0, 0, 0, 0, 0], [0.2, 1.3, 0, 0, 0], [0, 0, 1.0, 0, 0]])),
+]
+
+
+@st.composite
+def group_cases(draw):
+    M = draw(st.sampled_from(GROUP_SPECS))
+    m = tuple(draw(st.lists(st.integers(-6, 6), min_size=M.k, max_size=M.k)))
+    flip = draw(st.booleans()) if M.kind in ("Projective", "RealProjective") else False
+    x = np.array(draw(st.lists(st.floats(-10, 10), min_size=M.n, max_size=M.n)))
+    return M, GroupElement(m, flip), x
+
+
+class TestGroupAction:
+    @settings(max_examples=300, deadline=None)
+    @given(group_cases())
+    def test_inverse_undoes_element(self, case):
+        M, g, x = case
+        moved = apply_group_element(M, g, x)
+        back = apply_group_element(M, group_element_inverse(M, g), moved)
+        assert np.allclose(back, x, rtol=0.0, atol=1e-12)
+        assert np.array_equal(recover_point(M, g, moved), back)

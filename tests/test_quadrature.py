@@ -60,6 +60,7 @@ class TestSurfaces:
         ([0.0, 0.0, 0.0], math.inf, (4, 8)),
         ([0.0, 0.0, 0.0], 0.2, (0, 8)),
         ([0.0, 0.0, 0.0], 0.2, (4, 0)),
+        (0.0, 0.2, 4),  # a 0-d center is not a point
     ])
     def test_sphere_rejects_degenerate_input(self, center, radius, grid):
         with pytest.raises(SurfaceError):
@@ -69,6 +70,7 @@ class TestSurfaces:
         ([math.nan, 0.0, 0.0], [1.0, 1.0, 1.0], 4),
         ([0.0, 0.0, 0.0], [1.0, math.nan, 1.0], 4),
         ([0.0, 0.0, 0.0], [1.0, 1.0, 1.0], 0),
+        (0.0, 1.0, 4),  # a 0-d corner is not a point
     ])
     def test_box_rejects_degenerate_input(self, corner, extents, per_face):
         with pytest.raises(SurfaceError):
