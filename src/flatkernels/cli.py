@@ -28,7 +28,7 @@ from . import __version__, kernels_periodic, kernels_pin, quadrature, suites
 from .errors import ConfigError, RegimeError, SingularPoint
 from .kernels_euclid import cauchy_g_batch
 from .kernels_periodic import KernelEval
-from .lattice import ManifoldSpec, config_int
+from .lattice import ManifoldSpec, config_bool, config_int
 
 KERNEL_NAMES = (
     "cyl-cauchy",
@@ -115,7 +115,7 @@ def make_evaluator(cfg: dict):
         if M.kind != "RealProjective":
             raise ConfigError("realproj-cauchy needs a RealProjective manifold spec")
         R = 0
-    noncharacter = bool(cfg.get("allow_noncharacter", False))
+    noncharacter = config_bool(cfg.get("allow_noncharacter", False), "allow_noncharacter")
     ops = {
         "cyl-cauchy": lambda X, R: kernels_periodic.cyl_cauchy(L, char, X, y, R),
         "cyl-cauchy-reg": lambda X, R: kernels_periodic.cyl_cauchy_reg(L, char, X, y, R),

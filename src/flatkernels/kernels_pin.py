@@ -14,16 +14,17 @@ Each kernel ships in two forms:
   vector literal sum averages components away and generally fails the Dirac
   residual check.  It is retained for the discrepancy probes.
 
-The deck group itself (generators, action, inverse) comes from `lattice`,
-and the plain/regularized choice from `kernels_periodic.periodic_regime`;
-this module adds what belongs to the pin bundle: the twist rho and the block
+The deck group itself (generators, action, inverse, and the signs of each
+element's linear part, `deck_signs`) comes from `lattice`, and the
+plain/regularized choice from `kernels_periodic.periodic_regime`; this
+module adds what belongs to the pin bundle: the twist rho and the block
 reflection's value map.  Class A (projective) reflections act on the
 coordinate block k..p-1; the bundle twist is rho(A) = +1 for the trivial
-bundle and (-1)^|A| when the fiber is negated.  Class B uses the twisted
-translations of the Moebius strip (sign of the translation flips the last
-coordinate) and the folded k-th axis of the Klein quotient; only the
-trivial pin bundle is constructed there, and only the SumParity sign
-variant defines a character (AllEven is reachable with
+bundle and (-1)^|A| when the fiber is negated.  Class B (the Moebius strip,
+whose translations flip the last coordinate with their sign, and the Klein
+quotient, whose k-th translation folds axis k-1) is one image sum over
+`deck_signs`; only the trivial pin bundle is constructed there, and only
+the SumParity sign variant defines a character (AllEven is reachable with
 `allow_noncharacter=True` for the probe pathway).
 """
 
@@ -33,7 +34,7 @@ import numpy as np
 
 from .calculus import FDScheme, _pointwise, dirac_residual_batch
 from .clifford import MultiVector, reflect_coords
-from .errors import RegimeError, SingularPoint
+from .errors import DimensionMismatch, RegimeError, SingularPoint
 from .kernels_euclid import cauchy_g_batch
 from .kernels_periodic import (
     _SINGULAR_R2,
@@ -41,13 +42,12 @@ from .kernels_periodic import (
     _at_lattice,
     _green_term,
     _pair_batch,
-    _translate,
     green_reg_tail,
     green_tail,
     periodic_regime,
     shell_sum,
 )
-from .lattice import ManifoldSpec, apply_group_element, char_sign, deck_generators, moebius_sgn
+from .lattice import ManifoldSpec, apply_group_element, char_sign, deck_generators, deck_signs
 
 
 # -- Class A: projective cylinders and real projective space -------------------
@@ -140,12 +140,8 @@ def _check_form(form: str):
 
 # -- Class B: Moebius strips and Klein quotients -------------------------------
 
-def _class_b_pairs(M: ManifoldSpec, kind: str, X, y, form: str, column: int):
-    """Checks and pair batch shared by the Class-B kernels: (X, y, D0, D).
-
-    D0 = x - y; D is D0 except that the orbit form carries x in `column`,
-    where each kernel's image map writes the image of the source coordinate.
-    """
+def _class_b_pairs(M: ManifoldSpec, kind: str, X, y, form: str):
+    """Checks and pair batch shared by the Class-B kernels: (X, y, D0 = x - y)."""
     _check_form(form)
     if M.kind != kind:
         raise RegimeError(f"the {kind} Green kernel requires a {kind} spec")
@@ -153,52 +149,53 @@ def _class_b_pairs(M: ManifoldSpec, kind: str, X, y, form: str, column: int):
         raise RegimeError(f"only the trivial pin bundle is constructed on {kind} quotients")
     X = np.atleast_2d(np.asarray(X, dtype=float))
     yv = np.asarray(y, dtype=float)
+    if yv.ndim != 1:
+        raise DimensionMismatch(f"the {kind} Green kernel takes one source point y")
     D0, _ = _pair_batch(X, yv, M.n)
-    D = D0.copy()
-    if form == "orbit":
-        D[:, column] = X[:, column]
-    return X, yv, D0, D
+    return X, yv, D0
+
+
+def _class_b_green(M: ManifoldSpec, X, yv, D0, R: int, form: str, c: int, regularized: bool):
+    """Green image sum over the deck group, twisted on axis c: (values (B,), tails (B,)).
+
+    Element m acts as S x + w (S = `deck_signs`, w = m @ basis).  The orbit
+    form's differences (x - S y) + w are x minus the source's images (each
+    shell holds -m beside m, with the same S); the literal form's
+    S (x - y) + w has the norm of the paper's x - y + S w.  The tail's
+    separation is |x - y| except |x_c| + |y_c| on axis c, over all n axes
+    when regularized and the first k otherwise.
+    """
+    L, n, k = M.lattice, M.n, M.k
+    orbit = form == "orbit"
+
+    def image(P, Ms, W):
+        S = deck_signs(M, Ms)[:, None, :]
+        return (P[None] - S * yv if orbit else S * P[None]) + W[:, None, :]
+
+    term = _green_term(n)
+    vals = shell_sum(L, M.bundle, X if orbit else D0, R, term, image=image,
+                     subtract=_at_lattice(term) if regularized else None)
+    E = np.abs(D0)
+    E[:, c] = np.abs(X[:, c]) + abs(yv[c])
+    E = E[:, : n if regularized else k]
+    # the first c axes, then the twisted one: the order the tail bits depend on
+    sep = np.sqrt(np.sum(E[:, :c] ** 2, axis=1) + np.sum(E[:, c:] ** 2, axis=1))
+    return vals, (green_reg_tail if regularized else green_tail)(L, R, sep)
 
 
 def moebius_green_batch(
     M: ManifoldSpec, X, y, R: int, form: str = "orbit", allow_noncharacter: bool = False
 ):
     """Batched Moebius-strip Green kernel: (values (B,), tail_bounds (B,))."""
-    X, yv, D0, D = _class_b_pairs(M, "MoebiusStrip", X, y, form, -1)
+    pairs = _class_b_pairs(M, "MoebiusStrip", X, y, form)
     if M.sign_variant == "AllEven" and not allow_noncharacter:
         raise RegimeError(
             "AllEven sign variant is not a lattice character; pass allow_noncharacter=True "
             "to probe it anyway"
         )
-    L = M.lattice
-    n, k = M.n, M.k
-    if k > n - 2:
+    if M.k > M.n - 2:
         raise RegimeError("Moebius Green kernel needs k <= n-2")
-    regularized = k == n - 2
-
-    def image(D, Ms, W):
-        U = _translate(D, Ms, W)
-        sgn = moebius_sgn(Ms, M.sign_variant)[:, None]
-        if form == "orbit":
-            # image source: last coordinate becomes sgn(w) * y_n (D carries x_n there)
-            U[:, :, -1] = D[None, :, -1] - sgn * yv[-1]
-        else:
-            # literal: sign multiplies the whole last difference (no-op in the norm)
-            U[:, :, -1] = sgn * D[None, :, -1]
-        return U
-
-    term = _green_term(n)
-    out = shell_sum(L, M.bundle, D, R, term, image=image,
-                    subtract=_at_lattice(term) if regularized else None)
-    sep_block = np.linalg.norm(D0[:, :k], axis=1)
-    if regularized:
-        sep_full = np.sqrt(
-            np.sum(D0[:, :-1] ** 2, axis=1) + (np.abs(X[:, -1]) + abs(yv[-1])) ** 2
-        )
-        tails = green_reg_tail(L, R, sep_full)
-    else:
-        tails = green_tail(L, R, sep_block)
-    return out, tails
+    return _class_b_green(M, *pairs, R, form, M.n - 1, M.k == M.n - 2)
 
 
 def moebius_green(
@@ -212,34 +209,13 @@ def moebius_green(
 
 def klein_green_batch(M: ManifoldSpec, X, y, R: int, form: str = "orbit"):
     """Batched Klein-quotient Green kernel: (values (B,), tail_bounds (B,))."""
-    X, yv, D0, D = _class_b_pairs(M, "KleinBottle", X, y, form, M.k - 1)
-    L = M.lattice
-    n, k = M.n, M.k
-    if not k < n - 2:
+    pairs = _class_b_pairs(M, "KleinBottle", X, y, form)
+    if not M.k < M.n - 2:
         raise RegimeError(
             "Klein Green kernel implemented for k < n-2 (higher ranks need a regularization "
             "that is not constructed here)"
         )
-
-    def image(D, Ms, W):
-        U = _translate(D, Ms, W)
-        mk = Ms[:, k - 1]
-        sk = np.where(mk % 2 == 0, 1.0, -1.0)
-        if form == "orbit":
-            # image source: k-th coordinate of the source is folded (D carries x_k there)
-            U[:, :, k - 1] = D[None, :, k - 1] - sk[:, None] * yv[k - 1] + mk[:, None]
-        else:
-            # literal: translation entry itself carries the parity sign
-            U[:, :, k - 1] = D[None, :, k - 1] + (sk * mk)[:, None]
-        return U
-
-    out = shell_sum(L, M.bundle, D, R, _green_term(n), image=image)
-    sep_eff = np.sqrt(
-        np.sum(D0[:, : k - 1] ** 2, axis=1)
-        + (np.abs(X[:, k - 1]) + abs(yv[k - 1])) ** 2
-    )
-    tails = green_tail(L, R, sep_eff)
-    return out, tails
+    return _class_b_green(M, *pairs, R, form, M.k - 1, False)
 
 
 def klein_green(M: ManifoldSpec, x, y, R: int, form: str = "orbit") -> KernelEval:
@@ -249,11 +225,13 @@ def klein_green(M: ManifoldSpec, x, y, R: int, form: str = "orbit") -> KernelEva
 
 # -- descent and obstruction probes ----------------------------------------------
 
+_ROUNDING = 16.0 * np.finfo(float).eps
+
 
 def _twist(M: ManifoldSpec, g) -> float:
     """rho(g): the pin bundle's sign on one deck generator."""
-    if g.flip:
-        return -1.0 if M.bundle.negate_fiber else 1.0
+    if g.flip:  # rho(A) = (-1)^|A| over the whole reflected block A
+        return (-1.0) ** len(M.reflection_axes()) if M.bundle.negate_fiber else 1.0
     if M.kind in ("MoebiusStrip", "KleinBottle"):
         return 1.0  # only the trivial pin bundle is constructed on Class B
     return float(char_sign(M.bundle, g.m))
@@ -273,7 +251,8 @@ def descent_check(M: ManifoldSpec, kernel, samples, R: int) -> dict:
     gamma runs over `lattice.deck_generators(M)`.  `kernel` is a callable
     (x, y) -> KernelEval.  Report-only: the caller decides what deviation is
     acceptable; `tail_context` carries the 2*tau certificate that
-    equivariance of a truncated sum can honestly meet.
+    equivariance of a truncated sum can honestly meet.  A row whose two
+    tails are 0 (a finite sum) is held to rounding, 16 eps (|K(x)| + |K(gx)|).
     """
     rows = []
     for label, g in deck_generators(M):
@@ -285,7 +264,9 @@ def descent_check(M: ManifoldSpec, kernel, samples, R: int) -> dict:
             if g.flip:
                 expect = _reflect_value(expect, M.reflection_axes())
             dev = float((moved.value - expect).norm())
-            thr = float(base.tail_bound + moved.tail_bound)
+            thr = float(base.tail_bound + moved.tail_bound) or _ROUNDING * (
+                base.value.norm() + moved.value.norm()
+            )
             rows.append(
                 {
                     "generator": label,

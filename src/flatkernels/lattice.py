@@ -1,9 +1,11 @@
 """Period lattices, bundle sign characters, manifold specs, and the deck group.
 
-This module is the one owner of each quotient's deck group: how a group
-element acts on points (`apply_group_element`), its inverse, the generators
-(`deck_generators`) and the reduction to a canonical representative.  The
-pin bundle's twist and value map live with the kernels (`kernels_pin`).
+This module is the one owner of each quotient's deck group: the linear part
+of every element (`deck_signs`), how an element acts on points
+(`apply_group_element`), its inverse, the generators (`deck_generators`) and
+the reduction to a canonical representative.  The pin bundle's twist and
+value map live with the kernels (`kernels_pin`), whose image sums read the
+same `deck_signs`.
 
 Coordinate conventions (0-based axes throughout the code):
 
@@ -55,6 +57,13 @@ def config_int(value, what: str) -> int:
     if isinstance(value, bool) or (not isinstance(value, str) and out != value):
         raise ConfigError(f"{what} must be an integer, got {value!r}")
     return out
+
+
+def config_bool(value, what: str) -> bool:
+    """A flag from a config: a JSON boolean; anything else raises `ConfigError`."""
+    if not isinstance(value, bool):
+        raise ConfigError(f"{what} must be true or false, got {value!r}")
+    return value
 
 
 class Lattice:
@@ -287,9 +296,11 @@ class ManifoldSpec:
                 raise ConfigError("declared k does not match the basis rank")
         elif data.get("k", 0) not in (0, None):
             raise ConfigError("nonzero k declared but no basis given")
-        bd = data.get("bundle", {}) or {}
+        bd = {} if data.get("bundle") is None else data["bundle"]
+        if not isinstance(bd, dict):
+            raise ConfigError(f"manifold bundle must be an object, got {bd!r}")
         bundle = BundleCharacter(config_int(bd.get("l", 0), "bundle l"),
-                                 bool(bd.get("negate_fiber", False)))
+                                 config_bool(bd.get("negate_fiber", False), "bundle negate_fiber"))
         return cls(
             kind=kind,
             n=n,
@@ -315,22 +326,36 @@ class ManifoldSpec:
 class GroupElement:
     """A deck-group element: lattice coefficients m and an optional block flip.
 
-    `apply_group_element(M, g, x)` translates x by m (twisted on the Moebius
-    strip, folding the k-th axis on the Klein quotient) and then reflects the
-    block when `flip` is set; `canonical_rep` returns the element mapping x to
-    its representative, and `recover_point` inverts it.
+    `apply_group_element(M, g, x)` maps x to `deck_signs * x + m @ basis` and
+    then reflects the block when `flip` is set; `canonical_rep` returns the
+    element mapping x to its representative, and `recover_point` inverts it.
     """
 
     m: tuple[int, ...] = ()
     flip: bool = False
 
 
+def deck_signs(M: ManifoldSpec, Ms) -> np.ndarray:
+    """The linear part of the deck elements with coefficient rows Ms (m, k): (m, n) of +-1.
+
+    The Moebius sign of m on the last axis, the Klein fold (-1)^(m_k) on axis
+    k-1, and 1 everywhere else; the block flip is not included.
+    """
+    Ms = np.asarray(Ms, dtype=np.int64)
+    S = np.ones((Ms.shape[0], M.n))
+    if M.kind == "MoebiusStrip":
+        S[:, -1] = moebius_sgn(Ms, M.sign_variant)
+    elif M.kind == "KleinBottle":
+        S[:, M.k - 1] = 1.0 - 2.0 * (Ms[:, -1] % 2)
+    return S
+
+
 def deck_generators(M: ManifoldSpec) -> list[tuple[str, GroupElement]]:
-    """(label, element) for each generator of the deck group of a lattice quotient.
+    """(label, element) for each generator of the deck group.
 
     One unit translation per basis vector (twisted on the Moebius strip; the
     last one is the fold on the Klein quotient), plus the block reflection on
-    a projective cylinder.
+    the projective kinds (the only generator at k = 0).
     """
     units = [GroupElement(tuple(int(i == j) for j in range(M.k))) for i in range(M.k)]
     if M.kind == "MoebiusStrip":
@@ -338,43 +363,32 @@ def deck_generators(M: ManifoldSpec) -> list[tuple[str, GroupElement]]:
     gens = [(f"translation v{i + 1}", g) for i, g in enumerate(units)]
     if M.kind == "KleinBottle":
         gens[-1] = ("fold translation e_k", units[-1])
-    if M.kind == "Projective":
+    if M.reflection_axes():
         gens.append(("block reflection", GroupElement((0,) * M.k, True)))
     return gens
 
 
 def apply_group_element(M: ManifoldSpec, g: GroupElement, x) -> np.ndarray:
-    """Apply a deck-group element to a point: translate by m, then flip the block."""
+    """Apply a deck-group element to a point: signs * x + m @ basis, then flip the block."""
     x = np.asarray(x, dtype=float)
     m = np.asarray(g.m, dtype=np.int64)
-    k = M.k
-    if M.kind in ("Cylinder", "Torus", "Projective"):
-        out = x + m @ M.lattice.basis
-    elif M.kind == "RealProjective":
-        out = x.copy()
-    elif M.kind == "MoebiusStrip":
-        out = x.copy()
-        out[:k] = x[:k] + m @ M.lattice.basis[:, :k]
-        out[-1] = moebius_sgn(m, M.sign_variant) * x[-1]
-    else:  # KleinBottle
-        out = x.copy()
-        if k > 1:
-            out[: k - 1] = x[: k - 1] + m[: k - 1] @ M.lattice.basis[: k - 1, : k - 1]
-        out[k - 1] = (-1.0) ** m[k - 1] * x[k - 1] + m[k - 1]
+    out = deck_signs(M, m[None])[0] * x
+    if M.lattice is not None:
+        out = out + m @ M.lattice.basis
     return reflect_coords(out, M.reflection_axes()) if g.flip else out
 
 
 def group_element_inverse(M: ManifoldSpec, g: GroupElement) -> GroupElement:
-    """The inverse element, (-m, flip) up to the Klein fold.
+    """The inverse element, (-S m, flip) with S the element's signs on the first k axes.
 
     Pin kinds use a basis supported off the reflected block, so translations
-    commute with the block reflection.  An odd fold x_k -> m_k - x_k is its
-    own inverse on the k-th axis.
+    commute with the block reflection.  S (m @ basis) = (S m) @ basis, since
+    the twisted axis is off the span (Moebius) or is e_k (Klein: an odd fold
+    is its own inverse).
     """
-    m = [-int(v) for v in g.m]
-    if M.kind == "KleinBottle" and m and m[-1] % 2:
-        m[-1] = -m[-1]
-    return GroupElement(tuple(m), g.flip)
+    m = np.asarray(g.m, dtype=np.int64)
+    signs = deck_signs(M, m[None])[0, : M.k]
+    return GroupElement(tuple(int(-s * v) for s, v in zip(signs, m)), g.flip)
 
 
 def recover_point(M: ManifoldSpec, g: GroupElement, rep) -> np.ndarray:

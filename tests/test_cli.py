@@ -300,6 +300,17 @@ class TestMalformedConfig:
         pytest.param("table", {"samples": {"count": 2.5}}, [], id="fractional-samples-count"),
         pytest.param("table", {"samples": {"count": 2}, "seed": 1.5}, [], id="fractional-seed"),
         pytest.param("eval", {"R": True}, [], id="boolean-R"),
+        # a bundle is an object and its flags are JSON booleans, never truthy-cast
+        pytest.param("eval", {"manifold": {"kind": "Cylinder", "n": 4, "basis": [[1.0, 0, 0, 0]],
+                                           "bundle": [1]}}, [], id="non-object-bundle"),
+        pytest.param("eval", {"manifold": {"kind": "Cylinder", "n": 4, "basis": [[1.0, 0, 0, 0]],
+                                           "bundle": False}}, [], id="false-bundle"),
+        pytest.param("eval", {"manifold": {"kind": "Cylinder", "n": 4, "basis": [[1.0, 0, 0, 0]],
+                                           "bundle": {"negate_fiber": "no"}}}, [], id="string-negate-fiber"),
+        pytest.param("eval", {"manifold": {"kind": "Cylinder", "n": 4, "basis": [[1.0, 0, 0, 0]],
+                                           "bundle": {"negate_fiber": 1}}}, [], id="integer-negate-fiber"),
+        pytest.param("eval", {"allow_noncharacter": "no"}, [], id="string-allow-noncharacter"),
+        pytest.param("eval", {"allow_noncharacter": 0}, [], id="integer-allow-noncharacter"),
     ])
     def test_exits_2_with_one_line_message(self, cyl_config, tmp_path, capsys, command, override, extra):
         _, cfg = cyl_config

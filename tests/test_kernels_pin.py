@@ -1,14 +1,23 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from flatkernels.calculus import dirac_residual_batch, laplace_residual_batch
 from flatkernels.clifford import MultiVector, reflect_coords
-from flatkernels.errors import ConfigError, RegimeError
+from flatkernels.errors import ConfigError, DimensionMismatch, RegimeError, SingularPoint
 from flatkernels.kernels_euclid import cauchy_g
 from flatkernels.kernels_periodic import (
+    KernelEval,
+    _at_lattice,
+    _green_term,
+    _pair_batch,
+    _translate,
     cyl_cauchy,
     cyl_green,
     cyl_green_reg,
+    green_reg_tail,
+    green_tail,
+    shell_sum,
 )
 from flatkernels.kernels_pin import (
     _reflect_value,
@@ -33,6 +42,7 @@ from flatkernels.lattice import (
     apply_group_element,
     char_sign,
     deck_generators,
+    moebius_sgn,
 )
 
 L3 = Lattice([[1.0, 0.0, 0.0]])
@@ -178,6 +188,13 @@ class TestMoebiusGreen:
         with pytest.raises(ConfigError, match="truncation radius R must be >= 0"):
             moebius_green(MOEB, X5, Y5, -1)
 
+    def test_batched_source_rejected(self):
+        Y = np.stack((Y5, Y5 + 0.1))
+        with pytest.raises(DimensionMismatch):
+            moebius_green_batch(MOEB, np.stack((X5, X5)), Y, 5)
+        with pytest.raises(DimensionMismatch):
+            klein_green_batch(KLE6, np.stack((X6, X6)), np.stack((Y6, Y6)), 5)
+
     def test_rank_guard(self):
         Lbad = Lattice(np.eye(5)[:4])
         Mbad = ManifoldSpec("MoebiusStrip", 5, Lbad, sign_variant="SumParity")
@@ -253,6 +270,37 @@ class TestDescentCheck:
             )
             assert rep["within_bounds"]
             assert len(rep["rows"]) == 2  # one per lattice generator
+
+    # an even block: the negated fiber's twist on the whole block is (-1)^2 = +1
+    @pytest.mark.parametrize("n,k,p", [(4, 1, 3), (5, 1, 3), (5, 2, 4)])
+    def test_block_reflection_twist_negated_fiber(self, n, k, p):
+        M = ManifoldSpec("Projective", n, Lattice(np.eye(n)[:k]), p=p, bundle=BundleCharacter(0, True))
+        rng = np.random.default_rng(n * 10 + k)
+        samples = [(rng.uniform(-0.5, 0.5, n), rng.uniform(-0.5, 0.5, n)) for _ in range(2)]
+        rep = descent_check(M, lambda a, b: proj_cauchy(M, a, b, 20), samples, 20)
+        assert [r["generator"] for r in rep["rows"]][-2:] == ["block reflection"] * 2
+        assert rep["within_bounds"]
+
+    def test_real_projective_finite_sum_held_to_rounding(self):
+        x, y = np.array([0.4, -0.7, 0.3]), np.array([1.1, 0.8, -0.6])
+
+        def check(p, spec_fiber, kernel_fiber):
+            M = ManifoldSpec("RealProjective", 3, p=p, bundle=BundleCharacter(0, spec_fiber))
+            kernel = lambda a, b: KernelEval(realproj_cauchy(p, a, b, negate_fiber=kernel_fiber), 0, 0.0)
+            return descent_check(M, kernel, [(x, y)], 0)
+
+        for p in (1, 2, 3):
+            for fiber in (False, True):
+                rep = check(p, fiber, fiber)
+                assert len(rep["rows"]) == 1 and rep["within_bounds"]
+                row = rep["rows"][0]
+                assert row["generator"] == "block reflection"
+                assert 0.0 < row["threshold"] <= 1e-14
+        # an odd block tells the fibers apart; at p = 2 both twists are +1
+        for p in (1, 3):
+            assert not check(p, True, False)["within_bounds"]
+            assert not check(p, False, True)["within_bounds"]
+        assert check(2, True, False)["within_bounds"]
 
     def test_report_shape(self):
         rep = descent_check(MOEB, lambda a, b: moebius_green(MOEB, a, b, 15), [(X5, Y5)], 15)
@@ -359,8 +407,11 @@ class TestBruteForceOracles:
 
 
 def _reference_generators(M: ManifoldSpec):
-    """The hand-written generator closures descent_check used before the deck
-    group moved to `lattice`: (label, x-action, value sign, value map)."""
+    """Hand-written generator closures: (label, x-action, value sign, value map).
+
+    The block reflection's sign is rho(A) = (-1)^|A| over the whole block when
+    the fiber is negated, and it is the one generator at k = 0.
+    """
     gens = []
     if M.kind in ("Cylinder", "Torus", "Projective", "MoebiusStrip"):
         basis = M.lattice.basis
@@ -379,9 +430,9 @@ def _reference_generators(M: ManifoldSpec):
                 delta[i] = 1
                 rho = float(char_sign(M.bundle, delta))
                 gens.append((f"translation v{i + 1}", lambda x, vi=vi: np.asarray(x, float) + vi, rho, None))
-    if M.kind == "Projective":
+    if M.kind in ("Projective", "RealProjective"):
         axes = M.reflection_axes()
-        rho = -1.0 if M.bundle.negate_fiber else 1.0
+        rho = (-1.0) ** len(axes) if M.bundle.negate_fiber else 1.0
 
         def value_map(mv):
             out = MultiVector(mv.n, mv.coeffs)
@@ -434,3 +485,116 @@ class TestDeckGenerators:
             for _ in range(20):
                 x = rng.normal(size=M.n) * 3.0
                 assert apply_group_element(M, g, x).tobytes() == act(x).tobytes()
+
+
+def reference_class_b(M: ManifoldSpec, X, y, R: int, form: str):
+    """Hand-written Moebius and Klein image maps and tails: the reference whose
+    bits `moebius_green_batch` and `klein_green_batch` must keep.
+
+    D carries x in the twisted column, where each image map writes the image
+    of the source coordinate.
+    """
+    n, k, L = M.n, M.k, M.lattice
+    moebius = M.kind == "MoebiusStrip"
+    column = -1 if moebius else k - 1
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    yv = np.asarray(y, dtype=float)
+    D0, _ = _pair_batch(X, yv, n)
+    D = D0.copy()
+    if form == "orbit":
+        D[:, column] = X[:, column]
+
+    def moebius_image(D, Ms, W):
+        U = _translate(D, Ms, W)
+        sgn = moebius_sgn(Ms, M.sign_variant)[:, None]
+        if form == "orbit":
+            U[:, :, -1] = D[None, :, -1] - sgn * yv[-1]
+        else:
+            U[:, :, -1] = sgn * D[None, :, -1]
+        return U
+
+    def klein_image(D, Ms, W):
+        U = _translate(D, Ms, W)
+        mk = Ms[:, k - 1]
+        sk = np.where(mk % 2 == 0, 1.0, -1.0)
+        if form == "orbit":
+            U[:, :, k - 1] = D[None, :, k - 1] - sk[:, None] * yv[k - 1] + mk[:, None]
+        else:
+            U[:, :, k - 1] = D[None, :, k - 1] + (sk * mk)[:, None]
+        return U
+
+    term = _green_term(n)
+    if not moebius:
+        out = shell_sum(L, M.bundle, D, R, term, image=klein_image)
+        sep = np.sqrt(np.sum(D0[:, : k - 1] ** 2, axis=1) + (np.abs(X[:, k - 1]) + abs(yv[k - 1])) ** 2)
+        return out, green_tail(L, R, sep)
+    regularized = k == n - 2
+    out = shell_sum(L, M.bundle, D, R, term, image=moebius_image,
+                    subtract=_at_lattice(term) if regularized else None)
+    if regularized:
+        sep = np.sqrt(np.sum(D0[:, :-1] ** 2, axis=1) + (np.abs(X[:, -1]) + abs(yv[-1])) ** 2)
+        return out, green_reg_tail(L, R, sep)
+    return out, green_tail(L, R, np.linalg.norm(D0[:, :k], axis=1))
+
+
+# largest R with (2R + 1)^k shell rows at most ~16000, per lattice rank
+_MAX_R = {1: 8, 2: 8, 3: 8, 4: 3, 5: 2, 6: 2, 7: 1}
+
+
+@st.composite
+def class_b_cases(draw):
+    kind = draw(st.sampled_from(["MoebiusStrip", "KleinBottle"]))
+    n = draw(st.integers(3 if kind == "MoebiusStrip" else 4, 9))
+    top = n - 2 if kind == "MoebiusStrip" else n - 3
+    # half the draws at the top rank: the regularized Moebius kernel lives there
+    k = draw(st.one_of(st.just(top), st.integers(1, top)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    skew = draw(st.booleans())
+    B = np.zeros((k, n))
+    # Klein lattices keep their last vector e_k and their sublattice inside R^(k-1)
+    free = k if kind == "MoebiusStrip" else k - 1
+    B[:free, :free] = np.diag(rng.uniform(0.6, 1.6, free))
+    if skew:
+        B[:free, :free] += np.tril(rng.uniform(-0.6, 0.6, (free, free)), -1)
+    if kind == "MoebiusStrip":
+        variant = draw(st.sampled_from(["AllEven", "SumParity"]))
+        M = ManifoldSpec(kind, n, Lattice(B), sign_variant=variant)
+    else:
+        B[k - 1, k - 1] = 1.0
+        M = ManifoldSpec(kind, n, Lattice(B))
+    R = draw(st.integers(0, _MAX_R[k]))
+    form = draw(st.sampled_from(["orbit", "paper_literal"]))
+    # small scales keep x - y inside the lattice gap, where the tails are finite
+    scale = draw(st.sampled_from([0.03, 0.3, 3.0]))
+    X = rng.normal(size=(16, n)) * scale
+    y = rng.normal(size=n) * scale
+    return M, X, y, R, form
+
+
+# n = 8: the regularized tail's first n-1 axes and its twisted one summed as a
+# single 8-term reduction would round differently
+_TRAP = ManifoldSpec("MoebiusStrip", 8, Lattice(np.eye(8)[:6]), sign_variant="SumParity")
+_TRAP_RNG = np.random.default_rng(8)
+
+
+class TestClassBReference:
+    @settings(max_examples=300, deadline=None)
+    @given(class_b_cases())
+    @example((_TRAP, _TRAP_RNG.normal(size=(32, 8)) * 0.1, _TRAP_RNG.normal(size=8) * 0.1, 1, "orbit"))
+    def test_values_and_tails_match_reference_bits(self, case):
+        M, X, y, R, form = case
+        try:
+            ref = reference_class_b(M, X, y, R, form)
+        except SingularPoint:
+            ref = None
+        if M.kind == "MoebiusStrip":
+            run = lambda: moebius_green_batch(M, X, y, R, form, allow_noncharacter=True)
+        else:
+            run = lambda: klein_green_batch(M, X, y, R, form)
+        if ref is None:
+            with pytest.raises(SingularPoint):
+                run()
+            return
+        vals, tails = run()
+        assert np.array_equal(vals, ref[0])
+        assert np.array_equal(tails, ref[1])

@@ -12,6 +12,7 @@ from flatkernels.lattice import (
     apply_group_element,
     canonical_rep,
     char_sign,
+    deck_signs,
     group_element_inverse,
     lattice_point,
     moebius_sgn,
@@ -294,3 +295,30 @@ class TestGroupAction:
         back = apply_group_element(M, group_element_inverse(M, g), moved)
         assert np.allclose(back, x, rtol=0.0, atol=1e-12)
         assert np.array_equal(recover_point(M, g, moved), back)
+
+
+class TestDeckSigns:
+    def test_only_the_twisted_axis_carries_a_sign(self):
+        Ms = _shell_array(2, 2)
+        for variant in ("AllEven", "SumParity"):
+            M = ManifoldSpec("MoebiusStrip", 4, Lattice([[1.0, 0, 0, 0], [0.3, 1.7, 0, 0]]), sign_variant=variant)
+            S = deck_signs(M, Ms)
+            assert np.array_equal(S[:, -1], moebius_sgn(Ms, variant))
+            assert np.all(S[:, :-1] == 1.0)
+        K = ManifoldSpec("KleinBottle", 5, Lattice([[0.8, 0, 0, 0, 0], [0, 1.0, 0, 0, 0]]))
+        S = deck_signs(K, Ms)
+        assert np.array_equal(S[:, 1], (-1.0) ** Ms[:, 1])
+        assert np.all(np.delete(S, 1, axis=1) == 1.0)
+        for M in GROUP_SPECS[:3]:
+            assert np.all(deck_signs(M, _shell_array(M.k, 1)) == 1.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(group_cases())
+    def test_action_is_signs_then_translation(self, case):
+        M, g, x = case
+        out = deck_signs(M, [g.m])[0] * x
+        if M.lattice is not None:
+            out = out + np.asarray(g.m, dtype=float) @ M.lattice.basis
+        if g.flip:
+            out[M.reflection_axes()] *= -1.0
+        assert np.array_equal(apply_group_element(M, g, x), out)
