@@ -5,7 +5,16 @@ lattice, in increasing shell order and lexicographic order within a shell,
 pairwise within a shell and compensated across shells (`shell_sum`).  Every
 add is elementwise across points, so evaluations stay bit-reproducible: the
 bits of a point's value do not depend on the batch it shares, on how the
-batch is chunked, or on how callers parallelise around it.
+batch is chunked, or on how callers parallelise around it.  Squared norms
+are summed over the coordinates left to right (`sq_norm`), one fixed order
+whatever the memory layout.
+
+Memory layout: `shell_sum` stores each chunk of points and each shell's
+lattice vectors coordinate-major (Fortran order), and numpy carries that
+layout through the image differences, the terms and the compensated sum
+while the arrays keep their (m, B, n) shapes as views; elementwise loops
+then run over the batch or the shell rows instead of over the n
+coordinates.
 
 Regimes (k = lattice rank, n = ambient dimension; `periodic_regime` is the
 one place that picks between the plain and the regularized sum):
@@ -34,10 +43,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clifford import MultiVector
-from .errors import ConfigError, RegimeError, SingularPoint
+from .errors import ConfigError, DimensionMismatch, RegimeError, SingularPoint
 from .kernels_euclid import sphere_area
-from .lattice import BundleCharacter, Lattice, _shell_array, char_sign
+from .lattice import BundleCharacter, Lattice, _shell_array, char_sign, config_int
 
+# a squared distance below _SINGULAR_R2 * sigma_min^2 is on the singular orbit
 _SINGULAR_R2 = 1e-18
 
 
@@ -106,20 +116,25 @@ def _pair_batch(x, y, n: int) -> tuple[np.ndarray, bool]:
     X = np.asarray(x, dtype=float)
     Y = np.asarray(y, dtype=float)
     single = X.ndim == 1 and Y.ndim == 1
+    for P in (X, Y):
+        if P.ndim > 2 or P.shape[-1:] != (n,):
+            raise DimensionMismatch(f"points must have dimension {n}: got an array of shape {P.shape}")
     X = np.atleast_2d(X)
     Y = np.atleast_2d(Y)
-    if X.shape[1] != n or Y.shape[1] != n:
-        raise ValueError(f"points must have dimension {n}")
     if not (np.isfinite(X).all() and np.isfinite(Y).all()):
         raise ConfigError("points must be finite")
-    return X - np.broadcast_to(Y, np.broadcast_shapes(X.shape, Y.shape)), single
+    try:
+        shape = np.broadcast_shapes(X.shape, Y.shape)
+    except ValueError as exc:
+        raise DimensionMismatch(f"point batches of shapes {X.shape} and {Y.shape} do not match") from exc
+    return X - np.broadcast_to(Y, shape), single
 
 
 def _check_not_on_orbit(L: Lattice, D: np.ndarray, what: str):
     t = np.linalg.solve(L.gram, L.basis @ D.T).T
     nearest = np.rint(t) @ L.basis
     gap = D - nearest
-    if np.any(np.sum(gap * gap, axis=1) < 1e-18):
+    if np.any(np.sum(gap * gap, axis=1) < _SINGULAR_R2 * L.sigma_min**2):
         raise SingularPoint(f"{what} lies on the singular lattice orbit")
 
 
@@ -143,16 +158,26 @@ def kahan_shell_sum(shape, shells):
 
     Each shell is summed by a pairwise tree over its rows; the shell sums are
     accumulated with Neumaier compensation, the rounding error of every add
-    taken exactly (TwoSum) and added back at the end.
+    taken exactly (TwoSum) and added back at the end.  The updates run in
+    place, into scratch arrays allocated once per call in the memory layout
+    of the first shell's sum; the order of operations is that of
+    `s = acc + x; bx = s - acc; comp += (acc - (s - bx)) + (x - bx); acc = s`.
     """
-    acc = np.zeros(shape)
-    comp = np.zeros(shape)
+    acc = None
     for terms in shells:
         x = _pairwise_sum(terms)
-        s = acc + x
-        bx = s - acc
-        comp += (acc - (s - bx)) + (x - bx)
-        acc = s
+        if acc is None:
+            acc, comp, s, bx, e = (np.zeros_like(x, dtype=float) for _ in range(5))
+        np.add(acc, x, out=s)
+        np.subtract(s, acc, out=bx)
+        np.subtract(s, bx, out=e)
+        np.subtract(acc, e, out=e)
+        np.subtract(x, bx, out=bx)
+        np.add(e, bx, out=e)
+        np.add(comp, e, out=comp)
+        acc, s = s, acc
+    if acc is None:
+        return np.zeros(shape)
     return acc + comp
 
 
@@ -162,6 +187,21 @@ def _chunks(B: int, max_rows: int, width: int):
         yield lo, min(B, lo + per)
 
 
+def sq_norm(U: np.ndarray) -> np.ndarray:
+    """|U|^2 over the last axis, summed left to right: ((U0 U0 + U1 U1) + U2 U2) + ...
+
+    One fixed order for every memory layout and batch size, so the bits of a
+    squared norm depend only on the coordinates.
+    """
+    Q = U * U
+    if Q.shape[-1] == 1:
+        return Q[..., 0]
+    r2 = Q[..., 0] + Q[..., 1]
+    for j in range(2, Q.shape[-1]):
+        r2 += Q[..., j]
+    return r2
+
+
 def _translate(D: np.ndarray, Ms: np.ndarray, W: np.ndarray) -> np.ndarray:
     """Image differences d + w for every shell row and point: (m, b, n)."""
     return D[None, :, :] + W[:, None, :]
@@ -169,7 +209,7 @@ def _translate(D: np.ndarray, Ms: np.ndarray, W: np.ndarray) -> np.ndarray:
 
 def _at_lattice(term):
     """Per-shell subtraction of the kernel at the lattice point itself."""
-    return lambda W: term(W[:, None, :], np.einsum("mj,mj->m", W, W)[:, None])
+    return lambda W: term(W[:, None, :], sq_norm(W)[:, None])
 
 
 def shell_sum(L: Lattice, char: BundleCharacter, D: np.ndarray, R: int, term,
@@ -179,24 +219,44 @@ def shell_sum(L: Lattice, char: BundleCharacter, D: np.ndarray, R: int, term,
     Row m of shell r contributes chi(m) [term(U, |U|^2) - subtract(W)], where
     U = image(D, Ms, W) holds the image differences (m, b, ..., n) of the chunk
     D, W = m @ basis, chi is the character sign and `subtract` (shells r >= 1
-    only, broadcast over points) is optional.  Points are summed in chunks;
-    the result does not depend on the chunking.
+    only, broadcast over points) is optional.  |U|^2 is `sq_norm(U)`, summed
+    over the coordinates left to right.  Points are summed in chunks; the
+    result does not depend on the chunking.
+
+    `image` gets its arrays coordinate-major: the chunk D (b, ..., n) and the
+    shell's W (m, n) in Fortran order, so each coordinate is one contiguous
+    block over points and rows.  numpy allocates elementwise results in the
+    layout of their operands, so U, the terms and `kahan_shell_sum`'s
+    in-place scratch keep that layout and their loops run over the batch (or
+    over the rows, for one point).  An image that returns another layout
+    gets the same bits, only slower.
+
+    R must be an integer >= 0 (an integral float or numpy integer counts as
+    the int); a bool, a fraction, a string or a negative R raises
+    `ConfigError`.  A squared image distance below
+    `_SINGULAR_R2 * sigma_min^2` raises `SingularPoint`.
     """
+    if isinstance(R, str):  # config_int parses config strings; a library R is a number
+        raise ConfigError(f"truncation radius R must be an integer, got {R!r}")
+    R = config_int(R, "truncation radius R")
     if R < 0:
         raise ConfigError("truncation radius R must be >= 0")
     B = D.shape[0]
     out = np.empty((B,) + shape)
     max_rows = (2 * R + 1) ** L.k - (2 * R - 1) ** L.k if R > 0 else 1
+    singular = _SINGULAR_R2 * L.sigma_min**2
     for lo, hi in _chunks(B, max_rows, math.prod(shape)):
-        Dc = D[lo:hi]
+        Dc = np.asfortranarray(D[lo:hi])
 
         def shells():
             for r in range(R + 1):
                 Ms = _shell_array(L.k, r)
                 W = Ms.astype(float) @ L.basis
-                U = image(Dc, Ms, W)
-                r2 = np.einsum("...j,...j->...", U, U)
-                if np.any(r2 < _SINGULAR_R2):
+                # only the elementwise image gets the Fortran copy: the torus
+                # subtraction's W @ V rounds differently in another layout
+                U = image(Dc, Ms, np.asfortranarray(W))
+                r2 = sq_norm(U)
+                if np.any(r2 < singular):
                     raise SingularPoint("evaluation point on a kernel singularity")
                 t = term(U, r2)
                 if r > 0 and subtract is not None:
@@ -211,7 +271,13 @@ def shell_sum(L: Lattice, char: BundleCharacter, D: np.ndarray, R: int, term,
 
 def _cauchy_term(n: int):
     wn = sphere_area(n)
-    return lambda U, r2: U * (r2 ** (-n / 2.0))[..., None] / wn
+
+    def term(U, r2):
+        G = U * (r2 ** (-n / 2.0))[..., None]
+        G /= wn
+        return G
+
+    return term
 
 
 def _green_term(n: int):
@@ -448,14 +514,14 @@ def torus_cauchy_two_point(
         # the uncoupled terms add the lattice images of both sources, G(-a-w) + G(-b-w)
         def subtract(W):
             V = np.stack((-a - W, -b - W), axis=1)[:, None]
-            return -pair(V, np.einsum("...j,...j->...", V, V))
+            return -pair(V, sq_norm(V))
     elif char.l == 0:
         # the gradient subtraction is even in w, so it is character-safe only on
         # the trivial bundle (where the telescoping reindex cancels it exactly);
         # twisted bundles rely on the character's own alternation instead.
         # (x - a) - (x - b) = b - a for every point; one gradient term per shell row.
         def subtract(W):
-            return _jacobian_apply(W, np.einsum("mj,mj->m", W, W), -Dab[:1], n)
+            return _jacobian_apply(W, sq_norm(W), -Dab[:1], n)
 
     vals = shell_sum(L, char, D, R, pair, (n,), image, subtract)
     if literal:
