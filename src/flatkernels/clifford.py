@@ -177,11 +177,6 @@ class MultiVector:
     def vector_part(self) -> np.ndarray:
         return np.array([self.coeffs[1 << j] for j in range(self.n)])
 
-    def grade_projection(self, r: int) -> "MultiVector":
-        mask = grades(self.n) == r
-        c = np.where(mask, self.coeffs, 0.0)
-        return MultiVector(self.n, c)
-
     def max_grade_coeff(self, exclude: int | None = None) -> float:
         """Largest |coefficient| outside the given grade (None: over all)."""
         g = grades(self.n)
@@ -284,10 +279,3 @@ def versor_inverse(q: MultiVector, tol: float = 1e-10) -> MultiVector:
     if qq.max_grade_coeff(exclude=0) > tol * max(1.0, abs(s)):
         raise SingularPoint("element is not a versor (q~q is not scalar)")
     return q.reversion() / s
-
-
-def blade_label(index: int) -> str:
-    """Human-readable blade name for a coefficient index, e.g. 'e1e3'."""
-    if index == 0:
-        return "1"
-    return "".join(f"e{j + 1}" for j in range(index.bit_length()) if index >> j & 1)

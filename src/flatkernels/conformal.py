@@ -9,10 +9,11 @@ attempted.
 The weight factors
 
     J1(psi, x) = reversion(c x + d) / |c x + d|^n
-    J2(psi, x) = |c x + d|^(2 - n)... specifically 1 / |c x + d|^(n-2)
+    J2(psi, x) = 1 / |c x + d|^(n-2)
 
-turn monogenic (harmonic) functions of psi(x) into monogenic (harmonic)
-functions of x via f -> J1 * (f o psi).  The sign ambiguity of the lift is
+turn monogenic functions of psi(x) into monogenic functions of x via
+f -> J1 * (f o psi) (`pull_back_monogenic`), and harmonic ones into harmonic
+ones via f -> J2 * (f o psi).  The sign ambiguity of the lift is
 surfaced as an explicit `sign` flag on the pullback (default +1).
 """
 

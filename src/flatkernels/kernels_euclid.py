@@ -10,6 +10,10 @@ multiple of the vector kernel, D_x green_h(., y) = c_n * cauchy_g(., y) with
 c_n = (n - 2)/(n - 1); `green_to_cauchy_factor` exposes that constant and the
 test suite re-derives it with the FD oracle before the boundary-integral
 engine relies on it.
+
+This module owns the formula: `sq_norm` and the vector and scalar terms
+(`_cauchy_term`, `_green_term`) are the ones every lattice sum evaluates,
+and the single-point kernels are row 0 of the batched ones.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import math
 
 import numpy as np
 
-from .errors import ConfigError, RegimeError, SingularPoint
+from .errors import ConfigError, DimensionMismatch, RegimeError, SingularPoint
 
 
 def sphere_area(n: int) -> float:
@@ -29,34 +33,73 @@ def sphere_area(n: int) -> float:
 
 
 def _difference(x, y) -> np.ndarray:
-    """x - y; a non-finite coordinate raises ConfigError."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    """x - y as a (B, n) batch; a non-finite coordinate raises ConfigError."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    y = np.atleast_2d(np.asarray(y, dtype=float))
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise ConfigError("points must be finite")
     return x - y
 
 
+def sq_norm(U: np.ndarray) -> np.ndarray:
+    """|U|^2 over the last axis, summed left to right: ((U0 U0 + U1 U1) + U2 U2) + ...
+
+    One fixed order for every memory layout and batch size, so the bits of a
+    squared norm depend only on the coordinates.
+    """
+    Q = U * U
+    if Q.shape[-1] == 1:
+        return Q[..., 0]
+    r2 = Q[..., 0] + Q[..., 1]
+    for j in range(2, Q.shape[-1]):
+        r2 += Q[..., j]
+    return r2
+
+
+def _cauchy_term(n: int):
+    """The vector kernel as term(U, r2) of differences U (..., n) and r2 = |U|^2."""
+    wn = sphere_area(n)
+
+    def term(U, r2):
+        G = U * (r2 ** (-n / 2.0))[..., None]
+        G /= wn
+        return G
+
+    return term
+
+
+def _green_term(n: int):
+    """The scalar kernel as term(U, r2); n <= 2 raises RegimeError."""
+    if n <= 2:
+        raise RegimeError("scalar kernel requires n > 2")
+    c = 1.0 / (sphere_area(n) * (1.0 - n))
+    return lambda U, r2: r2 ** ((2.0 - n) / 2.0) * c
+
+
+def _euclid(X, Y, make_term, what: str) -> np.ndarray:
+    D = _difference(X, Y)
+    term = make_term(D.shape[1])
+    r2 = sq_norm(D)
+    if np.any(r2 == 0.0):
+        raise SingularPoint(f"{what} evaluated at coincident points")
+    return term(D, r2)
+
+
+def _single(batch, x, y):
+    """Row 0 of the batched kernel, so a point has the bits it has in any batch."""
+    if max(np.ndim(x), np.ndim(y)) > 1:
+        raise DimensionMismatch("single-point kernels take points of shape (n,); use the batched form")
+    return batch(x, y)[0]
+
+
 def cauchy_g(x, y) -> np.ndarray:
     """Vector-valued fundamental solution of the Dirac operator; antisymmetric."""
-    d = _difference(x, y)
-    r2 = float(np.dot(d, d))
-    if r2 == 0.0:
-        raise SingularPoint("cauchy_g evaluated at coincident points")
-    n = d.shape[0]
-    return d * r2 ** (-n / 2.0) / sphere_area(n)
+    return _single(cauchy_g_batch, x, y)
 
 
 def green_h(x, y) -> float:
     """Scalar fundamental solution of the Laplacian (n > 2); symmetric."""
-    d = _difference(x, y)
-    n = d.shape[0]
-    if n <= 2:
-        raise RegimeError("green_h requires n > 2")
-    r2 = float(np.dot(d, d))
-    if r2 == 0.0:
-        raise SingularPoint("green_h evaluated at coincident points")
-    return r2 ** ((2.0 - n) / 2.0) / (sphere_area(n) * (1.0 - n))
+    return float(_single(green_h_batch, x, y))
 
 
 def green_to_cauchy_factor(n: int) -> float:
@@ -72,21 +115,9 @@ def green_to_cauchy_factor(n: int) -> float:
 
 def cauchy_g_batch(X, Y) -> np.ndarray:
     """cauchy_g on batched points; X, Y broadcast to (B, n), returns (B, n)."""
-    D = _difference(np.atleast_2d(X), np.atleast_2d(Y))
-    n = D.shape[1]
-    r2 = np.sum(D * D, axis=1)
-    if np.any(r2 == 0.0):
-        raise SingularPoint("cauchy_g evaluated at coincident points")
-    return D * (r2 ** (-n / 2.0))[:, None] / sphere_area(n)
+    return _euclid(X, Y, _cauchy_term, "cauchy_g")
 
 
 def green_h_batch(X, Y) -> np.ndarray:
     """green_h on batched points; returns (B,)."""
-    D = _difference(np.atleast_2d(X), np.atleast_2d(Y))
-    n = D.shape[1]
-    if n <= 2:
-        raise RegimeError("green_h requires n > 2")
-    r2 = np.sum(D * D, axis=1)
-    if np.any(r2 == 0.0):
-        raise SingularPoint("green_h evaluated at coincident points")
-    return r2 ** ((2.0 - n) / 2.0) / (sphere_area(n) * (1.0 - n))
+    return _euclid(X, Y, _green_term, "green_h")

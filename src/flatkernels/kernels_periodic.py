@@ -16,13 +16,14 @@ while the arrays keep their (m, B, n) shapes as views; elementwise loops
 then run over the batch or the shell rows instead of over the n
 coordinates.
 
-Regimes (k = lattice rank, n = ambient dimension; `periodic_regime` is the
-one place that picks between the plain and the regularized sum):
+Every term is the Euclidean formula of `kernels_euclid` (`sq_norm` and
+its vector and scalar terms).  Regimes (k = lattice rank, n = ambient
+dimension; `periodic_regime` is the one place that compares k with n):
 
 * `cyl_cauchy`: k <= n-2, plain sum of vector kernels;
 * `cyl_cauchy_reg`: k = n-1, subtracts the lattice-point value G(w) per term;
 * `cyl_green`: k <= n-3, plain sum of scalar kernels;
-* `cyl_green_reg`: k = n-2, subtracts |w|^(2-n) per term;
+* `cyl_green_reg`: k = n-2, subtracts |w|^(2-n) per term (trivial bundle);
 * `torus_cauchy_two_point`: k = n, two singularities per cell; the default
   `coupled_subtracted` form couples them as a difference with a first-order
   (gradient) subtraction so summands decay like |w|^(-n-1); the uncoupled
@@ -44,8 +45,8 @@ import numpy as np
 
 from .clifford import MultiVector
 from .errors import ConfigError, DimensionMismatch, RegimeError, SingularPoint
-from .kernels_euclid import sphere_area
-from .lattice import BundleCharacter, Lattice, _shell_array, char_sign, config_int
+from .kernels_euclid import _cauchy_term, _green_term, sphere_area, sq_norm
+from .lattice import BundleCharacter, Lattice, _check_radius, _shell_array, char_sign
 
 # a squared distance below _SINGULAR_R2 * sigma_min^2 is on the singular orbit
 _SINGULAR_R2 = 1e-18
@@ -98,6 +99,7 @@ def eisenstein_tail(L: Lattice, R: int, s: float, offset=0.0):
     |x - y + w| >= (sigma_min - offset/(R+1)) ||m||_inf on omitted shells.
     Scalar or array `offset` is accepted; R = 0 yields infinity.
     """
+    R = _check_radius(R)
     if s <= L.k:
         raise RegimeError(f"majorant diverges: s = {s} <= lattice rank {L.k}")
     offset = np.asarray(offset, dtype=float)
@@ -187,21 +189,6 @@ def _chunks(B: int, max_rows: int, width: int):
         yield lo, min(B, lo + per)
 
 
-def sq_norm(U: np.ndarray) -> np.ndarray:
-    """|U|^2 over the last axis, summed left to right: ((U0 U0 + U1 U1) + U2 U2) + ...
-
-    One fixed order for every memory layout and batch size, so the bits of a
-    squared norm depend only on the coordinates.
-    """
-    Q = U * U
-    if Q.shape[-1] == 1:
-        return Q[..., 0]
-    r2 = Q[..., 0] + Q[..., 1]
-    for j in range(2, Q.shape[-1]):
-        r2 += Q[..., j]
-    return r2
-
-
 def _translate(D: np.ndarray, Ms: np.ndarray, W: np.ndarray) -> np.ndarray:
     """Image differences d + w for every shell row and point: (m, b, n)."""
     return D[None, :, :] + W[:, None, :]
@@ -236,11 +223,7 @@ def shell_sum(L: Lattice, char: BundleCharacter, D: np.ndarray, R: int, term,
     `ConfigError`.  A squared image distance below
     `_SINGULAR_R2 * sigma_min^2` raises `SingularPoint`.
     """
-    if isinstance(R, str):  # config_int parses config strings; a library R is a number
-        raise ConfigError(f"truncation radius R must be an integer, got {R!r}")
-    R = config_int(R, "truncation radius R")
-    if R < 0:
-        raise ConfigError("truncation radius R must be >= 0")
+    R = _check_radius(R)
     B = D.shape[0]
     out = np.empty((B,) + shape)
     max_rows = (2 * R + 1) ** L.k - (2 * R - 1) ** L.k if R > 0 else 1
@@ -269,53 +252,42 @@ def shell_sum(L: Lattice, char: BundleCharacter, D: np.ndarray, R: int, term,
     return out
 
 
-def _cauchy_term(n: int):
-    wn = sphere_area(n)
+def _lattice_sum(L: Lattice, char: BundleCharacter, D: np.ndarray, R: int, vector: bool,
+                 regularized: bool, image=_translate) -> np.ndarray:
+    """The shell sum of one regime: its Euclidean term and its per-term subtraction.
 
-    def term(U, r2):
-        G = U * (r2 ** (-n / 2.0))[..., None]
-        G /= wn
-        return G
-
-    return term
-
-
-def _green_term(n: int):
-    if n <= 2:
-        raise RegimeError("scalar kernel requires n > 2")
-    c = 1.0 / (sphere_area(n) * (1.0 - n))
-    return lambda U, r2: r2 ** ((2.0 - n) / 2.0) * c
+    A regularized sum subtracts the kernel at the lattice point, G(w) or
+    |w|^(2-n), from every term of shells r >= 1.  The scalar subtraction is an
+    even function of w, so a sign-flipping reindex would leave a constant
+    defect on twisted bundles.  Those get no scalar subtraction: the
+    character's own alternation makes the shell-ordered series summable, and
+    translation equivariance is exact in the limit.
+    """
+    term = _cauchy_term(L.n) if vector else _green_term(L.n)
+    subtract = _at_lattice(term) if regularized and (vector or char.l == 0) else None
+    return shell_sum(L, char, D, R, term, (L.n,) if vector else (), image, subtract)
 
 
 # -- cylinder kernels (difference form, used directly and by the pin module) --
 
 def cyl_cauchy_diff(L: Lattice, char: BundleCharacter, D: np.ndarray, R: int) -> np.ndarray:
     """Plain periodized vector kernel as a function of the difference; (B, n)."""
-    return shell_sum(L, char, D, R, _cauchy_term(L.n), (L.n,))
+    return _lattice_sum(L, char, D, R, True, False)
 
 
 def cyl_cauchy_reg_diff(L: Lattice, char: BundleCharacter, D: np.ndarray, R: int) -> np.ndarray:
     """Regularized vector kernel (k = n-1): G(d) + sum' chi [G(d+w) - G(w)]."""
-    term = _cauchy_term(L.n)
-    return shell_sum(L, char, D, R, term, (L.n,), subtract=_at_lattice(term))
+    return _lattice_sum(L, char, D, R, True, True)
 
 
 def cyl_green_diff(L: Lattice, char: BundleCharacter, D: np.ndarray, R: int) -> np.ndarray:
     """Plain periodized scalar kernel as a function of the difference; (B,)."""
-    return shell_sum(L, char, D, R, _green_term(L.n))
+    return _lattice_sum(L, char, D, R, False, False)
 
 
 def cyl_green_reg_diff(L: Lattice, char: BundleCharacter, D: np.ndarray, R: int) -> np.ndarray:
-    """Regularized scalar kernel (k = n-2).
-
-    For the trivial bundle each term subtracts |w|^(2-n); that subtraction is
-    an even function of w, so a sign-flipping reindex would leave a constant
-    defect on twisted bundles.  Those get no subtraction: the character's own
-    alternation makes the shell-ordered series summable, and translation
-    equivariance is exact in the limit.
-    """
-    term = _green_term(L.n)
-    return shell_sum(L, char, D, R, term, subtract=_at_lattice(term) if char.l == 0 else None)
+    """Regularized scalar kernel (k = n-2); twisted bundles get no subtraction."""
+    return _lattice_sum(L, char, D, R, False, True)
 
 
 # -- tail bounds per kernel ----------------------------------------------------
@@ -384,12 +356,13 @@ def _wrap(vals: np.ndarray, tails, R: int, single: bool, n: int):
 
 
 def periodic_regime(L: Lattice, char: BundleCharacter, vector: bool):
-    """The regime the rank picks for a vector or scalar kernel: (diff, tail).
+    """The regime the rank picks for a vector or scalar kernel: (total, tail, regularized).
 
-    `diff(L, char, D, R)` is one of the four `cyl_*_diff` sums and
-    `tail(R, sep)` its bound.  Vector kernels sum plainly at k <= n-2 and
-    regularized at k = n-1; scalar kernels plainly at k <= n-3 and
-    regularized at k = n-2.  Higher ranks raise `RegimeError`.
+    This is the one place that compares the rank k with n.  Vector kernels sum
+    plainly at k <= n-2 and regularized at k = n-1; scalar kernels plainly at
+    k <= n-3 and regularized at k = n-2.  Higher ranks raise `RegimeError`.
+    `total(D, R, image=_translate)` is the regime's shell sum (`_lattice_sum`)
+    over the images `image` makes of D, and `tail(R, sep)` its certified bound.
     """
     critical = L.n - 1 if vector else L.n - 2
     if L.k > critical:
@@ -397,20 +370,27 @@ def periodic_regime(L: Lattice, char: BundleCharacter, vector: bool):
             "vector kernel needs k <= n-1; use torus_cauchy_two_point at k = n"
             if vector else "scalar kernel needs k <= n-2"
         )
-    if vector and L.k < critical:
-        return cyl_cauchy_diff, lambda R, sep: cauchy_tail(L, R, sep)
+    regularized = L.k == critical
     if vector:
-        return cyl_cauchy_reg_diff, lambda R, sep: cauchy_reg_tail(L, R, sep)
-    if L.k < critical:
-        return cyl_green_diff, lambda R, sep: green_tail(L, R, sep)
-    return cyl_green_reg_diff, lambda R, sep: green_reg_tail(L, R, sep, char)
+        bound = cauchy_reg_tail if regularized else cauchy_tail
+        tail = lambda R, sep: bound(L, R, sep)
+    else:
+        tail = lambda R, sep: green_reg_tail(L, R, sep, char) if regularized else green_tail(L, R, sep)
+
+    def total(D, R, image=_translate):
+        return _lattice_sum(L, char, D, R, vector, regularized, image)
+
+    return total, tail, regularized
 
 
-def _cylinder(L: Lattice, char: BundleCharacter, x, y, R: int, vector: bool, want, message: str):
-    """Single point or batch through `want`, which must be the regime the rank picks."""
-    diff, tail = periodic_regime(L, char, vector)
-    if diff is not want:
-        raise RegimeError(message)
+def _cylinder(L: Lattice, char: BundleCharacter, x, y, R: int, vector: bool, regularized: bool, diff):
+    """Single point or batch through `diff`, the public sum of the entry's regime: a
+    module-level call, so a tracer that rebinds module attributes times each sum."""
+    _, tail, picked = periodic_regime(L, char, vector)
+    if picked != regularized:
+        names = ("cyl_cauchy", "cyl_cauchy_reg") if vector else ("cyl_green", "cyl_green_reg")
+        raise RegimeError(f"{names[regularized]} does not serve rank k = {L.k} in n = {L.n}; "
+                          f"the rank picks {names[picked]}")
     D, single = _pair_batch(x, y, L.n)
     _check_not_on_orbit(L, D, "x - y")
     return _wrap(diff(L, char, D, R), tail(R, np.linalg.norm(D, axis=1)), R, single, L.n)
@@ -422,27 +402,22 @@ def cyl_cauchy(L: Lattice, char: BundleCharacter, x, y, R: int):
     Accepts single points or (B, n) batches; the single-point form returns a
     `KernelEval`, the batched form `(values (B, n), tail_bounds (B,))`.
     """
-    return _cylinder(L, char, x, y, R, True, cyl_cauchy_diff,
-                     "cyl_cauchy needs k <= n-2; use cyl_cauchy_reg at k = n-1 "
-                     "or torus_cauchy_two_point at k = n")
+    return _cylinder(L, char, x, y, R, True, False, cyl_cauchy_diff)
 
 
 def cyl_cauchy_reg(L: Lattice, char: BundleCharacter, x, y, R: int):
     """Regularized Cauchy kernel at critical rank k = n-1."""
-    return _cylinder(L, char, x, y, R, True, cyl_cauchy_reg_diff,
-                     "cyl_cauchy_reg is the k = n-1 regime")
+    return _cylinder(L, char, x, y, R, True, True, cyl_cauchy_reg_diff)
 
 
 def cyl_green(L: Lattice, char: BundleCharacter, x, y, R: int):
     """Periodized Green kernel on a rank-k cylinder, k <= n-3."""
-    return _cylinder(L, char, x, y, R, False, cyl_green_diff,
-                     "cyl_green needs k <= n-3; use cyl_green_reg at k = n-2")
+    return _cylinder(L, char, x, y, R, False, False, cyl_green_diff)
 
 
 def cyl_green_reg(L: Lattice, char: BundleCharacter, x, y, R: int):
     """Regularized Green kernel at critical rank k = n-2."""
-    return _cylinder(L, char, x, y, R, False, cyl_green_reg_diff,
-                     "cyl_green_reg is the k = n-2 regime")
+    return _cylinder(L, char, x, y, R, False, True, cyl_green_reg_diff)
 
 
 # -- torus two-point kernel ------------------------------------------------------

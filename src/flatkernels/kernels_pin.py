@@ -15,17 +15,19 @@ Each kernel ships in two forms:
   residual check.  It is retained for the discrepancy probes.
 
 The deck group itself (generators, action, inverse, and the signs of each
-element's linear part, `deck_signs`) comes from `lattice`, and the
-plain/regularized choice from `kernels_periodic.periodic_regime`; this
-module adds what belongs to the pin bundle: the twist rho and the block
-reflection's value map.  Class A (projective) reflections act on the
+element's linear part, `deck_signs`) comes from `lattice`.  The regime, its
+lattice sum and its tail come from `kernels_periodic.periodic_regime`, the
+one place that compares the rank with n; this module compares no rank.  It
+adds what belongs to the pin bundle: the twist rho, the block reflection's
+value map, and the image maps.  Class A (projective) reflections act on the
 coordinate block k..p-1; the bundle twist is rho(A) = +1 for the trivial
 bundle and (-1)^|A| when the fiber is negated.  Class B (the Moebius strip,
 whose translations flip the last coordinate with their sign, and the Klein
 quotient, whose k-th translation folds axis k-1) is one image sum over
-`deck_signs`; only the trivial pin bundle is constructed there, and only
-the SumParity sign variant defines a character (AllEven is reachable with
-`allow_noncharacter=True` for the probe pathway).
+`deck_signs` through the scalar regime: plain at k <= n-3, regularized at
+k = n-2 for both kinds.  Only the trivial pin bundle is constructed there,
+and only the SumParity sign variant defines a character (AllEven is
+reachable with `allow_noncharacter=True` for the probe pathway).
 """
 
 from __future__ import annotations
@@ -35,18 +37,8 @@ import numpy as np
 from .calculus import FDScheme, _pointwise, dirac_residual_batch
 from .clifford import MultiVector, reflect_coords
 from .errors import DimensionMismatch, RegimeError, SingularPoint
-from .kernels_euclid import cauchy_g_batch
-from .kernels_periodic import (
-    _SINGULAR_R2,
-    KernelEval,
-    _at_lattice,
-    _green_term,
-    _pair_batch,
-    green_reg_tail,
-    green_tail,
-    periodic_regime,
-    shell_sum,
-)
+from .kernels_euclid import cauchy_g_batch, sq_norm
+from .kernels_periodic import _SINGULAR_R2, KernelEval, _pair_batch, periodic_regime
 from .lattice import ManifoldSpec, apply_group_element, char_sign, deck_generators, deck_signs
 
 
@@ -84,9 +76,8 @@ def _projective(M: ManifoldSpec, what: str, vector: bool, R: int):
     """The regime's diff(D) and tail(sep) at radius R for a projective or oriented spec."""
     if M.kind not in ("Projective", "Cylinder", "Torus"):
         raise RegimeError(f"{what} expects a projective or oriented spec, got {M.kind}")
-    L, char = M.lattice, M.bundle
-    diff, tail = periodic_regime(L, char, vector)
-    return lambda D: diff(L, char, D, R), lambda sep: tail(R, sep)
+    total, tail, _ = periodic_regime(M.lattice, M.bundle, vector)
+    return lambda D: total(D, R), lambda sep: tail(R, sep)
 
 
 def proj_cauchy_batch(M: ManifoldSpec, X, y, R: int, form: str = "orbit"):
@@ -113,18 +104,24 @@ def proj_green(M: ManifoldSpec, x, y, R: int, form: str = "orbit") -> KernelEval
 
 
 def realproj_cauchy_batch(p: int, X, y, form: str = "orbit", negate_fiber: bool = False):
-    """k = 0 specialisation: finite reflection sum of the Euclidean kernel."""
+    """k = 0 specialisation: finite reflection sum of the Euclidean kernel.
+
+    A difference D_A with |D_A|^2 < `_SINGULAR_R2` (|x| + |y|)^2 is on the
+    singular orbit and raises `SingularPoint`, in both forms and at every scale.
+    """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     n = X.shape[1]
     if not 0 <= p <= n:
         raise RegimeError(f"reflection count p must satisfy 0 <= p <= n, got {p}")
-    # every literal difference has the norm of x - y; guard it like a lattice sum
-    if form == "paper_literal" and np.any(np.sum((X - y) ** 2, axis=1) < _SINGULAR_R2):
-        raise SingularPoint("evaluation point on a kernel singularity")
-    vals, _ = _superpose(
-        X, y, n, list(range(p)), negate_fiber, form,
-        lambda D: cauchy_g_batch(D, 0.0), lambda sep: 0.0,
-    )
+    _pair_batch(X, y, n)  # shapes and finiteness, before the norms below
+    singular = _SINGULAR_R2 * (np.sqrt(sq_norm(X)) + np.sqrt(sq_norm(np.asarray(y, float)))) ** 2
+
+    def diff(DA):
+        if np.any(sq_norm(DA) < singular):
+            raise SingularPoint("evaluation point on a kernel singularity")
+        return cauchy_g_batch(DA, 0.0)
+
+    vals, _ = _superpose(X, y, n, list(range(p)), negate_fiber, form, diff, lambda sep: 0.0)
     return vals
 
 
@@ -155,32 +152,31 @@ def _class_b_pairs(M: ManifoldSpec, kind: str, X, y, form: str):
     return X, yv, D0
 
 
-def _class_b_green(M: ManifoldSpec, X, yv, D0, R: int, form: str, c: int, regularized: bool):
+def _class_b_green(M: ManifoldSpec, X, yv, D0, R: int, form: str, c: int):
     """Green image sum over the deck group, twisted on axis c: (values (B,), tails (B,)).
 
-    Element m acts as S x + w (S = `deck_signs`, w = m @ basis).  The orbit
-    form's differences (x - S y) + w are x minus the source's images (each
-    shell holds -m beside m, with the same S); the literal form's
-    S (x - y) + w has the norm of the paper's x - y + S w.  The tail's
-    separation is |x - y| except |x_c| + |y_c| on axis c, over all n axes
-    when regularized and the first k otherwise.
+    The scalar regime of the rank (`periodic_regime`) gives the sum, its
+    subtraction and its tail.  Element m acts as S x + w (S = `deck_signs`,
+    w = m @ basis).  The orbit form's differences (x - S y) + w are x minus
+    the source's images (each shell holds -m beside m, with the same S); the
+    literal form's S (x - y) + w has the norm of the paper's x - y + S w.
+    The tail's separation is |x - y| except |x_c| + |y_c| on axis c, over all
+    n axes when regularized and the first k otherwise.
     """
-    L, n, k = M.lattice, M.n, M.k
+    total, tail, regularized = periodic_regime(M.lattice, M.bundle, False)
     orbit = form == "orbit"
 
     def image(P, Ms, W):
         S = deck_signs(M, Ms)[:, None, :]
         return (P[None] - S * yv if orbit else S * P[None]) + W[:, None, :]
 
-    term = _green_term(n)
-    vals = shell_sum(L, M.bundle, X if orbit else D0, R, term, image=image,
-                     subtract=_at_lattice(term) if regularized else None)
+    vals = total(X if orbit else D0, R, image)
     E = np.abs(D0)
     E[:, c] = np.abs(X[:, c]) + abs(yv[c])
-    E = E[:, : n if regularized else k]
+    E = E[:, : M.n if regularized else M.k]
     # the first c axes, then the twisted one: the order the tail bits depend on
     sep = np.sqrt(np.sum(E[:, :c] ** 2, axis=1) + np.sum(E[:, c:] ** 2, axis=1))
-    return vals, (green_reg_tail if regularized else green_tail)(L, R, sep)
+    return vals, tail(R, sep)
 
 
 def moebius_green_batch(
@@ -193,9 +189,7 @@ def moebius_green_batch(
             "AllEven sign variant is not a lattice character; pass allow_noncharacter=True "
             "to probe it anyway"
         )
-    if M.k > M.n - 2:
-        raise RegimeError("Moebius Green kernel needs k <= n-2")
-    return _class_b_green(M, *pairs, R, form, M.n - 1, M.k == M.n - 2)
+    return _class_b_green(M, *pairs, R, form, M.n - 1)
 
 
 def moebius_green(
@@ -208,14 +202,13 @@ def moebius_green(
 
 
 def klein_green_batch(M: ManifoldSpec, X, y, R: int, form: str = "orbit"):
-    """Batched Klein-quotient Green kernel: (values (B,), tail_bounds (B,))."""
+    """Batched Klein-quotient Green kernel: (values (B,), tail_bounds (B,)).
+
+    Plain at k <= n-3 and regularized at k = n-2, as `periodic_regime` picks
+    for a scalar kernel; k = n-1 raises `RegimeError`.
+    """
     pairs = _class_b_pairs(M, "KleinBottle", X, y, form)
-    if not M.k < M.n - 2:
-        raise RegimeError(
-            "Klein Green kernel implemented for k < n-2 (higher ranks need a regularization "
-            "that is not constructed here)"
-        )
-    return _class_b_green(M, *pairs, R, form, M.k - 1, False)
+    return _class_b_green(M, *pairs, R, form, M.k - 1)
 
 
 def klein_green(M: ManifoldSpec, x, y, R: int, form: str = "orbit") -> KernelEval:

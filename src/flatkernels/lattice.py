@@ -59,6 +59,17 @@ def config_int(value, what: str) -> int:
     return out
 
 
+def _check_radius(R, what: str = "truncation radius R") -> int:
+    """A library R as an int >= 0: a bool, a fraction, a string (a library R is a
+    number, unlike a config's) or a negative R raises `ConfigError`."""
+    if isinstance(R, str):
+        raise ConfigError(f"{what} must be an integer, got {R!r}")
+    R = config_int(R, what)
+    if R < 0:
+        raise ConfigError(f"{what} must be >= 0")
+    return R
+
+
 def config_bool(value, what: str) -> bool:
     """A flag from a config: a JSON boolean; anything else raises `ConfigError`."""
     if not isinstance(value, bool):
@@ -143,9 +154,7 @@ def _shell_array(k: int, R: int) -> np.ndarray:
 
 def shell(L: Lattice, R: int) -> np.ndarray:
     """Coefficient vectors with ||m||_inf = R in lexicographic order."""
-    if R < 0:
-        raise ValueError("shell radius must be >= 0")
-    return _shell_array(L.k, R)
+    return _shell_array(L.k, _check_radius(R, "shell radius R"))
 
 
 @dataclass(frozen=True)
@@ -404,8 +413,8 @@ def canonical_rep(M: ManifoldSpec, x) -> tuple[np.ndarray, GroupElement]:
     nonnegative with at most one block reflection; the Moebius strip adjusts
     the sign of the last coordinate; the Klein quotient folds the k-th
     coordinate into [0, 1) when the fold reaches it and into [1, 3/2]
-    otherwise (the identification family has a fixed locus, so a half-open
-    interval cannot always be reached; see `klein_green` notes).  A point
+    otherwise (the fold acts on that axis as the mirror w -> 1 - w, so a
+    half-open interval cannot always be reached).  A point
     that is not finite, or too far from the cell to reduce, raises
     `ConfigError`.
     """

@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from flatkernels.calculus import dirac_fd, laplace_fd
-from flatkernels.errors import ConfigError, RegimeError, SingularPoint
+from flatkernels.errors import ConfigError, DimensionMismatch, RegimeError, SingularPoint
 from flatkernels.kernels_euclid import (
     cauchy_g,
     cauchy_g_batch,
@@ -13,6 +14,8 @@ from flatkernels.kernels_euclid import (
     green_to_cauchy_factor,
     sphere_area,
 )
+from flatkernels.kernels_periodic import cyl_cauchy_diff, cyl_green_diff
+from flatkernels.lattice import BundleCharacter, Lattice
 
 
 class TestSphereArea:
@@ -125,3 +128,31 @@ class TestDerivativeConstant:
         ratios = dH.vector_part / cauchy_g(x, y)
         assert np.allclose(ratios, green_to_cauchy_factor(n), rtol=1e-7)
         assert dH.max_grade_coeff(exclude=1) <= 1e-9
+
+
+@pytest.mark.parametrize("kernel", [cauchy_g, green_h])
+def test_single_point_kernels_refuse_batches(kernel):
+    X = np.array([[0.3, 0.1, 0.2], [0.5, 0.5, 0.5]])
+    for x, y in ((X, np.zeros(3)), (np.zeros(3), X)):
+        with pytest.raises(DimensionMismatch, match="batched form"):
+            kernel(x, y)
+    assert np.array_equal(kernel(X[0], 0.0), kernel(X[0], np.zeros(3)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(3, 8), st.integers(0, 2**32 - 1), st.integers(0, 1))
+def test_single_point_batch_row_and_lattice_sum_share_bits(n, seed, l):
+    # one formula: the single-point kernel is row 0 of the batch, and the R = 0
+    # lattice sum is the bare term, so all three agree bit for bit
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(6, n)) * 10.0 ** rng.integers(-3, 4, size=(6, n))
+    y = rng.normal(size=n) * 10.0 ** rng.integers(-3, 4, size=n)
+    L, char = Lattice(np.eye(n)[:1]), BundleCharacter(l)
+    for single, batch, lattice_sum in (
+        (cauchy_g, cauchy_g_batch, cyl_cauchy_diff),
+        (green_h, green_h_batch, cyl_green_diff),
+    ):
+        rows = batch(X, y)
+        assert rows.tobytes() == lattice_sum(L, char, X - y, 0).tobytes()
+        for i, x in enumerate(X):
+            assert np.asarray(single(x, y)).tobytes() == rows[i].tobytes()

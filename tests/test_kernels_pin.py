@@ -154,6 +154,37 @@ class TestRealProj:
         assert float(dirac_residual_batch(orb, X3[None, :])[0]) <= 1e-6
         assert float(dirac_residual_batch(lit, X3[None, :])[0]) >= 1e-3
 
+    # (form, point, on the singular orbit): the orbit form is singular at the
+    # source and at its reflections, the literal form only where x - y vanishes
+    GUARD_Y = np.array([0.5, 0.5, 0.5])
+    GUARD_CASES = [
+        ("orbit", [0.3, 0.1, 0.2], False),
+        ("paper_literal", [0.3, 0.1, 0.2], False),
+        ("orbit", [0.5 + 1e-12, 0.5 - 2e-12, 0.5 + 1e-12], True),
+        ("paper_literal", [0.5 + 1e-12, 0.5 - 2e-12, 0.5 + 1e-12], True),
+        ("orbit", [-0.5 + 1e-12, -0.5, 0.5 - 1e-12], True),
+        ("paper_literal", [-0.5 + 1e-12, -0.5, 0.5 - 1e-12], False),
+    ]
+
+    @pytest.mark.parametrize("form,x,singular", GUARD_CASES)
+    def test_singular_guard_does_not_depend_on_scale(self, form, x, singular):
+        for lam in (1e-9, 1e-6, 1e-3, 1.0, 1e3, 1e6):
+            run = lambda: realproj_cauchy_batch(2, [lam * np.array(x)], lam * self.GUARD_Y, form=form)
+            if singular:
+                with pytest.raises(SingularPoint):
+                    run()
+            else:
+                assert np.all(np.isfinite(run()))
+
+    @pytest.mark.parametrize("form", ["orbit", "paper_literal"])
+    @pytest.mark.parametrize("y", [[0.5, 0.5, 0.5], [0.0, 0.0, 0.0]])
+    def test_exact_coincidence_raises(self, form, y):
+        with pytest.raises(SingularPoint):
+            realproj_cauchy_batch(2, [y], y, form=form)
+        if form == "orbit" and any(y):
+            with pytest.raises(SingularPoint):
+                realproj_cauchy_batch(2, [reflect_coords(np.array(y), [0])], y, form=form)
+
 
 L5 = Lattice(np.eye(5)[:1])
 MOEB = ManifoldSpec("MoebiusStrip", 5, L5, sign_variant="SumParity")
@@ -246,10 +277,31 @@ class TestKleinGreen:
         assert float(laplace_residual_batch(f, X6[None, :])[0]) <= 1e-5
 
     def test_rank_guard(self):
-        Lbad = Lattice(np.eye(5)[:3])
+        Lbad = Lattice(np.eye(5)[:4])
         Kbad = ManifoldSpec("KleinBottle", 5, Lbad)
         with pytest.raises(RegimeError):
             klein_green(Kbad, X5, Y5, 10)
+
+    @pytest.mark.parametrize("n,k", [(4, 2), (5, 3)])
+    def test_regularized_rank(self, n, k):
+        # k = n-2: the regularized scalar sum periodic_regime picks, as on the Moebius strip
+        M = ManifoldSpec("KleinBottle", n, Lattice(np.eye(n)[:k]))
+        x = np.array([0.38, 0.25, 0.39, 0.12, 0.3])[:n]
+        y = np.array([0.78, 0.71, 0.84, 0.65, 0.9])[:n]
+        R = 10
+        ev, ev2 = klein_green(M, x, y, R), klein_green(M, x, y, 2 * R)
+        assert abs(ev2.scalar - ev.scalar) <= 2.0 * ev.tail_bound
+        rep = descent_check(M, lambda a, b: klein_green(M, a, b, R), [(x, y)], R)
+        assert rep["within_bounds"]
+        f = lambda Z: klein_green_batch(M, Z, y, R)[0]
+        assert float(laplace_residual_batch(f, x[None, :])[0]) <= 1e-5
+
+    @pytest.mark.parametrize("kind", ["MoebiusStrip", "KleinBottle"])
+    def test_rank_n_minus_1_refused_by_the_regime(self, kind):
+        M = ManifoldSpec(kind, 5, Lattice(np.eye(5)[:4]), sign_variant="SumParity" if kind == "MoebiusStrip" else None)
+        batch = moebius_green_batch if kind == "MoebiusStrip" else klein_green_batch
+        with pytest.raises(RegimeError, match="scalar kernel needs k <= n-2"):
+            batch(M, X5[None], Y5, 10)
 
     def test_orbit_and_literal_differ(self):
         a = klein_green(KLE6, X6, Y6, 15)

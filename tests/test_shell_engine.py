@@ -14,13 +14,14 @@ from flatkernels.kernels_periodic import (
     _translate,
     cyl_cauchy,
     cyl_green,
+    eisenstein_tail,
     kahan_shell_sum,
     shell_sum,
     sq_norm,
     torus_cauchy_two_point,
 )
 from flatkernels.kernels_pin import moebius_green_batch, proj_cauchy_batch
-from flatkernels.lattice import BundleCharacter, Lattice, ManifoldSpec
+from flatkernels.lattice import BundleCharacter, Lattice, ManifoldSpec, shell
 from flatkernels.quadrature import sphere_surface
 
 CH0 = BundleCharacter(0)
@@ -236,6 +237,25 @@ class TestArgumentErrors:
         got = cyl_green(self.L, CH1, self.x, self.y, R)
         assert np.float64(got.scalar).tobytes() == np.float64(ref.scalar).tobytes()
         assert got.tail_bound == ref.tail_bound
+
+    L2 = Lattice(np.eye(5)[:2])
+    RADIUS_TAKERS = {
+        "shell": lambda L, R: shell(L, R),
+        "eisenstein_tail": lambda L, R: eisenstein_tail(L, R, 3.0),
+        "shell_sum": lambda L, R: shell_sum(L, CH0, np.full((1, 5), 0.3), R, lambda U, r2: r2),
+    }
+
+    @pytest.mark.parametrize("R", [True, False, 2.5, "3", None, -1, -2.0])
+    @pytest.mark.parametrize("taker", list(RADIUS_TAKERS))
+    def test_one_radius_check(self, taker, R):
+        with pytest.raises(ConfigError, match="radius R"):
+            self.RADIUS_TAKERS[taker](self.L2, R)
+
+    @pytest.mark.parametrize("taker", list(RADIUS_TAKERS))
+    def test_integral_radius_is_the_int(self, taker):
+        ref = self.RADIUS_TAKERS[taker](self.L2, 3)
+        for R in (3.0, np.int64(3), np.float64(3.0)):
+            assert np.asarray(self.RADIUS_TAKERS[taker](self.L2, R)).tobytes() == np.asarray(ref).tobytes()
 
     @pytest.mark.parametrize("R", [5.5, True])
     def test_every_engine_caller_checks_the_radius(self, R):
