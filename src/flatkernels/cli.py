@@ -27,7 +27,6 @@ import numpy as np
 from . import __version__, kernels_periodic, kernels_pin, quadrature, suites
 from .errors import ConfigError, RegimeError, SingularPoint
 from .kernels_euclid import cauchy_g_batch
-from .kernels_periodic import KernelEval
 from .lattice import ManifoldSpec, config_bool, config_int
 
 KERNEL_NAMES = (
@@ -145,6 +144,16 @@ def _columns(vals) -> np.ndarray:
     return vals.reshape(len(vals), -1)
 
 
+def _eval_value(vals, tails, R: int, n: int) -> dict:
+    """`KernelEval.to_dict` of row 0 without a `MultiVector` (its tables stop at n = 8)."""
+    if n > 16:  # one JSON number per blade: 2^n of them would outgrow memory
+        raise ConfigError(f"eval lists all 2^n blade coefficients; n = {n} > 16 is too many, use table")
+    v, coeffs = np.asarray(vals)[0], np.zeros(1 << n)
+    coeffs[[1 << j for j in range(n)] if v.ndim else 0] = v
+    return {"n": n, "coeffs": [float(c) for c in coeffs], "trunc_radius": int(R),
+            "tail_bound": float(np.atleast_1d(tails)[0])}
+
+
 def _emit(text: str, out_path: str | None):
     if out_path:
         Path(out_path).parent.mkdir(parents=True, exist_ok=True)
@@ -174,7 +183,7 @@ def cmd_eval(args) -> int:
         "kernel": cfg["kernel"],
         "form": form,
         "R": R,
-        "value": KernelEval.from_batch(vals, tails, R, M.n).to_dict(),
+        "value": _eval_value(vals, tails, R, M.n),
         "components": [float(v) for v in _columns(vals)[0]],
     }
     _emit(_json_report(payload), args.out)

@@ -16,6 +16,11 @@ while the arrays keep their (m, B, n) shapes as views; elementwise loops
 then run over the batch or the shell rows instead of over the n
 coordinates.
 
+The cylinder and projective sums are near + far (`_lattice_sum`): shell 0
+in full coordinates, and shells 1..R in the lattice frame, where an image
+d + w depends only on t = d Q along the span and rho, the distance to it:
+k+1 coordinates instead of n.  Class B and the torus keep full coordinates.
+
 Every term is the Euclidean formula of `kernels_euclid` (`sq_norm` and
 its vector and scalar terms).  Regimes (k = lattice rank, n = ambient
 dimension; `periodic_regime` is the one place that compares k with n):
@@ -200,7 +205,7 @@ def _at_lattice(term):
 
 
 def shell_sum(L: Lattice, char: BundleCharacter, D: np.ndarray, R: int, term,
-              shape=(), image=_translate, subtract=None) -> np.ndarray:
+              shape=(), image=_translate, subtract=None, *, _start: int = 0) -> np.ndarray:
     """Lattice sum over the sup-norm shells 0..R for each point of D; (B, *shape).
 
     Row m of shell r contributes chi(m) [term(U, |U|^2) - subtract(W)], where
@@ -220,8 +225,9 @@ def shell_sum(L: Lattice, char: BundleCharacter, D: np.ndarray, R: int, term,
 
     R must be an integer >= 0 (an integral float or numpy integer counts as
     the int); a bool, a fraction, a string or a negative R raises
-    `ConfigError`.  A squared image distance below
-    `_SINGULAR_R2 * sigma_min^2` raises `SingularPoint`.
+    `ConfigError`.  A squared image distance below `_SINGULAR_R2 * sigma_min^2`
+    raises `SingularPoint`.  `_lattice_sum` sums the frame lattice at (t, rho)
+    from shell 1 (`_start`); Class B and the torus sum L from shell 0.
     """
     R = _check_radius(R)
     B = D.shape[0]
@@ -232,7 +238,7 @@ def shell_sum(L: Lattice, char: BundleCharacter, D: np.ndarray, R: int, term,
         Dc = np.asfortranarray(D[lo:hi])
 
         def shells():
-            for r in range(R + 1):
+            for r in range(_start, R + 1):
                 Ms = _shell_array(L.k, r)
                 W = Ms.astype(float) @ L.basis
                 # only the elementwise image gets the Fortran copy: the torus
@@ -252,8 +258,16 @@ def shell_sum(L: Lattice, char: BundleCharacter, D: np.ndarray, R: int, term,
     return out
 
 
+def _dot(A: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """A @ M summed left to right over A's columns: unlike BLAS, one order at every batch size."""
+    out = A[:, :1] * M[0]
+    for i in range(1, A.shape[1]):
+        out += A[:, i : i + 1] * M[i]
+    return out
+
+
 def _lattice_sum(L: Lattice, char: BundleCharacter, D: np.ndarray, R: int, vector: bool,
-                 regularized: bool, image=_translate) -> np.ndarray:
+                 regularized: bool, image=None) -> np.ndarray:
     """The shell sum of one regime: its Euclidean term and its per-term subtraction.
 
     A regularized sum subtracts the kernel at the lattice point, G(w) or
@@ -262,10 +276,32 @@ def _lattice_sum(L: Lattice, char: BundleCharacter, D: np.ndarray, R: int, vecto
     defect on twisted bundles.  Those get no scalar subtraction: the
     character's own alternation makes the shell-ordered series summable, and
     translation equivariance is exact in the limit.
+
+    Without an `image`, the sum is near + far.  The near term is shell 0 in full
+    coordinates, so at R = 0 the sum has the bits of `cauchy_g_batch` and
+    `green_h_batch`.  The far sum covers shells 1..R in the lattice frame
+    (`Lattice._frame`), at (t, rho) with t = D Q and rho = |P|, P = D - t Q^T:
+    k+1 coordinates per image instead of n.  A vector far sum maps back as
+    far[:, :k] Q^T + (P / rho) far[:, k], with P / rho = 0 where rho = 0.
+    Class B passes its own `image` and sums every shell in full coordinates.
     """
     term = _cauchy_term(L.n) if vector else _green_term(L.n)
     subtract = _at_lattice(term) if regularized and (vector or char.l == 0) else None
-    return shell_sum(L, char, D, R, term, (L.n,) if vector else (), image, subtract)
+    if image is not None:
+        return shell_sum(L, char, D, R, term, (L.n,) if vector else (), image, subtract)
+    r2 = sq_norm(D)
+    if np.any(r2 < _SINGULAR_R2 * L.sigma_min**2):
+        raise SingularPoint("evaluation point on a kernel singularity")
+    Q, reduced = L._frame
+    t = _dot(D, Q)
+    P = D - _dot(t, Q.T)
+    rho = np.sqrt(sq_norm(P))
+    far = shell_sum(reduced, char, np.column_stack((t, rho)), R, term,
+                    (L.k + 1,) if vector else (), subtract=subtract, _start=1)
+    if vector:
+        scale = np.divide(far[:, L.k], rho, out=np.zeros_like(rho), where=rho > 0.0)
+        far = _dot(far[:, : L.k], Q.T) + P * scale[:, None]
+    return term(D, r2) + far
 
 
 # -- cylinder kernels (difference form, used directly and by the pin module) --
@@ -319,9 +355,8 @@ def green_reg_tail(L: Lattice, R: int, sep, char: BundleCharacter = BundleCharac
         L, R, L.n - 1.0, offset=sep + v1
     )
     sig = np.maximum(L.sigma_min - sep / (R + 1.0), 1e-300)
-    layer = 2.0 * L.k * (2.0 * R + 1.0) ** (L.k - 1) * (sig * R) ** (2.0 - L.n) / (
-        wn * (L.n - 1.0)
-    )
+    with np.errstate(divide="ignore", over="ignore"):  # no gap left: the bound is inf
+        layer = 2.0 * L.k * (2.0 * R + 1.0) ** (L.k - 1) * (sig * R) ** (2.0 - L.n) / (wn * (L.n - 1.0))
     return pair + layer
 
 
@@ -343,7 +378,8 @@ def torus_tail(L: Lattice, R: int, sep_a, sep_b, dab: float = 0.0, char: BundleC
     pair = 0.5 * v1 * dab * c2 * eisenstein_tail(L, R, L.n + 1.0, offset=worst + v1)
     sig = np.maximum(L.sigma_min - worst / (R + 1.0), 1e-300)
     c1 = (L.n + 1.0) / sphere_area(L.n)
-    layer = 2.0 * L.k * (2.0 * R + 1.0) ** (L.k - 1) * dab * c1 * (sig * R) ** (-float(L.n))
+    with np.errstate(divide="ignore", over="ignore"):  # no gap left: the bound is inf
+        layer = 2.0 * L.k * (2.0 * R + 1.0) ** (L.k - 1) * dab * c1 * (sig * R) ** (-float(L.n))
     return pair + layer
 
 
@@ -361,8 +397,10 @@ def periodic_regime(L: Lattice, char: BundleCharacter, vector: bool):
     This is the one place that compares the rank k with n.  Vector kernels sum
     plainly at k <= n-2 and regularized at k = n-1; scalar kernels plainly at
     k <= n-3 and regularized at k = n-2.  Higher ranks raise `RegimeError`.
-    `total(D, R, image=_translate)` is the regime's shell sum (`_lattice_sum`)
-    over the images `image` makes of D, and `tail(R, sep)` its certified bound.
+    `total(D, R, image=None)` is the regime's shell sum (`_lattice_sum`) and
+    `tail(R, sep)` its certified bound.  The cylinder and projective kernels
+    pass no `image`: a near term plus a far sum over the frame's (t, rho).
+    Class B passes its image of D and keeps full coordinates.
     """
     critical = L.n - 1 if vector else L.n - 2
     if L.k > critical:
@@ -377,7 +415,7 @@ def periodic_regime(L: Lattice, char: BundleCharacter, vector: bool):
     else:
         tail = lambda R, sep: green_reg_tail(L, R, sep, char) if regularized else green_tail(L, R, sep)
 
-    def total(D, R, image=_translate):
+    def total(D, R, image=None):
         return _lattice_sum(L, char, D, R, vector, regularized, image)
 
     return total, tail, regularized

@@ -78,9 +78,14 @@ def config_bool(value, what: str) -> bool:
 
 
 class Lattice:
-    """k independent period vectors in R^n (rows of `basis`)."""
+    """k independent period vectors in R^n (rows of `basis`).
 
-    __slots__ = ("basis", "n", "k", "gram", "sigma_min")
+    `_frame` is (Q, reduced): Q (n, k) an orthonormal basis of the span (QR of
+    basis.T), and the same lattice in R^(k+1), basis [basis @ Q | 0], with the
+    same sigma_min and no frame; a difference d sits there at (d Q, |d - d Q Q^T|).
+    """
+
+    __slots__ = ("basis", "n", "k", "gram", "sigma_min", "_frame")
 
     def __init__(self, basis):
         basis = np.asarray(basis, dtype=float)
@@ -100,6 +105,11 @@ class Lattice:
         self.k = k
         self.gram = gram
         self.sigma_min = float(np.sqrt(np.linalg.eigvalsh(gram)[0]))
+        Q = np.linalg.qr(basis.T)[0]
+        reduced = object.__new__(Lattice)
+        reduced.basis, reduced.n, reduced.k = np.column_stack((basis @ Q, np.zeros(k))), k + 1, k
+        reduced.gram, reduced.sigma_min, reduced._frame = gram, self.sigma_min, None
+        self._frame = (Q, reduced)
 
     def point(self, m) -> np.ndarray:
         return lattice_point(self, m)

@@ -237,11 +237,14 @@ def _flux(S: Hypersurface, K, section) -> np.ndarray:
 
     K holds the kernel values at the nodes, (B,), (B, n) or (B, 2^n); n is
     the node normal; `section` maps the node positions to f, or is a constant.
+    A constant c scales K n instead of a second product: gp with c in the
+    scalar slot has one nonzero product per slot, so the bits are the same.
     """
     n = S.dim
-    K = _coerce_batch(K, n)
-    N = _coerce_batch(S.normals, n)
-    return _surface_sum(S, gp(gp(K, N, n), _field_values(section, S.positions, n), n))
+    KN = gp(_coerce_batch(K, n), _coerce_batch(S.normals, n), n)
+    if not callable(section):
+        return _surface_sum(S, KN * float(section))
+    return _surface_sum(S, gp(KN, _field_values(section, S.positions, n), n))
 
 
 def _warn_if_not_inside(S: Hypersurface, y: np.ndarray, what: str):

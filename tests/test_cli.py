@@ -76,6 +76,47 @@ class TestEval:
         p.write_text(json.dumps(cfg))
         assert main(["eval", "--config", str(p)]) == 2
 
+    @pytest.mark.parametrize("cfg", [
+        {"kernel": "realproj-cauchy", "manifold": {"kind": "RealProjective", "n": 9, "p": 2}},
+        {"kernel": "cyl-green", "R": 3, "manifold": {"kind": "Cylinder", "n": 9, "basis": [[1.0] + [0.0] * 8]}},
+    ])
+    def test_nine_dimensions_match_the_table_row(self, cfg, tmp_path):
+        # n = 9 is past the Clifford tables; eval writes the value's blade slots itself
+        x = [0.3, 0.1, 0.2, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(dict(cfg, x=x, y=[0.5] * 9, points=[x])))
+        assert main(["eval", "--config", str(p), "--out", str(tmp_path / "e.json")]) == 0
+        assert main(["table", "--config", str(p), "--out", str(tmp_path / "t.csv")]) == 0
+        rec = json.loads((tmp_path / "e.json").read_text())
+        row = (tmp_path / "t.csv").read_text().splitlines()[1].split(",")
+        comps = np.array(rec["components"])
+        assert comps.tobytes() == np.array([float(v) for v in row[10:-1]]).tobytes()
+        coeffs = np.array(rec["value"]["coeffs"])
+        assert len(coeffs) == 512 and rec["value"]["n"] == 9
+        slots = [1 << j for j in range(9)] if len(comps) == 9 else [0]
+        assert coeffs[slots].tobytes() == comps.tobytes()
+        assert not np.delete(coeffs, slots).any()
+
+    def test_too_many_blades_exit_2(self, tmp_path, capsys):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"kernel": "realproj-cauchy", "x": [0.3] * 17, "y": [0.5] * 17,
+                                 "manifold": {"kind": "RealProjective", "n": 17, "p": 2}}))
+        assert main(["eval", "--config", str(p)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: eval lists all 2^n")
+
+    @pytest.mark.parametrize("kernel", ["cyl-cauchy", "cyl-green"])
+    def test_value_is_the_kernel_evals_dict(self, kernel, tmp_path):
+        cfg = {"kernel": kernel, "R": 6, "x": [0.3, 0.4, -0.2, 0.6, 0.1], "y": [0.9, 0.1, 0.3, 0.2, 0.5],
+               "manifold": {"kind": "Cylinder", "n": 5, "basis": [[1.0, 0, 0, 0, 0], [0.3, 1.1, 0, 0, 0]]}}
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(cfg))
+        assert main(["eval", "--config", str(p), "--out", str(tmp_path / "e.json")]) == 0
+        fn = cyl_cauchy if kernel == "cyl-cauchy" else kp.cyl_green
+        L = Lattice(cfg["manifold"]["basis"])
+        ev = fn(L, BundleCharacter(0), np.array(cfg["x"]), np.array(cfg["y"]), 6)
+        assert json.loads((tmp_path / "e.json").read_text())["value"] == ev.to_dict()
+
 
 class TestConverge:
     def test_diffs_below_tail_column(self, cyl_config, tmp_path):
