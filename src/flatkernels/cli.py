@@ -25,6 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, kernels_periodic, kernels_pin, quadrature, suites
+from .clifford import _MAX_STORED_DIM
 from .errors import ConfigError, RegimeError, SingularPoint
 from .kernels_euclid import cauchy_g_batch
 from .lattice import ManifoldSpec, config_bool, config_int
@@ -145,13 +146,10 @@ def _columns(vals) -> np.ndarray:
 
 
 def _eval_value(vals, tails, R: int, n: int) -> dict:
-    """`KernelEval.to_dict` of row 0 without a `MultiVector` (its tables stop at n = 8)."""
-    if n > 16:  # one JSON number per blade: 2^n of them would outgrow memory
-        raise ConfigError(f"eval lists all 2^n blade coefficients; n = {n} > 16 is too many, use table")
-    v, coeffs = np.asarray(vals)[0], np.zeros(1 << n)
-    coeffs[[1 << j for j in range(n)] if v.ndim else 0] = v
-    return {"n": n, "coeffs": [float(c) for c in coeffs], "trunc_radius": int(R),
-            "tail_bound": float(np.atleast_1d(tails)[0])}
+    """`KernelEval.to_dict` of row 0; past n = 16 `eval` raises `ConfigError`."""
+    if n > _MAX_STORED_DIM:  # one JSON number per blade: 2^n of them would outgrow memory
+        raise ConfigError(f"eval lists all 2^n blade coefficients; n = {n} > {_MAX_STORED_DIM} is too many, use table")
+    return kernels_periodic.KernelEval.from_batch(vals, tails, R, n).to_dict()
 
 
 def _emit(text: str, out_path: str | None):

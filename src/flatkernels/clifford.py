@@ -27,6 +27,8 @@ import numpy as np
 from .errors import DimensionMismatch, SingularPoint
 
 MAX_DIM = 8
+# A MultiVector stores 2^n coefficients up to n = 16; products need n <= MAX_DIM.
+_MAX_STORED_DIM = 16
 
 
 def _popcount(a: np.ndarray) -> np.ndarray:
@@ -131,7 +133,8 @@ class MultiVector:
     __slots__ = ("n", "coeffs")
 
     def __init__(self, n: int, coeffs):
-        _tables(n)
+        if not 1 <= n <= _MAX_STORED_DIM:
+            raise DimensionMismatch(f"multivector dimension must be in [1, {_MAX_STORED_DIM}], got {n}")
         coeffs = np.asarray(coeffs, dtype=float)
         if coeffs.shape != (1 << n,):
             raise DimensionMismatch(

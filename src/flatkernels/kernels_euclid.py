@@ -47,12 +47,11 @@ def sq_norm(U: np.ndarray) -> np.ndarray:
     One fixed order for every memory layout and batch size, so the bits of a
     squared norm depend only on the coordinates.
     """
-    Q = U * U
-    if Q.shape[-1] == 1:
-        return Q[..., 0]
-    r2 = Q[..., 0] + Q[..., 1]
-    for j in range(2, Q.shape[-1]):
-        r2 += Q[..., j]
+    r2 = U[..., 0] * U[..., 0]
+    if U.shape[-1] > 1:
+        sq = np.empty_like(r2)  # one scratch square, not a full-size U * U
+        for j in range(1, U.shape[-1]):
+            r2 += np.multiply(U[..., j], U[..., j], out=sq)
     return r2
 
 

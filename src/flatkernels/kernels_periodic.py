@@ -51,7 +51,7 @@ import numpy as np
 from .clifford import MultiVector
 from .errors import ConfigError, DimensionMismatch, RegimeError, SingularPoint
 from .kernels_euclid import _cauchy_term, _green_term, sphere_area, sq_norm
-from .lattice import BundleCharacter, Lattice, _check_radius, _shell_array, char_sign
+from .lattice import BundleCharacter, Lattice, _check_radius, _shell_rows, char_sign
 
 # a squared distance below _SINGULAR_R2 * sigma_min^2 is on the singular orbit
 _SINGULAR_R2 = 1e-18
@@ -213,7 +213,8 @@ def shell_sum(L: Lattice, char: BundleCharacter, D: np.ndarray, R: int, term,
     D, W = m @ basis, chi is the character sign and `subtract` (shells r >= 1
     only, broadcast over points) is optional.  |U|^2 is `sq_norm(U)`, summed
     over the coordinates left to right.  Points are summed in chunks; the
-    result does not depend on the chunking.
+    result does not depend on the chunking.  Shells come from `_shell_rows`:
+    a large one is built for each chunk that reaches it and dropped after it.
 
     `image` gets its arrays coordinate-major: the chunk D (b, ..., n) and the
     shell's W (m, n) in Fortran order, so each coordinate is one contiguous
@@ -239,7 +240,7 @@ def shell_sum(L: Lattice, char: BundleCharacter, D: np.ndarray, R: int, term,
 
         def shells():
             for r in range(_start, R + 1):
-                Ms = _shell_array(L.k, r)
+                Ms = _shell_rows(L.k, r)
                 W = Ms.astype(float) @ L.basis
                 # only the elementwise image gets the Fortran copy: the torus
                 # subtraction's W @ V rounds differently in another layout

@@ -20,7 +20,8 @@ Coordinate conventions (0-based axes throughout the code):
 Shells are indexed by the sup-norm of the integer coefficient vector, not by
 the Euclidean length of the lattice point: enumeration is then deterministic
 and basis-independent, and tail bounds follow from the smallest singular
-value of the basis.
+value of the basis.  Shells of at most 64 KiB are cached for the process
+(at most 16 MiB); a larger one is built each time a sum reaches it.
 """
 
 from __future__ import annotations
@@ -130,41 +131,59 @@ def lattice_point(L: Lattice, m) -> np.ndarray:
     return m @ L.basis
 
 
-def _box(k: int, R: int) -> np.ndarray:
-    """Integer vectors with sup-norm at most R, lexicographic, shape ((2R+1)^k, k)."""
-    rng = np.arange(-R, R + 1, dtype=np.int64)
-    return np.stack(np.meshgrid(*([rng] * k), indexing="ij"), axis=-1).reshape(-1, k)
-
-
 def _faces(k: int, R: int) -> np.ndarray:
-    """The shell of radius R >= 1 in Z^k, built from its faces in lexicographic order.
+    """The shell of radius R >= 1 in Z^k, lexicographic, written into one read-only (m, k) array.
 
     m_1 = -R and m_1 = R carry the full (k-1)-box; every interior m_1 carries
     the (k-1)-shell of radius R.
     """
     if k == 1:
-        return np.array([[-R], [R]], dtype=np.int64)
-    box = _box(k - 1, R)
-    inner = _faces(k - 1, R)
-    mid = np.arange(-R + 1, R, dtype=np.int64)
-    return np.concatenate((
-        np.column_stack((np.full(len(box), -R, dtype=np.int64), box)),
-        np.column_stack((np.repeat(mid, len(inner)), np.tile(inner, (len(mid), 1)))),
-        np.column_stack((np.full(len(box), R, dtype=np.int64), box)),
-    ))
+        out = np.array([[-R], [R]], dtype=np.int64)
+    else:
+        s, inner = 2 * R + 1, _faces(k - 1, R)
+        nb, rng = s ** (k - 1), np.arange(-R, R + 1, dtype=np.int64)
+        out = np.empty((2 * nb + (s - 2) * len(inner), k), dtype=np.int64)
+        face = out[:nb].reshape((s,) * (k - 1) + (k,))
+        for j in range(1, k):  # column j runs along axis j-1 of the (k-1)-box
+            face[..., j] = rng.reshape((s,) + (1,) * (k - 1 - j))
+        out[-nb:] = out[:nb]
+        out[:nb, 0], out[-nb:, 0] = -R, R
+        mid = out[nb:-nb].reshape(s - 2, len(inner), k)
+        mid[..., 0], mid[..., 1:] = rng[1:-1, None], inner
+    out.setflags(write=False)
+    return out
+
+
+# `_shell_rows` caches a shell only up to this many bytes, so the 256 entries
+# of `_shell_array` hold at most 16 MiB (k = 3 is cached up to R = 10).
+_CACHED_SHELL_BYTES = 64 * 1024
 
 
 @lru_cache(maxsize=256)
 def _shell_array(k: int, R: int) -> np.ndarray:
-    """Integer vectors with sup-norm exactly R, lexicographic, shape (m, k)."""
+    """Integer vectors with sup-norm exactly R, lexicographic, shape (m, k); read-only.
+
+    Cached; `_shell_rows` asks only for shells of at most 64 KiB, so at most 16 MiB.
+    """
     out = np.zeros((1, k), dtype=np.int64) if R == 0 else _faces(k, R)
     out.setflags(write=False)
     return out
 
 
+def _shell_rows(k: int, R: int) -> np.ndarray:
+    """The rows of `_shell_array(k, R)`; past `_CACHED_SHELL_BYTES`, built uncached.
+
+    Only small shells are reused across calls.  A large one is used once per
+    sum, so it is built when the sum reaches it and freed after it.
+    """
+    if R and ((2 * R + 1) ** k - (2 * R - 1) ** k) * k * 8 > _CACHED_SHELL_BYTES:
+        return _faces(k, R)
+    return _shell_array(k, R)
+
+
 def shell(L: Lattice, R: int) -> np.ndarray:
-    """Coefficient vectors with ||m||_inf = R in lexicographic order."""
-    return _shell_array(L.k, _check_radius(R, "shell radius R"))
+    """Coefficient vectors with ||m||_inf = R in lexicographic order (read-only)."""
+    return _shell_rows(L.k, _check_radius(R, "shell radius R"))
 
 
 @dataclass(frozen=True)

@@ -103,6 +103,38 @@ class TestProjCauchy:
             proj_cauchy(PROJ, X3, Y3, 10, form="verbatim")
 
 
+class TestSinglePointPastTables:
+    """n = 9 is past the Clifford tables: one point still gives row 0 of the batch."""
+
+    L9 = Lattice(np.eye(9)[:1])
+    x = np.full(9, 0.3)
+    y = np.full(9, 0.5)
+
+    @pytest.mark.parametrize("single, batch, args", [
+        (cyl_green, cyl_green, (L9, BundleCharacter(0))),
+        (proj_cauchy, proj_cauchy_batch, (ManifoldSpec("Projective", 9, L9, p=3),)),
+        (moebius_green, moebius_green_batch, (ManifoldSpec("MoebiusStrip", 9, L9, sign_variant="SumParity"),)),
+    ])
+    def test_value_is_row_0_of_the_batch(self, single, batch, args):
+        e = single(*args, self.x, self.y, 3)
+        vals, tails = batch(*args, self.x[None], self.y, 3)
+        assert isinstance(e, KernelEval) and e.value.n == 9
+        assert e.tail_bound == tails[0]
+        if vals.ndim == 2:
+            assert np.array_equal(e.vector, vals[0])
+        else:
+            assert e.scalar == vals[0]
+
+    def test_products_still_need_the_tables(self):
+        a = MultiVector.from_vector(self.x)
+        with pytest.raises(DimensionMismatch):
+            a * a
+        with pytest.raises(DimensionMismatch):
+            a.reversion()
+        with pytest.raises(DimensionMismatch):
+            MultiVector(17, np.zeros(1 << 17))
+
+
 class TestProjGreen:
     def test_literal_collapse_identity(self):
         # sign flips inside norms are no-ops: literal sum = 2^(p-k) cylinder kernel
