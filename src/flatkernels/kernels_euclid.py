@@ -48,10 +48,9 @@ def sq_norm(U: np.ndarray) -> np.ndarray:
     squared norm depend only on the coordinates.
     """
     r2 = U[..., 0] * U[..., 0]
-    if U.shape[-1] > 1:
-        sq = np.empty_like(r2)  # one scratch square, not a full-size U * U
-        for j in range(1, U.shape[-1]):
-            r2 += np.multiply(U[..., j], U[..., j], out=sq)
+    sq = np.empty_like(r2)  # one scratch square, not a full-size U * U
+    for j in range(1, U.shape[-1]):
+        r2 += np.multiply(U[..., j], U[..., j], out=sq)
     return r2
 
 

@@ -51,7 +51,7 @@ import numpy as np
 from .clifford import MultiVector
 from .errors import ConfigError, DimensionMismatch, RegimeError, SingularPoint
 from .kernels_euclid import _cauchy_term, _green_term, sphere_area, sq_norm
-from .lattice import BundleCharacter, Lattice, _check_radius, _shell_rows, char_sign
+from .lattice import BundleCharacter, Lattice, _check_radius, _shell_rows, _shell_size, char_sign
 
 # a squared distance below _SINGULAR_R2 * sigma_min^2 is on the singular orbit
 _SINGULAR_R2 = 1e-18
@@ -233,9 +233,8 @@ def shell_sum(L: Lattice, char: BundleCharacter, D: np.ndarray, R: int, term,
     R = _check_radius(R)
     B = D.shape[0]
     out = np.empty((B,) + shape)
-    max_rows = (2 * R + 1) ** L.k - (2 * R - 1) ** L.k if R > 0 else 1
     singular = _SINGULAR_R2 * L.sigma_min**2
-    for lo, hi in _chunks(B, max_rows, math.prod(shape)):
+    for lo, hi in _chunks(B, _shell_size(L.k, R), math.prod(shape)):
         Dc = np.asfortranarray(D[lo:hi])
 
         def shells():

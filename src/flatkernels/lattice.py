@@ -131,6 +131,10 @@ def lattice_point(L: Lattice, m) -> np.ndarray:
     return m @ L.basis
 
 
+def _shell_size(k: int, R: int) -> int:
+    return (2 * R + 1) ** k - (2 * R - 1) ** k if R else 1
+
+
 def _faces(k: int, R: int) -> np.ndarray:
     """The shell of radius R >= 1 in Z^k, lexicographic, written into one read-only (m, k) array.
 
@@ -142,7 +146,7 @@ def _faces(k: int, R: int) -> np.ndarray:
     else:
         s, inner = 2 * R + 1, _faces(k - 1, R)
         nb, rng = s ** (k - 1), np.arange(-R, R + 1, dtype=np.int64)
-        out = np.empty((2 * nb + (s - 2) * len(inner), k), dtype=np.int64)
+        out = np.empty((_shell_size(k, R), k), dtype=np.int64)
         face = out[:nb].reshape((s,) * (k - 1) + (k,))
         for j in range(1, k):  # column j runs along axis j-1 of the (k-1)-box
             face[..., j] = rng.reshape((s,) + (1,) * (k - 1 - j))
@@ -171,14 +175,12 @@ def _shell_array(k: int, R: int) -> np.ndarray:
 
 
 def _shell_rows(k: int, R: int) -> np.ndarray:
-    """The rows of `_shell_array(k, R)`; past `_CACHED_SHELL_BYTES`, built uncached.
+    """The rows of `_shell_array(k, R)`, cached only up to `_CACHED_SHELL_BYTES` (16 MiB in all).
 
-    Only small shells are reused across calls.  A large one is used once per
-    sum, so it is built when the sum reaches it and freed after it.
+    A larger shell is used once per sum, so it is built when the sum reaches it and freed after it.
     """
-    if R and ((2 * R + 1) ** k - (2 * R - 1) ** k) * k * 8 > _CACHED_SHELL_BYTES:
-        return _faces(k, R)
-    return _shell_array(k, R)
+    large = _shell_size(k, R) * k * 8 > _CACHED_SHELL_BYTES
+    return _faces(k, R) if large else _shell_array(k, R)
 
 
 def shell(L: Lattice, R: int) -> np.ndarray:

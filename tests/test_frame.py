@@ -43,13 +43,11 @@ def reference_lattice_sum(L, char, D, R, vector, regularized):
     return shell_sum(L, char, D, R, term, (L.n,) if vector else (), _translate, subtract)
 
 
-def rounding_scale(L, D, R, vector, subtracted):
-    """Per row, the sum over images of max|G(d + w)| (|d| + |w|) / |d + w|,
-    plus max|G(w)| for every w != 0 when the sum subtracts G(w).
+def rounding_scale(L, D, R, vector):
+    """Per row, the sum over images of max|G(d + w)| (|d| + |w|) / |d + w|.
 
-    Both sums round relative to this: d + w rounds relative to |d| + |w|, w
-    and G(w) relative to |w| and |G(w)|, and the terms cancel on twisted
-    bundles, where x - y lies in the span and against the subtraction.
+    Both sums round relative to this: d + w rounds relative to |d| + |w|, and
+    the terms cancel on twisted bundles and where x - y lies in the span.
     """
     term = _cauchy_term(L.n) if vector else _green_term(L.n)
     out = np.zeros(len(D))
@@ -59,9 +57,6 @@ def rounding_scale(L, D, R, vector, subtracted):
         u = np.linalg.norm(U, axis=2)
         G = np.abs(term(U, u * u)).reshape(len(W), len(D), -1).max(axis=2)
         out += np.sum(G * (np.linalg.norm(D, axis=1) + np.linalg.norm(W, axis=1)[:, None]) / u, axis=0)
-        if r and subtracted:
-            w = np.linalg.norm(W, axis=1)
-            out += np.sum(np.abs(term(W, w * w)).reshape(len(W), -1).max(axis=1))
     return out
 
 
@@ -110,8 +105,7 @@ class TestAgainstFullCoordinates:
         if R == 0:
             assert got.tobytes() == ref.tobytes()
         drift = np.abs(got - ref).reshape(len(D), -1).max(axis=1)
-        subtracted = regularized and (vector or char.l == 0)
-        assert np.all(drift <= 4e-15 * rounding_scale(L, D, R, vector, subtracted))
+        assert np.all(drift <= 4e-15 * rounding_scale(L, D, R, vector))
 
     @pytest.mark.parametrize("basis", [np.eye(3)[:1], np.eye(5)[:3], [[1, 0, 0, 0, 0], [0.3, 1.1, 0, 0, 0]]])
     def test_axis_frames_are_exact(self, basis):
