@@ -16,6 +16,21 @@ while the arrays keep their (m, B, n) shapes as views; elementwise loops
 then run over the batch or the shell rows instead of over the n
 coordinates.
 
+Row blocks: a shell is evaluated in blocks of rows, the largest power of
+two whose images of the chunk hold at most `_TILE` = 2^15 coordinates
+(256 KiB), and never fewer than `_MIN_ROWS` rows.  Memory then follows the
+block, not the shell.  The bits do not move: a block of 2^j rows that
+starts at a multiple of 2^j is one subtree of the shell's pairwise tree
+(`_pairwise_sum`), the last block a partial one, so the pairwise sum of the
+block sums is the shell sum.  Every term is elementwise in its row.  The
+BLAS products of a block (W = m @ basis, the torus's W @ V) round each row
+as in the whole shell only if the block starts on the row groups the BLAS
+kernels unroll: with OpenBLAS a 1-row W takes a vector kernel and a 2-row
+W @ V at n = 9 another order of adds, both measured to change bits.  So a
+block holds at least `_MIN_ROWS` = 16 rows, which covers the row unrolls
+of the x86 OpenBLAS kernels; shells r >= 1 have an even row count, so the
+last block is never a single row.
+
 The cylinder and projective sums are near + far (`_lattice_sum`): shell 0
 in full coordinates, and shells 1..R in the lattice frame, where an image
 d + w depends only on t = d Q along the span and rho, the distance to it:
@@ -134,7 +149,12 @@ def _pair_batch(x, y, n: int) -> tuple[np.ndarray, bool]:
         shape = np.broadcast_shapes(X.shape, Y.shape)
     except ValueError as exc:
         raise DimensionMismatch(f"point batches of shapes {X.shape} and {Y.shape} do not match") from exc
-    return X - np.broadcast_to(Y, shape), single
+    with np.errstate(over="ignore"):
+        D = X - np.broadcast_to(Y, shape)
+        far = not np.isfinite(sq_norm(D)).all()
+    if far:
+        raise ConfigError("points too far apart: a squared distance overflows")
+    return D, single
 
 
 def _check_not_on_orbit(L: Lattice, D: np.ndarray, what: str):
@@ -152,6 +172,10 @@ def _pairwise_sum(t: np.ndarray) -> np.ndarray:
 
     Every add is elementwise across the trailing axes, so the bits of one
     point's sum do not depend on how many other points share the array.
+    The node at level j covers rows [i 2^j, min((i+1) 2^j, m)): the sum of
+    a block of 2^j rows that starts at a multiple of 2^j is one node, and
+    the tree over the block sums is the rest of the tree, so `shell_sum`'s
+    row blocks keep every bit.
     """
     while t.shape[0] > 1:
         m = t.shape[0]
@@ -194,6 +218,17 @@ def _chunks(B: int, max_rows: int, width: int):
         yield lo, min(B, lo + per)
 
 
+# A row block holds at most this many image coordinates (256 KiB of floats),
+# and never fewer than _MIN_ROWS rows (see `shell_sum`).
+_TILE = 2**15
+_MIN_ROWS = 16
+
+
+def _block_rows(width: int) -> int:
+    """Shell rows per block for images of `width` coordinates: a power of two."""
+    return max(_MIN_ROWS, 1 << (max(1, _TILE // width).bit_length() - 1))
+
+
 def _translate(D: np.ndarray, Ms: np.ndarray, W: np.ndarray) -> np.ndarray:
     """Image differences d + w for every shell row and point: (m, b, n)."""
     return D[None, :, :] + W[:, None, :]
@@ -216,6 +251,12 @@ def shell_sum(L: Lattice, char: BundleCharacter, D: np.ndarray, R: int, term,
     result does not depend on the chunking.  Shells come from `_shell_rows`:
     a large one is built for each chunk that reaches it and dropped after it.
 
+    Each shell is evaluated in row blocks (`_block_rows`: a power of two of
+    rows, at most `_TILE` image coordinates of the chunk, at least
+    `_MIN_ROWS` rows), each reduced by `_pairwise_sum`; the pairwise sum of
+    the block sums has the bits of the whole shell's tree (module
+    docstring).  A shell that fits one block is summed as it is, uncopied.
+
     `image` gets its arrays coordinate-major: the chunk D (b, ..., n) and the
     shell's W (m, n) in Fortran order, so each coordinate is one contiguous
     block over points and rows.  numpy allocates elementwise results in the
@@ -236,23 +277,31 @@ def shell_sum(L: Lattice, char: BundleCharacter, D: np.ndarray, R: int, term,
     singular = _SINGULAR_R2 * L.sigma_min**2
     for lo, hi in _chunks(B, _shell_size(L.k, R), math.prod(shape)):
         Dc = np.asfortranarray(D[lo:hi])
+        rows = _block_rows(Dc.size)
+
+        def block(Ms, r):
+            W = Ms.astype(float) @ L.basis
+            # only the elementwise image gets the Fortran copy: the torus
+            # subtraction's W @ V rounds differently in another layout
+            U = image(Dc, Ms, np.asfortranarray(W))
+            r2 = sq_norm(U)
+            if np.any(r2 < singular):
+                raise SingularPoint("evaluation point on a kernel singularity")
+            t = term(U, r2)
+            if r > 0 and subtract is not None:
+                t = t - subtract(W)
+            if char.l:
+                t = t * char_sign(char, Ms).reshape((-1,) + (1,) * (t.ndim - 1))
+            return t
 
         def shells():
             for r in range(_start, R + 1):
                 Ms = _shell_rows(L.k, r)
-                W = Ms.astype(float) @ L.basis
-                # only the elementwise image gets the Fortran copy: the torus
-                # subtraction's W @ V rounds differently in another layout
-                U = image(Dc, Ms, np.asfortranarray(W))
-                r2 = sq_norm(U)
-                if np.any(r2 < singular):
-                    raise SingularPoint("evaluation point on a kernel singularity")
-                t = term(U, r2)
-                if r > 0 and subtract is not None:
-                    t = t - subtract(W)
-                if char.l:
-                    t = t * char_sign(char, Ms).reshape((-1,) + (1,) * (t.ndim - 1))
-                yield t
+                if len(Ms) <= rows:
+                    yield block(Ms, r)
+                else:
+                    yield np.stack([_pairwise_sum(block(Ms[i : i + rows], r))
+                                    for i in range(0, len(Ms), rows)])
 
         out[lo:hi] = kahan_shell_sum((hi - lo,) + shape, shells())
     return out

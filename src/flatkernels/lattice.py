@@ -97,9 +97,20 @@ class Lattice:
             raise DimensionMismatch(f"lattice rank must satisfy 1 <= k <= n, got k={k}, n={n}")
         if not np.all(np.isfinite(basis)):
             raise ConfigError("lattice basis must be finite")
-        gram = basis @ basis.T
-        if np.linalg.det(gram) <= _GRAM_TOL * np.prod(np.diag(gram)):
+        # independence is decided on the rows scaled to length about 1, so the
+        # test holds at every basis scale, even one whose Gram matrix leaves
+        # the float range
+        size = np.max(np.abs(basis), axis=1)
+        unit = basis / np.where(size > 0.0, size, 1.0)[:, None]
+        ugram = unit @ unit.T
+        if np.linalg.det(ugram) <= _GRAM_TOL * np.prod(np.diag(ugram)):  # a zero row gives 0 <= 0
             raise ConfigError("lattice basis is not R-linearly independent")
+        with np.errstate(all="ignore"):
+            gram = basis @ basis.T
+        finite = np.isfinite(gram).all()
+        if not (finite and np.all(np.diag(gram) >= np.finfo(float).tiny)):
+            raise ConfigError(f"lattice basis of scale {size.min():.3g} to {size.max():.3g}: its Gram matrix "
+                              f"{'underflows' if finite else 'overflows'} the float range")
         self.basis = basis.copy()
         self.basis.setflags(write=False)
         self.n = n

@@ -306,6 +306,17 @@ def _exit_code(argv):
         return exc.code
 
 
+def test_eval_rejects_an_overflowing_difference(tmp_path, capsys):
+    p = tmp_path / "cfg.json"
+    p.write_text(json.dumps({"kernel": "torus-cauchy", "R": 3, "x": [0.5, 0.5], "y": [0.5, 0.5],
+                             "a": [0.1, 1e308], "b": [0.3, 0.4],
+                             "manifold": {"kind": "Torus", "n": 2, "basis": [[1, 0], [0.2, 1]]}}))
+    assert main(["eval", "--config", str(p)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("config error: ")
+
+
 class TestMalformedConfig:
     NAN = float("nan")
 

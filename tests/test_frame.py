@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from flatkernels import kernels_periodic
 from flatkernels.errors import SingularPoint
@@ -43,11 +43,13 @@ def reference_lattice_sum(L, char, D, R, vector, regularized):
     return shell_sum(L, char, D, R, term, (L.n,) if vector else (), _translate, subtract)
 
 
-def rounding_scale(L, D, R, vector):
-    """Per row, the sum over images of max|G(d + w)| (|d| + |w|) / |d + w|.
+def rounding_scale(L, D, R, vector, subtracted):
+    """Per row, the sum over images of max|G(d + w)| (|d| + |w|) / |d + w|,
+    plus max|G(w)| for every w != 0 when the sum subtracts G(w).
 
-    Both sums round relative to this: d + w rounds relative to |d| + |w|, and
-    the terms cancel on twisted bundles and where x - y lies in the span.
+    Both sums round relative to this: d + w rounds relative to |d| + |w|, w
+    and G(w) relative to |w| and |G(w)|, and the terms cancel on twisted
+    bundles, where x - y lies in the span and against the subtraction.
     """
     term = _cauchy_term(L.n) if vector else _green_term(L.n)
     out = np.zeros(len(D))
@@ -57,6 +59,9 @@ def rounding_scale(L, D, R, vector):
         u = np.linalg.norm(U, axis=2)
         G = np.abs(term(U, u * u)).reshape(len(W), len(D), -1).max(axis=2)
         out += np.sum(G * (np.linalg.norm(D, axis=1) + np.linalg.norm(W, axis=1)[:, None]) / u, axis=0)
+        if r and subtracted:
+            w = np.linalg.norm(W, axis=1)
+            out += np.sum(np.abs(term(W, w * w)).reshape(len(W), -1).max(axis=1))
     return out
 
 
@@ -74,6 +79,15 @@ def make_basis(kind, n, k, rng):
     return B @ random_rotation(rng, n) if kind == "rotated" else B
 
 
+def frame_case(n, vector, k, kind, R, seed, l):
+    """(L, char, D, R, vector) from the draws of `frame_cases`."""
+    rng = np.random.default_rng(seed)
+    L = Lattice(make_basis(kind, n, k, rng))
+    D = rng.uniform(-1.5, 1.5, size=(5, n))
+    D[-1] = rng.uniform(0.1, 0.9, size=k) @ L.basis  # in the span: rho = 0 or nearly
+    return L, BundleCharacter(l), D, R, vector
+
+
 @st.composite
 def frame_cases(draw):
     n = draw(st.integers(3, 9))
@@ -81,16 +95,17 @@ def frame_cases(draw):
     k = draw(st.integers(1, n - 1 if vector else n - 2))
     kind = draw(st.sampled_from(("axis", "skewed", "rotated")))
     R = capped(k, draw(st.integers(0, 8)))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    L = Lattice(make_basis(kind, n, k, rng))
-    D = rng.uniform(-1.5, 1.5, size=(5, n))
-    D[-1] = rng.uniform(0.1, 0.9, size=k) @ L.basis  # in the span: rho = 0 or nearly
-    return L, BundleCharacter(draw(st.integers(0, 1))), D, R, vector
+    seed = draw(st.integers(0, 2**32 - 1))
+    return frame_case(n, vector, k, kind, R, seed, draw(st.integers(0, 1)))
 
 
 class TestAgainstFullCoordinates:
     @settings(max_examples=300, deadline=None)
     @given(frame_cases())
+    # regularized sums that a scale without the subtracted |G(w)| failed:
+    # Green, 5.6e-17 off against 2.0e-17; Cauchy, 1.0e-16 off against 6.9e-17
+    @example(frame_case(9, False, 7, "rotated", 1, 0, 0))
+    @example(frame_case(9, True, 8, "rotated", 1, 57, 0))
     def test_near_plus_far_matches_reference(self, case):
         L, char, D, R, vector = case
         regularized = L.k == (L.n - 1 if vector else L.n - 2)
@@ -105,7 +120,8 @@ class TestAgainstFullCoordinates:
         if R == 0:
             assert got.tobytes() == ref.tobytes()
         drift = np.abs(got - ref).reshape(len(D), -1).max(axis=1)
-        assert np.all(drift <= 4e-15 * rounding_scale(L, D, R, vector))
+        subtracted = regularized and (vector or char.l == 0)
+        assert np.all(drift <= 4e-15 * rounding_scale(L, D, R, vector, subtracted))
 
     @pytest.mark.parametrize("basis", [np.eye(3)[:1], np.eye(5)[:3], [[1, 0, 0, 0, 0], [0.3, 1.1, 0, 0, 0]]])
     def test_axis_frames_are_exact(self, basis):

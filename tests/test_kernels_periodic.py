@@ -366,6 +366,17 @@ def test_nonfinite_points_rejected(call):
         call()
 
 
+def test_overflowing_difference_rejected():
+    # x - a is finite but its squared norm overflows: a ConfigError, not NaN components
+    L = Lattice([[1.0, 0.0], [0.2, 1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match="squared distance overflows"):
+            torus_cauchy_two_point(L, CH0, [0.1, 1e308], [0.3, 0.4], [0.5, 0.5], 3)
+        with pytest.raises(ConfigError, match="squared distance overflows"):
+            cyl_green(L5, CH0, [[0.1, 0.2, 0.3, 0.4, 0.5], [-1e308, 0, 0, 0, 0]], [1e308, 0, 0, 0, 0], 3)
+
+
 class TestSummationAccuracy:
     """The engine's sum against math.fsum of the very same terms."""
 

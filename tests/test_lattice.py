@@ -1,3 +1,6 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -48,6 +51,39 @@ class TestLattice:
         for dependent in ([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0]], [[1.0, 0.0, 0.0], [1.0, 1e-8, 0.0]]):
             with pytest.raises(ConfigError):
                 Lattice(np.array(dependent) * scale)
+
+
+class TestLatticeScale:
+    @pytest.mark.parametrize("s, flow", [(1e-170, "underflows"), (1e-300, "underflows"),
+                                         (1e160, "overflows"), (1e300, "overflows")])
+    def test_gram_outside_the_float_range_names_the_scale(self, s, flow):
+        # the rows are independent at every scale; only the Gram matrix leaves the range
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match=f"scale .*{re.escape(f'{s:.3g}')}.*{flow}"):
+                Lattice([[s, 0.0, 0.0], [0.0, 1.0, 0.0]])
+
+    @pytest.mark.parametrize("s", [1e-300, 1e-170, 1e160, 1e300])
+    def test_dependent_rows_at_any_scale(self, s):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for dependent in ([[s, 2 * s, 0.0], [2 * s, 4 * s, 0.0]], [[s, 0.0, 0.0], [1.0, 0.0, 0.0]]):
+                with pytest.raises(ConfigError, match="not R-linearly independent"):
+                    Lattice(dependent)
+
+    @pytest.mark.parametrize("s", [1e-150, 1e150])
+    def test_extreme_but_representable_scales_pass(self, s):
+        L = Lattice([[s, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        assert L.sigma_min == pytest.approx(min(s, 1.0))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 6), st.integers(0, 3), st.integers(0, 2**32 - 1))
+    def test_gram_and_sigma_min_bits(self, k, extra, seed):
+        basis = np.random.default_rng(seed).normal(size=(k, k + extra))
+        L = Lattice(basis)
+        gram = basis @ basis.T
+        assert L.gram.tobytes() == gram.tobytes()
+        assert L.sigma_min == float(np.sqrt(np.linalg.eigvalsh(gram)[0]))
 
 
 class TestLatticePoint:
