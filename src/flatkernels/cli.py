@@ -4,10 +4,13 @@ Outputs are byte-deterministic for a fixed config and seed: JSON is emitted
 with sorted keys and round-trip float repr, CSV with '%.17g' formatting, and
 reports carry the library version plus a config echo but no timestamps.
 Every kernel command evaluates through one batched op per kernel
-(`make_evaluator`).  Worker threads (--threads) fan out contiguous slices of
-the points in `table` and the radii in `converge`, and join the results in
+(`make_evaluator`).  `converge` is one pass: a single call at the largest
+radius, with the other radii as checkpoints of the shell sum, each row
+bit-identical to a separate call at its radius.  Worker threads (--threads)
+fan out contiguous slices of the points in `table` and join the results in
 input order; a point's bits do not depend on the batch it shares, so the
-thread count never changes the bytes.
+thread count never changes the bytes.  `converge` accepts --threads and
+ignores it: its one pass has nothing to fan out.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error.
 """
@@ -19,7 +22,6 @@ import json
 import math
 import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -88,8 +90,10 @@ def _form(cfg: dict) -> str:
 def make_evaluator(cfg: dict):
     """Parse a config once into (op, manifold, R, form).
 
-    `op(X, R)` evaluates the kernel at the rows of X (B, n) and returns values,
-    (B, n) for vector kernels and (B,) for scalar ones, with tails (B,).
+    `op(X, R, cps=())` evaluates the kernel at the rows of X (B, n) and
+    returns values, (B, n) for vector kernels and (B,) for scalar ones, with
+    tails (B,).  With checkpoints `cps` (strictly increasing radii below R), values
+    and tails gain a leading axis, one row per radius: the checkpoints, then R.
     """
     name = cfg.get("kernel")
     if name not in KERNEL_NAMES:
@@ -116,25 +120,29 @@ def make_evaluator(cfg: dict):
             raise ConfigError("realproj-cauchy needs a RealProjective manifold spec")
         R = 0
     noncharacter = config_bool(cfg.get("allow_noncharacter", False), "allow_noncharacter")
+
+    def realproj(X, R, cps=()):
+        # the Euclidean reflection sum is finite: nothing is truncated, no tail,
+        # and every radius repeats the one value
+        vals = kernels_pin.realproj_cauchy_batch(M.p, X, y, form, char.negate_fiber)
+        per_radius = kernels_periodic._per_radius
+        return per_radius(lambda r: vals, R, cps), per_radius(lambda r: np.zeros(len(X)), R, cps)
+
     ops = {
-        "cyl-cauchy": lambda X, R: kernels_periodic.cyl_cauchy(L, char, X, y, R),
-        "cyl-cauchy-reg": lambda X, R: kernels_periodic.cyl_cauchy_reg(L, char, X, y, R),
-        "cyl-green": lambda X, R: kernels_periodic.cyl_green(L, char, X, y, R),
-        "cyl-green-reg": lambda X, R: kernels_periodic.cyl_green_reg(L, char, X, y, R),
-        "torus-cauchy": lambda X, R: kernels_periodic.torus_cauchy_two_point(
-            L, char, a, b, X, R, form=form
+        "cyl-cauchy": lambda X, R, cps=(): kernels_periodic.cyl_cauchy(L, char, X, y, R, checkpoints=cps),
+        "cyl-cauchy-reg": lambda X, R, cps=(): kernels_periodic.cyl_cauchy_reg(L, char, X, y, R, checkpoints=cps),
+        "cyl-green": lambda X, R, cps=(): kernels_periodic.cyl_green(L, char, X, y, R, checkpoints=cps),
+        "cyl-green-reg": lambda X, R, cps=(): kernels_periodic.cyl_green_reg(L, char, X, y, R, checkpoints=cps),
+        "torus-cauchy": lambda X, R, cps=(): kernels_periodic.torus_cauchy_two_point(
+            L, char, a, b, X, R, form=form, checkpoints=cps
         ),
-        "proj-cauchy": lambda X, R: kernels_pin.proj_cauchy_batch(M, X, y, R, form),
-        "proj-green": lambda X, R: kernels_pin.proj_green_batch(M, X, y, R, form),
-        # the Euclidean reflection sum is finite: nothing is truncated, no tail
-        "realproj-cauchy": lambda X, R: (
-            kernels_pin.realproj_cauchy_batch(M.p, X, y, form, char.negate_fiber),
-            np.zeros(len(X)),
+        "proj-cauchy": lambda X, R, cps=(): kernels_pin.proj_cauchy_batch(M, X, y, R, form, checkpoints=cps),
+        "proj-green": lambda X, R, cps=(): kernels_pin.proj_green_batch(M, X, y, R, form, checkpoints=cps),
+        "realproj-cauchy": realproj,
+        "moebius-green": lambda X, R, cps=(): kernels_pin.moebius_green_batch(
+            M, X, y, R, form, noncharacter, checkpoints=cps
         ),
-        "moebius-green": lambda X, R: kernels_pin.moebius_green_batch(
-            M, X, y, R, form, noncharacter
-        ),
-        "klein-green": lambda X, R: kernels_pin.klein_green_batch(M, X, y, R, form),
+        "klein-green": lambda X, R, cps=(): kernels_pin.klein_green_batch(M, X, y, R, form, checkpoints=cps),
     }
     return ops[name], M, R, form
 
@@ -232,6 +240,8 @@ def _segment_points(cfg: dict, n: int) -> np.ndarray:
 def _pool_map(fn, items, threads: int):
     if threads <= 1:
         return [fn(it) for it in items]
+    from concurrent.futures import ThreadPoolExecutor  # only threaded runs pay for the import
+
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, items))
 
@@ -271,10 +281,15 @@ def cmd_converge(args) -> int:
     R_list = [_radius(r) for r in radii]
     op, M, _, _ = make_evaluator(cfg)
     x = _config_point(cfg, "x", M.n)[None, :]
+    # one pass to the largest radius; the others are its checkpoints
+    distinct = sorted(set(R_list))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        evals = _pool_map(lambda R: op(x, R), R_list, args.threads)
-    comps = [_columns(v)[0] for v, _ in evals]
+        vals, tails = op(x, distinct[-1], tuple(distinct[:-1]))
+    if len(distinct) == 1:
+        vals, tails = vals[None], tails[None]
+    row = [distinct.index(R) for R in R_list]
+    comps = [_columns(vals[i])[0] for i in row]
     diffs = [float(np.linalg.norm(cur - prev)) for prev, cur in zip(comps, comps[1:])]
     status = "non-cauchy" if any(b > a for a, b in zip(diffs, diffs[1:])) else "ok"
     header = ["R"] + [f"value{j + 1}" for j in range(len(comps[0]))] + [
@@ -283,8 +298,8 @@ def cmd_converge(args) -> int:
         "status",
     ]
     lines = [",".join(header)]
-    for R, (_, tails), comp, d in zip(R_list, evals, comps, [None] + diffs):
-        cells = [str(R)] + [_fmt(v) for v in comp] + [_fmt(tails[0])]
+    for R, i, comp, d in zip(R_list, row, comps, [None] + diffs):
+        cells = [str(R)] + [_fmt(v) for v in comp] + [_fmt(tails[i][0])]
         cells.append("" if d is None else _fmt(d))
         cells.append(status)
         lines.append(",".join(cells))
@@ -377,8 +392,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--R", type=int, default=None, help="override truncation radius")
         p.add_argument("--form", choices=["orbit", "paper-literal"], default=None)
         p.add_argument("--threads", type=int, default=1,
-                       help="worker threads over contiguous point slices (table) or radii "
-                       "(converge); output-identical")
+                       help="worker threads over contiguous point slices (table); converge "
+                       "is one pass and ignores it; output-identical")
 
     p_eval = sub.add_parser("eval", help="single kernel evaluation to JSON")
     common(p_eval)

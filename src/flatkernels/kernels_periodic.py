@@ -31,6 +31,10 @@ block holds at least `_MIN_ROWS` = 16 rows, which covers the row unrolls
 of the x86 OpenBLAS kernels; shells r >= 1 have an even row count, so the
 last block is never a single row.
 
+Checkpoints: the sum to a radius r is a prefix of the sum to any R > r, so
+one pass to R can return the sums to several radii (`shell_sum`'s
+`checkpoints`), each with the bits of a separate call at its radius.
+
 The cylinder and projective sums are near + far (`_lattice_sum`): shell 0
 in full coordinates, and shells 1..R in the lattice frame, where an image
 d + w depends only on t = d Q along the span and rho, the distance to it:
@@ -57,6 +61,7 @@ from the lattice gap (`eisenstein_tail(..., offset=|x-y|)`), so the
 
 from __future__ import annotations
 
+import bisect
 import math
 import warnings
 from dataclasses import dataclass
@@ -184,7 +189,7 @@ def _pairwise_sum(t: np.ndarray) -> np.ndarray:
     return t[0]
 
 
-def kahan_shell_sum(shape, shells):
+def kahan_shell_sum(shape, shells, prefixes=()):
     """Sum an iterator of (m, *shape) term arrays to one array of `shape`.
 
     Each shell is summed by a pairwise tree over its rows; the shell sums are
@@ -193,8 +198,16 @@ def kahan_shell_sum(shape, shells):
     place, into scratch arrays allocated once per call in the memory layout
     of the first shell's sum; the order of operations is that of
     `s = acc + x; bx = s - acc; comp += (acc - (s - bx)) + (x - bx); acc = s`.
+
+    With `prefixes`, nondecreasing shell counts no larger than the number of
+    shells, the result is (len(prefixes) + 1, *shape): row i is `acc + comp`
+    after the first prefixes[i] shells (zeros after none), the last row the
+    whole sum.  That add is the one that ends a sum over only those shells,
+    so each row has the bits of that shorter sum.
     """
     acc = None
+    rows = [np.zeros(shape) for c in prefixes if c == 0]
+    done = 0
     for terms in shells:
         x = _pairwise_sum(terms)
         if acc is None:
@@ -207,15 +220,11 @@ def kahan_shell_sum(shape, shells):
         np.add(e, bx, out=e)
         np.add(comp, e, out=comp)
         acc, s = s, acc
-    if acc is None:
-        return np.zeros(shape)
-    return acc + comp
-
-
-def _chunks(B: int, max_rows: int, width: int):
-    per = max(16, int(2_000_000 / max(1, max_rows * max(1, width))))
-    for lo in range(0, B, per):
-        yield lo, min(B, lo + per)
+        done += 1
+        while len(rows) < len(prefixes) and prefixes[len(rows)] == done:
+            rows.append(acc + comp)
+    total = np.zeros(shape) if acc is None else acc + comp
+    return np.stack(rows + [total]) if prefixes else total
 
 
 # A row block holds at most this many image coordinates (256 KiB of floats),
@@ -229,6 +238,24 @@ def _block_rows(width: int) -> int:
     return max(_MIN_ROWS, 1 << (max(1, _TILE // width).bit_length() - 1))
 
 
+def _chunks(B: int, max_rows: int, width: int):
+    """Point chunks [lo, hi) of a batch of B, for shells of up to `max_rows` rows.
+
+    A chunk of b points with `width` values each is summed in blocks of
+    `_block_rows(b * width)` rows.  b is the largest count (at least 1) for which
+    neither one block of the largest shell nor that shell's stacked block sums
+    hold more than `_TILE` values: more points would only outgrow the tile
+    where the `_MIN_ROWS` floor holds a block or where the block sums pile up.
+    """
+    def fits(b):
+        rows = _block_rows(b * width)
+        return max(min(max_rows, rows), -(-max_rows // rows)) * b * width <= _TILE
+
+    per = max(1, bisect.bisect(range(1, B + 1), False, key=lambda b: not fits(b)))
+    for lo in range(0, B, per):
+        yield lo, min(B, lo + per)
+
+
 def _translate(D: np.ndarray, Ms: np.ndarray, W: np.ndarray) -> np.ndarray:
     """Image differences d + w for every shell row and point: (m, b, n)."""
     return D[None, :, :] + W[:, None, :]
@@ -239,8 +266,30 @@ def _at_lattice(term):
     return lambda W: term(W[:, None, :], sq_norm(W)[:, None])
 
 
+def _radii(R, checkpoints=()) -> tuple:
+    """The radii of one pass, checked: the checkpoints, then R.
+
+    Checkpoints are integers in [0, R), strictly increasing; anything else
+    raises `ConfigError`, as a bad R does.
+    """
+    R = _check_radius(R)
+    if isinstance(checkpoints, str) or not hasattr(checkpoints, "__iter__"):
+        raise ConfigError(f"checkpoints must be a sequence of radii, got {checkpoints!r}")
+    cps = tuple(_check_radius(c, "checkpoint radius") for c in checkpoints)
+    if any(b <= a for a, b in zip(cps, cps[1:] + (R,))):
+        raise ConfigError(f"checkpoints must be strictly increasing radii below R = {R}, got {list(cps)}")
+    return cps + (R,)
+
+
+def _per_radius(f, R, checkpoints):
+    """f(R), or f(r) stacked over the radii of a pass with checkpoints."""
+    radii = _radii(R, checkpoints)
+    return np.stack([f(r) for r in radii]) if len(radii) > 1 else f(R)
+
+
 def shell_sum(L: Lattice, char: BundleCharacter, D: np.ndarray, R: int, term,
-              shape=(), image=_translate, subtract=None, *, _start: int = 0) -> np.ndarray:
+              shape=(), image=_translate, subtract=None, *, checkpoints=(),
+              _start: int = 0) -> np.ndarray:
     """Lattice sum over the sup-norm shells 0..R for each point of D; (B, *shape).
 
     Row m of shell r contributes chi(m) [term(U, |U|^2) - subtract(W)], where
@@ -270,10 +319,19 @@ def shell_sum(L: Lattice, char: BundleCharacter, D: np.ndarray, R: int, term,
     `ConfigError`.  A squared image distance below `_SINGULAR_R2 * sigma_min^2`
     raises `SingularPoint`.  `_lattice_sum` sums the frame lattice at (t, rho)
     from shell 1 (`_start`); Class B and the torus sum L from shell 0.
+
+    Checkpoints: with `checkpoints`, strictly increasing radii in [0, R), one
+    pass to R returns (len(checkpoints) + 1, B, *shape), the sum to each
+    checkpoint and then to R.  Each row is `kahan_shell_sum`'s `acc + comp`
+    after the checkpoint's shell, the add that ends a separate call at that
+    radius, so it has that call's bits whatever the chunks and row blocks.  A
+    checkpoint below `_start` is the empty sum, zeros, as such a call gives.
     """
-    R = _check_radius(R)
+    radii = _radii(R, checkpoints)
+    R = radii[-1]
+    prefixes = tuple(max(0, r + 1 - _start) for r in radii[:-1])
     B = D.shape[0]
-    out = np.empty((B,) + shape)
+    out = np.empty((len(radii), B) + shape)
     singular = _SINGULAR_R2 * L.sigma_min**2
     for lo, hi in _chunks(B, _shell_size(L.k, R), math.prod(shape)):
         Dc = np.asfortranarray(D[lo:hi])
@@ -303,8 +361,10 @@ def shell_sum(L: Lattice, char: BundleCharacter, D: np.ndarray, R: int, term,
                     yield np.stack([_pairwise_sum(block(Ms[i : i + rows], r))
                                     for i in range(0, len(Ms), rows)])
 
-        out[lo:hi] = kahan_shell_sum((hi - lo,) + shape, shells())
-    return out
+        # without checkpoints the call keeps its two-argument form, so a stand-in
+        # sum with that signature (an exact reference sum, say) still fits
+        out[:, lo:hi] = kahan_shell_sum((hi - lo,) + shape, shells(), *((prefixes,) if prefixes else ()))
+    return out if len(radii) > 1 else out[0]
 
 
 def _dot(A: np.ndarray, M: np.ndarray) -> np.ndarray:
@@ -316,7 +376,7 @@ def _dot(A: np.ndarray, M: np.ndarray) -> np.ndarray:
 
 
 def _lattice_sum(L: Lattice, char: BundleCharacter, D: np.ndarray, R: int, vector: bool,
-                 regularized: bool, image=None) -> np.ndarray:
+                 regularized: bool, image=None, checkpoints=()) -> np.ndarray:
     """The shell sum of one regime: its Euclidean term and its per-term subtraction.
 
     A regularized sum subtracts the kernel at the lattice point, G(w) or
@@ -333,11 +393,14 @@ def _lattice_sum(L: Lattice, char: BundleCharacter, D: np.ndarray, R: int, vecto
     k+1 coordinates per image instead of n.  A vector far sum maps back as
     far[:, :k] Q^T + (P / rho) far[:, k], with P / rho = 0 where rho = 0.
     Class B passes its own `image` and sums every shell in full coordinates.
+    With `checkpoints` (see `shell_sum`) each checkpoint's far sum gets the
+    same near term and map-back: a row of (len(checkpoints) + 1, B, ...) per radius.
     """
     term = _cauchy_term(L.n) if vector else _green_term(L.n)
     subtract = _at_lattice(term) if regularized and (vector or char.l == 0) else None
     if image is not None:
-        return shell_sum(L, char, D, R, term, (L.n,) if vector else (), image, subtract)
+        return shell_sum(L, char, D, R, term, (L.n,) if vector else (), image, subtract,
+                         checkpoints=checkpoints)
     r2 = sq_norm(D)
     if np.any(r2 < _SINGULAR_R2 * L.sigma_min**2):
         raise SingularPoint("evaluation point on a kernel singularity")
@@ -346,33 +409,40 @@ def _lattice_sum(L: Lattice, char: BundleCharacter, D: np.ndarray, R: int, vecto
     P = D - _dot(t, Q.T)
     rho = np.sqrt(sq_norm(P))
     far = shell_sum(reduced, char, np.column_stack((t, rho)), R, term,
-                    (L.k + 1,) if vector else (), subtract=subtract, _start=1)
+                    (L.k + 1,) if vector else (), subtract=subtract, checkpoints=checkpoints, _start=1)
     if vector:
-        scale = np.divide(far[:, L.k], rho, out=np.zeros_like(rho), where=rho > 0.0)
-        far = _dot(far[:, : L.k], Q.T) + P * scale[:, None]
+        def back(f):
+            scale = np.divide(f[:, L.k], rho, out=np.zeros_like(rho), where=rho > 0.0)
+            return _dot(f[:, : L.k], Q.T) + P * scale[:, None]
+
+        far = back(far) if far.ndim == 2 else np.stack([back(f) for f in far])
     return term(D, r2) + far
 
 
 # -- cylinder kernels (difference form, used directly and by the pin module) --
 
-def cyl_cauchy_diff(L: Lattice, char: BundleCharacter, D: np.ndarray, R: int) -> np.ndarray:
+def cyl_cauchy_diff(L: Lattice, char: BundleCharacter, D: np.ndarray, R: int, *,
+                    checkpoints=()) -> np.ndarray:
     """Plain periodized vector kernel as a function of the difference; (B, n)."""
-    return _lattice_sum(L, char, D, R, True, False)
+    return _lattice_sum(L, char, D, R, True, False, checkpoints=checkpoints)
 
 
-def cyl_cauchy_reg_diff(L: Lattice, char: BundleCharacter, D: np.ndarray, R: int) -> np.ndarray:
+def cyl_cauchy_reg_diff(L: Lattice, char: BundleCharacter, D: np.ndarray, R: int, *,
+                        checkpoints=()) -> np.ndarray:
     """Regularized vector kernel (k = n-1): G(d) + sum' chi [G(d+w) - G(w)]."""
-    return _lattice_sum(L, char, D, R, True, True)
+    return _lattice_sum(L, char, D, R, True, True, checkpoints=checkpoints)
 
 
-def cyl_green_diff(L: Lattice, char: BundleCharacter, D: np.ndarray, R: int) -> np.ndarray:
+def cyl_green_diff(L: Lattice, char: BundleCharacter, D: np.ndarray, R: int, *,
+                   checkpoints=()) -> np.ndarray:
     """Plain periodized scalar kernel as a function of the difference; (B,)."""
-    return _lattice_sum(L, char, D, R, False, False)
+    return _lattice_sum(L, char, D, R, False, False, checkpoints=checkpoints)
 
 
-def cyl_green_reg_diff(L: Lattice, char: BundleCharacter, D: np.ndarray, R: int) -> np.ndarray:
+def cyl_green_reg_diff(L: Lattice, char: BundleCharacter, D: np.ndarray, R: int, *,
+                       checkpoints=()) -> np.ndarray:
     """Regularized scalar kernel (k = n-2); twisted bundles get no subtraction."""
-    return _lattice_sum(L, char, D, R, False, True)
+    return _lattice_sum(L, char, D, R, False, True, checkpoints=checkpoints)
 
 
 # -- tail bounds per kernel ----------------------------------------------------
@@ -446,9 +516,10 @@ def periodic_regime(L: Lattice, char: BundleCharacter, vector: bool):
     This is the one place that compares the rank k with n.  Vector kernels sum
     plainly at k <= n-2 and regularized at k = n-1; scalar kernels plainly at
     k <= n-3 and regularized at k = n-2.  Higher ranks raise `RegimeError`.
-    `total(D, R, image=None)` is the regime's shell sum (`_lattice_sum`) and
-    `tail(R, sep)` its certified bound.  The cylinder and projective kernels
-    pass no `image`: a near term plus a far sum over the frame's (t, rho).
+    `total(D, R, image=None, checkpoints=())` is the regime's shell sum
+    (`_lattice_sum`) and `tail(R, sep)` its certified bound.  The cylinder
+    and projective kernels pass no `image`: a near term plus a far sum over
+    the frame's (t, rho).
     Class B passes its image of D and keeps full coordinates.
     """
     critical = L.n - 1 if vector else L.n - 2
@@ -464,13 +535,19 @@ def periodic_regime(L: Lattice, char: BundleCharacter, vector: bool):
     else:
         tail = lambda R, sep: green_reg_tail(L, R, sep, char) if regularized else green_tail(L, R, sep)
 
-    def total(D, R, image=None):
-        return _lattice_sum(L, char, D, R, vector, regularized, image)
+    def total(D, R, image=None, checkpoints=()):
+        return _lattice_sum(L, char, D, R, vector, regularized, image, checkpoints)
 
     return total, tail, regularized
 
 
-def _cylinder(L: Lattice, char: BundleCharacter, x, y, R: int, vector: bool, regularized: bool, diff):
+def _batch_only(single: bool, R, checkpoints):
+    if single and len(_radii(R, checkpoints)) > 1:
+        raise ConfigError("checkpoints need a batch of points; a single point returns one KernelEval")
+
+
+def _cylinder(L: Lattice, char: BundleCharacter, x, y, R: int, vector: bool, regularized: bool, diff,
+              checkpoints):
     """Single point or batch through `diff`, the public sum of the entry's regime: a
     module-level call, so a tracer that rebinds module attributes times each sum."""
     _, tail, picked = periodic_regime(L, char, vector)
@@ -479,32 +556,41 @@ def _cylinder(L: Lattice, char: BundleCharacter, x, y, R: int, vector: bool, reg
         raise RegimeError(f"{names[regularized]} does not serve rank k = {L.k} in n = {L.n}; "
                           f"the rank picks {names[picked]}")
     D, single = _pair_batch(x, y, L.n)
+    _batch_only(single, R, checkpoints)
     _check_not_on_orbit(L, D, "x - y")
-    return _wrap(diff(L, char, D, R), tail(R, np.linalg.norm(D, axis=1)), R, single, L.n)
+    sep = np.linalg.norm(D, axis=1)
+    vals = diff(L, char, D, R, checkpoints=checkpoints)
+    return _wrap(vals, _per_radius(lambda r: tail(r, sep), R, checkpoints), R, single, L.n)
 
 
-def cyl_cauchy(L: Lattice, char: BundleCharacter, x, y, R: int):
+def cyl_cauchy(L: Lattice, char: BundleCharacter, x, y, R: int, *, checkpoints=()):
     """Periodized Cauchy kernel on a rank-k cylinder, k <= n-2.
 
     Accepts single points or (B, n) batches; the single-point form returns a
     `KernelEval`, the batched form `(values (B, n), tail_bounds (B,))`.
+
+    A batch may pass `checkpoints`, strictly increasing ints in [0, R): one
+    pass to R then returns values (len + 1, B, n) and tails (len + 1, B), a row
+    per radius (the checkpoints, then R), each equal to a separate call at
+    that radius.  Bad checkpoints, or checkpoints with a single point, raise
+    `ConfigError`.  The other batched kernels take `checkpoints` the same way.
     """
-    return _cylinder(L, char, x, y, R, True, False, cyl_cauchy_diff)
+    return _cylinder(L, char, x, y, R, True, False, cyl_cauchy_diff, checkpoints)
 
 
-def cyl_cauchy_reg(L: Lattice, char: BundleCharacter, x, y, R: int):
+def cyl_cauchy_reg(L: Lattice, char: BundleCharacter, x, y, R: int, *, checkpoints=()):
     """Regularized Cauchy kernel at critical rank k = n-1."""
-    return _cylinder(L, char, x, y, R, True, True, cyl_cauchy_reg_diff)
+    return _cylinder(L, char, x, y, R, True, True, cyl_cauchy_reg_diff, checkpoints)
 
 
-def cyl_green(L: Lattice, char: BundleCharacter, x, y, R: int):
+def cyl_green(L: Lattice, char: BundleCharacter, x, y, R: int, *, checkpoints=()):
     """Periodized Green kernel on a rank-k cylinder, k <= n-3."""
-    return _cylinder(L, char, x, y, R, False, False, cyl_green_diff)
+    return _cylinder(L, char, x, y, R, False, False, cyl_green_diff, checkpoints)
 
 
-def cyl_green_reg(L: Lattice, char: BundleCharacter, x, y, R: int):
+def cyl_green_reg(L: Lattice, char: BundleCharacter, x, y, R: int, *, checkpoints=()):
     """Regularized Green kernel at critical rank k = n-2."""
-    return _cylinder(L, char, x, y, R, False, True, cyl_green_reg_diff)
+    return _cylinder(L, char, x, y, R, False, True, cyl_green_reg_diff, checkpoints)
 
 
 # -- torus two-point kernel ------------------------------------------------------
@@ -527,6 +613,8 @@ def torus_cauchy_two_point(
     x,
     R: int,
     form: str = "coupled_subtracted",
+    *,
+    checkpoints=(),
 ):
     """Two-singularity Cauchy kernel on the torus (k = n).
 
@@ -536,7 +624,7 @@ def torus_cauchy_two_point(
     is what makes the series summable and pseudo-periodic without constants.
     `paper_literal` sums the uncoupled all-plus terms in shell order and is
     emitted with a NonConvergentSeriesWarning (no convergence guarantee, tail
-    bound infinite).
+    bound infinite).  A batch of x may pass `checkpoints`, as `cyl_cauchy` does.
     """
     if L.k != L.n:
         raise RegimeError("torus kernel requires a full-rank lattice (k = n)")
@@ -550,6 +638,7 @@ def torus_cauchy_two_point(
         raise SingularPoint("a and b coincide")
     _check_not_on_orbit(L, Dab, "a - b")
     Da, single = _pair_batch(x, a, n)
+    _batch_only(single, R, checkpoints)
     Db, _ = _pair_batch(x, b, n)
     _check_not_on_orbit(L, Da, "x - a")
     _check_not_on_orbit(L, Db, "x - b")
@@ -585,9 +674,10 @@ def torus_cauchy_two_point(
         def subtract(W):
             return _jacobian_apply(W, sq_norm(W), -Dab[:1], n)
 
-    vals = shell_sum(L, char, D, R, pair, (n,), image, subtract)
+    vals = shell_sum(L, char, D, R, pair, (n,), image, subtract, checkpoints=checkpoints)
     if literal:
-        return _wrap(vals, np.full(D.shape[0], math.inf), R, single, n)
+        return _wrap(vals, _per_radius(lambda r: np.full(D.shape[0], math.inf), R, checkpoints), R, single, n)
     dab = float(np.linalg.norm(a - b))
-    tails = torus_tail(L, R, np.linalg.norm(Da, axis=1), np.linalg.norm(Db, axis=1), dab, char)
+    sep_a, sep_b = np.linalg.norm(Da, axis=1), np.linalg.norm(Db, axis=1)
+    tails = _per_radius(lambda r: torus_tail(L, r, sep_a, sep_b, dab, char), R, checkpoints)
     return _wrap(vals, tails, R, single, L.n)

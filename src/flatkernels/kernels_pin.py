@@ -38,7 +38,7 @@ from .calculus import FDScheme, _pointwise, dirac_residual_batch
 from .clifford import MultiVector, reflect_coords
 from .errors import DimensionMismatch, RegimeError, SingularPoint
 from .kernels_euclid import cauchy_g_batch, sq_norm
-from .kernels_periodic import _SINGULAR_R2, KernelEval, _pair_batch, periodic_regime
+from .kernels_periodic import _SINGULAR_R2, KernelEval, _pair_batch, _per_radius, periodic_regime
 from .lattice import ManifoldSpec, apply_group_element, char_sign, deck_generators, deck_signs
 
 
@@ -58,7 +58,8 @@ def _superpose(X, y, n: int, axes, negate_fiber: bool, form: str, diff, tail):
 
     D_A is x minus the source reflected on A (`orbit`) or x - y reflected on
     A (`paper_literal`); the bundle twist rho(A) is (-1)^|A| when the fiber
-    is negated and 1 otherwise.
+    is negated and 1 otherwise.  Every add is elementwise, so values and
+    tails stacked over checkpoint radii sum row by row.
     """
     _check_form(form)
     D, _ = _pair_batch(X, y, n)
@@ -72,17 +73,25 @@ def _superpose(X, y, n: int, axes, negate_fiber: bool, form: str, diff, tail):
     return vals, tails
 
 
-def _projective(M: ManifoldSpec, what: str, vector: bool, R: int):
-    """The regime's diff(D) and tail(sep) at radius R for a projective or oriented spec."""
+def _projective(M: ManifoldSpec, what: str, vector: bool, R: int, checkpoints):
+    """The regime's diff(D) and tail(sep) at radius R (and the checkpoints) for a
+    projective or oriented spec."""
     if M.kind not in ("Projective", "Cylinder", "Torus"):
         raise RegimeError(f"{what} expects a projective or oriented spec, got {M.kind}")
     total, tail, _ = periodic_regime(M.lattice, M.bundle, vector)
-    return lambda D: total(D, R), lambda sep: tail(R, sep)
+    return (lambda D: total(D, R, checkpoints=checkpoints),
+            lambda sep: _per_radius(lambda r: tail(r, sep), R, checkpoints))
 
 
-def proj_cauchy_batch(M: ManifoldSpec, X, y, R: int, form: str = "orbit"):
-    """Batched projective Cauchy kernel: (values (B, n), tail_bounds (B,))."""
-    diff, tail = _projective(M, "proj_cauchy", True, R)
+def proj_cauchy_batch(M: ManifoldSpec, X, y, R: int, form: str = "orbit", *, checkpoints=()):
+    """Batched projective Cauchy kernel: (values (B, n), tail_bounds (B,)).
+
+    With `checkpoints` (strictly increasing ints in [0, R)), one pass returns
+    (len + 1, B, n) values and (len + 1, B) tails, one row per radius, as
+    `kernels_periodic.cyl_cauchy` does; so do the other batched Class-A and
+    Class-B kernels here.
+    """
+    diff, tail = _projective(M, "proj_cauchy", True, R, checkpoints)
     return _superpose(X, y, M.n, M.reflection_axes(), M.bundle.negate_fiber, form, diff, tail)
 
 
@@ -92,9 +101,9 @@ def proj_cauchy(M: ManifoldSpec, x, y, R: int, form: str = "orbit") -> KernelEva
     return KernelEval.from_batch(vals, tails, R, M.n)
 
 
-def proj_green_batch(M: ManifoldSpec, X, y, R: int, form: str = "orbit"):
+def proj_green_batch(M: ManifoldSpec, X, y, R: int, form: str = "orbit", *, checkpoints=()):
     """Batched projective Green kernel: (values (B,), tail_bounds (B,))."""
-    diff, tail = _projective(M, "proj_green", False, R)
+    diff, tail = _projective(M, "proj_green", False, R, checkpoints)
     return _superpose(X, y, M.n, M.reflection_axes(), M.bundle.negate_fiber, form, diff, tail)
 
 
@@ -152,7 +161,7 @@ def _class_b_pairs(M: ManifoldSpec, kind: str, X, y, form: str):
     return X, yv, D0
 
 
-def _class_b_green(M: ManifoldSpec, X, yv, D0, R: int, form: str, c: int):
+def _class_b_green(M: ManifoldSpec, X, yv, D0, R: int, form: str, c: int, checkpoints):
     """Green image sum over the deck group, twisted on axis c: (values (B,), tails (B,)).
 
     The scalar regime of the rank (`periodic_regime`) gives the sum, its
@@ -161,7 +170,8 @@ def _class_b_green(M: ManifoldSpec, X, yv, D0, R: int, form: str, c: int):
     the source's images (each shell holds -m beside m, with the same S); the
     literal form's S (x - y) + w has the norm of the paper's x - y + S w.
     The tail's separation is |x - y| except |x_c| + |y_c| on axis c, over all
-    n axes when regularized and the first k otherwise.
+    n axes when regularized and the first k otherwise.  With `checkpoints`,
+    values and tails get a row per radius.
     """
     total, tail, regularized = periodic_regime(M.lattice, M.bundle, False)
     orbit = form == "orbit"
@@ -170,17 +180,18 @@ def _class_b_green(M: ManifoldSpec, X, yv, D0, R: int, form: str, c: int):
         S = deck_signs(M, Ms)[:, None, :]
         return (P[None] - S * yv if orbit else S * P[None]) + W[:, None, :]
 
-    vals = total(X if orbit else D0, R, image)
+    vals = total(X if orbit else D0, R, image, checkpoints)
     E = np.abs(D0)
     E[:, c] = np.abs(X[:, c]) + abs(yv[c])
     E = E[:, : M.n if regularized else M.k]
     # the first c axes, then the twisted one: the order the tail bits depend on
     sep = np.sqrt(np.sum(E[:, :c] ** 2, axis=1) + np.sum(E[:, c:] ** 2, axis=1))
-    return vals, tail(R, sep)
+    return vals, _per_radius(lambda r: tail(r, sep), R, checkpoints)
 
 
 def moebius_green_batch(
-    M: ManifoldSpec, X, y, R: int, form: str = "orbit", allow_noncharacter: bool = False
+    M: ManifoldSpec, X, y, R: int, form: str = "orbit", allow_noncharacter: bool = False, *,
+    checkpoints=(),
 ):
     """Batched Moebius-strip Green kernel: (values (B,), tail_bounds (B,))."""
     pairs = _class_b_pairs(M, "MoebiusStrip", X, y, form)
@@ -189,7 +200,7 @@ def moebius_green_batch(
             "AllEven sign variant is not a lattice character; pass allow_noncharacter=True "
             "to probe it anyway"
         )
-    return _class_b_green(M, *pairs, R, form, M.n - 1)
+    return _class_b_green(M, *pairs, R, form, M.n - 1, checkpoints)
 
 
 def moebius_green(
@@ -201,14 +212,14 @@ def moebius_green(
     return KernelEval.from_batch(vals, tails, R, M.n)
 
 
-def klein_green_batch(M: ManifoldSpec, X, y, R: int, form: str = "orbit"):
+def klein_green_batch(M: ManifoldSpec, X, y, R: int, form: str = "orbit", *, checkpoints=()):
     """Batched Klein-quotient Green kernel: (values (B,), tail_bounds (B,)).
 
     Plain at k <= n-3 and regularized at k = n-2, as `periodic_regime` picks
     for a scalar kernel; k = n-1 raises `RegimeError`.
     """
     pairs = _class_b_pairs(M, "KleinBottle", X, y, form)
-    return _class_b_green(M, *pairs, R, form, M.k - 1)
+    return _class_b_green(M, *pairs, R, form, M.k - 1, checkpoints)
 
 
 def klein_green(M: ManifoldSpec, x, y, R: int, form: str = "orbit") -> KernelEval:

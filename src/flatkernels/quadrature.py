@@ -34,7 +34,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .calculus import _coerce_batch
 from .clifford import MultiVector, gp, reflect_coords
@@ -116,6 +115,8 @@ def sphere_surface(center, radius: float, grid) -> Hypersurface:
         raise SurfaceError(f"sphere in R^{n} needs {n - 1} grid resolutions, got {len(grid)}")
     if any(g < 1 for g in grid):
         raise SurfaceError("sphere grid resolutions must be >= 1")
+
+    from numpy.polynomial.legendre import leggauss  # numpy.polynomial only where a sphere is built
 
     angle_nodes = []
     angle_weights = []
