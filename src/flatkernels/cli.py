@@ -18,6 +18,7 @@ Exit codes: 0 success, 1 verification failure, 2 configuration error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -32,25 +33,16 @@ from .errors import ConfigError, RegimeError, SingularPoint
 from .kernels_euclid import cauchy_g_batch
 from .lattice import ManifoldSpec, config_bool, config_int
 
-KERNEL_NAMES = (
-    "cyl-cauchy",
-    "cyl-cauchy-reg",
-    "cyl-green",
-    "cyl-green-reg",
-    "torus-cauchy",
-    "proj-cauchy",
-    "proj-green",
-    "realproj-cauchy",
-    "moebius-green",
-    "klein-green",
-)
+KERNEL_NAMES = tuple(kernels_pin.KERNELS)
 
 
 def _fmt(x: float) -> str:
     return "%.17g" % float(x)
 
 
-def _load_config(path: str) -> dict:
+def _load_config(args) -> dict:
+    """The JSON config of `args.config`, with the --R and --form overrides applied."""
+    path = args.config
     try:
         with open(path, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
@@ -58,6 +50,9 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError(f"config {path} must hold a JSON object")
+    for key in ("R", "form"):
+        if getattr(args, key, None) is not None:
+            cfg[key] = getattr(args, key)
     return cfg
 
 
@@ -80,24 +75,19 @@ def _radius(value) -> int:
     return R
 
 
-def _form(cfg: dict) -> str:
-    form = str(cfg.get("form", "orbit")).replace("-", "_")
-    if form not in ("orbit", "paper_literal"):
-        raise ConfigError(f"unknown form {cfg.get('form')!r}")
-    return form
-
-
 def make_evaluator(cfg: dict):
     """Parse a config once into (op, manifold, R, form).
 
-    `op(X, R, cps=())` evaluates the kernel at the rows of X (B, n) and
-    returns values, (B, n) for vector kernels and (B,) for scalar ones, with
-    tails (B,).  With checkpoints `cps` (strictly increasing radii below R), values
-    and tails gain a leading axis, one row per radius: the checkpoints, then R.
+    `op(X, R, cps=())` is the kernel's batched op (`kernels_pin.KERNELS`) bound
+    to the config: values at the rows of X (B, n), (B, n) for vector kernels
+    and (B,) for scalar ones, with tails (B,).  With checkpoints `cps`
+    (strictly increasing radii below R), values and tails gain a leading
+    axis, one row per radius: the checkpoints, then R.
     """
     name = cfg.get("kernel")
     if name not in KERNEL_NAMES:
         raise ConfigError(f"unknown kernel {name!r}; choose from {', '.join(KERNEL_NAMES)}")
+    kernel = kernels_pin.KERNELS[name]
     if "manifold" not in cfg:
         raise ConfigError("config needs a 'manifold' object")
     try:
@@ -105,46 +95,13 @@ def make_evaluator(cfg: dict):
     except (TypeError, ValueError) as exc:  # e.g. a dependent basis or a non-numeric p
         raise ConfigError(str(exc)) from exc
     R = _radius(cfg.get("R", 20))
-    form = _form(cfg)
-    y = _config_point(cfg, "y", M.n)
-    L, char = M.lattice, M.bundle
-    if name.startswith(("cyl-", "torus-")) and L is None:
-        raise ConfigError(f"kernel {name} needs a lattice in the manifold spec")
-    if name == "torus-cauchy":
-        a = _config_point(cfg, "a", M.n)
-        b = _config_point(cfg, "b", M.n)
-        if form == "orbit":
-            form = "coupled_subtracted"
-    if name == "realproj-cauchy":
-        if M.kind != "RealProjective":
-            raise ConfigError("realproj-cauchy needs a RealProjective manifold spec")
-        R = 0
+    form = kernels_periodic.check_form(str(cfg.get("form", "orbit")).replace("-", "_"))
+    if form == "orbit":
+        form = kernel.orbit
+    inputs = {key: _config_point(cfg, key, M.n) for key in ("y",) + kernel.points}
     noncharacter = config_bool(cfg.get("allow_noncharacter", False), "allow_noncharacter")
-
-    def realproj(X, R, cps=()):
-        # the Euclidean reflection sum is finite: nothing is truncated, no tail,
-        # and every radius repeats the one value
-        vals = kernels_pin.realproj_cauchy_batch(M.p, X, y, form, char.negate_fiber)
-        per_radius = kernels_periodic._per_radius
-        return per_radius(lambda r: vals, R, cps), per_radius(lambda r: np.zeros(len(X)), R, cps)
-
-    ops = {
-        "cyl-cauchy": lambda X, R, cps=(): kernels_periodic.cyl_cauchy(L, char, X, y, R, checkpoints=cps),
-        "cyl-cauchy-reg": lambda X, R, cps=(): kernels_periodic.cyl_cauchy_reg(L, char, X, y, R, checkpoints=cps),
-        "cyl-green": lambda X, R, cps=(): kernels_periodic.cyl_green(L, char, X, y, R, checkpoints=cps),
-        "cyl-green-reg": lambda X, R, cps=(): kernels_periodic.cyl_green_reg(L, char, X, y, R, checkpoints=cps),
-        "torus-cauchy": lambda X, R, cps=(): kernels_periodic.torus_cauchy_two_point(
-            L, char, a, b, X, R, form=form, checkpoints=cps
-        ),
-        "proj-cauchy": lambda X, R, cps=(): kernels_pin.proj_cauchy_batch(M, X, y, R, form, checkpoints=cps),
-        "proj-green": lambda X, R, cps=(): kernels_pin.proj_green_batch(M, X, y, R, form, checkpoints=cps),
-        "realproj-cauchy": realproj,
-        "moebius-green": lambda X, R, cps=(): kernels_pin.moebius_green_batch(
-            M, X, y, R, form, noncharacter, checkpoints=cps
-        ),
-        "klein-green": lambda X, R, cps=(): kernels_pin.klein_green_batch(M, X, y, R, form, checkpoints=cps),
-    }
-    return ops[name], M, R, form
+    op = functools.partial(kernel.run, M, form=form, allow_noncharacter=noncharacter, **inputs)
+    return op, M, R if kernel.truncated else 0, form
 
 
 def _columns(vals) -> np.ndarray:
@@ -176,8 +133,7 @@ def _json_report(payload: dict) -> str:
 # -- subcommands ------------------------------------------------------------------
 
 def cmd_eval(args) -> int:
-    cfg = _load_config(args.config)
-    _apply_overrides(cfg, args)
+    cfg = _load_config(args)
     op, M, R, form = make_evaluator(cfg)
     x = _config_point(cfg, "x", M.n)
     with warnings.catch_warnings():
@@ -247,8 +203,7 @@ def _pool_map(fn, items, threads: int):
 
 
 def cmd_table(args) -> int:
-    cfg = _load_config(args.config)
-    _apply_overrides(cfg, args)
+    cfg = _load_config(args)
     op, M, R, form = make_evaluator(cfg)
     X = _segment_points(cfg, M.n)
     # contiguous slices, joined in order: a point's bits do not depend on its batch
@@ -273,8 +228,7 @@ def cmd_table(args) -> int:
 
 
 def cmd_converge(args) -> int:
-    cfg = _load_config(args.config)
-    _apply_overrides(cfg, args)
+    cfg = _load_config(args)
     radii = args.R_list.split(",") if args.R_list else cfg.get("R_list", [10, 20, 40])
     if not isinstance(radii, list) or not radii:
         raise ConfigError("R_list must hold nonnegative radii")
@@ -318,7 +272,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_order(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_config(args)
     try:
         c = np.asarray(cfg.get("center", [0.0, 0.0]), dtype=float)
         delta = float(cfg.get("delta", 0.5))
@@ -337,8 +291,7 @@ def cmd_order(args) -> int:
     if not isinstance(name, str) or name not in suites.ORDER_MAPS:
         raise ConfigError(f"unknown map {name!r}; choose from {', '.join(suites.ORDER_MAPS)}")
     gmap = lambda x: suites.ORDER_MAPS[name](x, c)
-    kernel0 = lambda X, yy: cauchy_g_batch(X, yy)
-    order = quadrature.order_of_zero_batch(gmap, c, delta, kernel0, (grid,))
+    order = quadrature.order_of_zero_batch(gmap, c, delta, cauchy_g_batch, (grid,))
     theta = 2.0 * math.pi * (np.arange(2 * grid) + 0.5) / (2 * grid)
     circle = c[None, :] + delta * np.stack([np.cos(theta), np.sin(theta)], axis=1)
     oracle = quadrature.polygon_winding(gmap(circle))
@@ -350,7 +303,7 @@ def cmd_order(args) -> int:
             "delta": delta,
             "grid": grid,
             "polygon_winding_oracle": int(oracle),
-            "delta_halved_order": quadrature.order_of_zero_batch(gmap, c, delta / 2.0, kernel0, (grid,)),
+            "delta_halved_order": quadrature.order_of_zero_batch(gmap, c, delta / 2.0, cauchy_g_batch, (grid,)),
         },
     }
     _emit(_json_report(payload), args.out)
@@ -369,13 +322,6 @@ def cmd_probe(args) -> int:
         fh.write(_json_report(index))
     sys.stdout.write(f"wrote {len(reports)} probe reports to {outdir}\n")
     return 0
-
-
-def _apply_overrides(cfg: dict, args) -> None:
-    if getattr(args, "R", None) is not None:
-        cfg["R"] = args.R
-    if getattr(args, "form", None) is not None:
-        cfg["form"] = args.form
 
 
 def build_parser() -> argparse.ArgumentParser:

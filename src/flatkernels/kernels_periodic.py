@@ -53,6 +53,12 @@ dimension; `periodic_regime` is the one place that compares k with n):
   (gradient) subtraction so summands decay like |w|^(-n-1); the uncoupled
   all-plus form stays available as `paper_literal` behind a warning.
 
+Every kernel, here and in `kernels_pin`, runs one pipeline (`_pipeline`):
+its entry's spec and regime checks, the one form check (`check_form`), the
+point checks, the shell sum (frame, Class-B image or torus pair), the
+reflection superposition, tails per radius, `ConfigError` for a value past
+the float range, and the single-point `KernelEval`.
+
 Tail bounds are true upper estimates of the omitted-shell contribution: the
 Eisenstein-type majorant is evaluated with the separation |x-y| subtracted
 from the lattice gap (`eisenstein_tail(..., offset=|x-y|)`), so the
@@ -65,10 +71,11 @@ import bisect
 import math
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .clifford import MultiVector
+from .clifford import MultiVector, reflect_coords
 from .errors import ConfigError, DimensionMismatch, RegimeError, SingularPoint
 from .kernels_euclid import _cauchy_term, _green_term, sphere_area, sq_norm
 from .lattice import BundleCharacter, Lattice, _check_radius, _shell_rows, _shell_size, char_sign
@@ -238,18 +245,21 @@ def _block_rows(width: int) -> int:
     return max(_MIN_ROWS, 1 << (max(1, _TILE // width).bit_length() - 1))
 
 
-def _chunks(B: int, max_rows: int, width: int):
+def _chunks(B: int, max_rows: int, width):
     """Point chunks [lo, hi) of a batch of B, for shells of up to `max_rows` rows.
 
-    A chunk of b points with `width` values each is summed in blocks of
-    `_block_rows(b * width)` rows.  b is the largest count (at least 1) for which
-    neither one block of the largest shell nor that shell's stacked block sums
-    hold more than `_TILE` values: more points would only outgrow the tile
-    where the `_MIN_ROWS` floor holds a block or where the block sums pile up.
+    `width` is a pair (values, image coordinates) per point, or one number for
+    both.  A chunk of b points is summed in blocks of `_block_rows(b * coords)`
+    rows.  b is the largest count (at least 1) for which neither the images of
+    one block of the largest shell nor that shell's stacked block sums hold
+    more than `_TILE` values: more points would only outgrow the tile where
+    the `_MIN_ROWS` floor holds a block or where the block sums pile up.
     """
+    values, coords = width if isinstance(width, tuple) else (width, width)
+
     def fits(b):
-        rows = _block_rows(b * width)
-        return max(min(max_rows, rows), -(-max_rows // rows)) * b * width <= _TILE
+        rows = _block_rows(b * coords)
+        return max(min(max_rows, rows) * coords, -(-max_rows // rows) * values) * b <= _TILE
 
     per = max(1, bisect.bisect(range(1, B + 1), False, key=lambda b: not fits(b)))
     for lo in range(0, B, per):
@@ -281,12 +291,6 @@ def _radii(R, checkpoints=()) -> tuple:
     return cps + (R,)
 
 
-def _per_radius(f, R, checkpoints):
-    """f(R), or f(r) stacked over the radii of a pass with checkpoints."""
-    radii = _radii(R, checkpoints)
-    return np.stack([f(r) for r in radii]) if len(radii) > 1 else f(R)
-
-
 def shell_sum(L: Lattice, char: BundleCharacter, D: np.ndarray, R: int, term,
               shape=(), image=_translate, subtract=None, *, checkpoints=(),
               _start: int = 0) -> np.ndarray:
@@ -306,13 +310,9 @@ def shell_sum(L: Lattice, char: BundleCharacter, D: np.ndarray, R: int, term,
     the block sums has the bits of the whole shell's tree (module
     docstring).  A shell that fits one block is summed as it is, uncopied.
 
-    `image` gets its arrays coordinate-major: the chunk D (b, ..., n) and the
-    shell's W (m, n) in Fortran order, so each coordinate is one contiguous
-    block over points and rows.  numpy allocates elementwise results in the
-    layout of their operands, so U, the terms and `kahan_shell_sum`'s
-    in-place scratch keep that layout and their loops run over the batch (or
-    over the rows, for one point).  An image that returns another layout
-    gets the same bits, only slower.
+    `image` gets the chunk D (b, ..., n) and the shell's W (m, n) in Fortran
+    order (module docstring); an image that returns another layout gets the
+    same bits, only slower.
 
     R must be an integer >= 0 (an integral float or numpy integer counts as
     the int); a bool, a fraction, a string or a negative R raises
@@ -333,7 +333,7 @@ def shell_sum(L: Lattice, char: BundleCharacter, D: np.ndarray, R: int, term,
     B = D.shape[0]
     out = np.empty((len(radii), B) + shape)
     singular = _SINGULAR_R2 * L.sigma_min**2
-    for lo, hi in _chunks(B, _shell_size(L.k, R), math.prod(shape)):
+    for lo, hi in _chunks(B, _shell_size(L.k, R), (math.prod(shape), math.prod(D.shape[1:]))):
         Dc = np.asfortranarray(D[lo:hi])
         rows = _block_rows(Dc.size)
 
@@ -419,7 +419,7 @@ def _lattice_sum(L: Lattice, char: BundleCharacter, D: np.ndarray, R: int, vecto
     return term(D, r2) + far
 
 
-# -- cylinder kernels (difference form, used directly and by the pin module) --
+# -- cylinder sums as functions of the difference ----------------------------
 
 def cyl_cauchy_diff(L: Lattice, char: BundleCharacter, D: np.ndarray, R: int, *,
                     checkpoints=()) -> np.ndarray:
@@ -502,13 +502,7 @@ def torus_tail(L: Lattice, R: int, sep_a, sep_b, dab: float = 0.0, char: BundleC
     return pair + layer
 
 
-# -- public single/batch operations --------------------------------------------
-
-def _wrap(vals: np.ndarray, tails, R: int, single: bool, n: int):
-    if single:
-        return KernelEval.from_batch(vals, tails, R, n)
-    return vals, np.asarray(tails, dtype=float)
-
+# -- the kernel pipeline -----------------------------------------------------------
 
 def periodic_regime(L: Lattice, char: BundleCharacter, vector: bool):
     """The regime the rank picks for a vector or scalar kernel: (total, tail, regularized).
@@ -541,26 +535,83 @@ def periodic_regime(L: Lattice, char: BundleCharacter, vector: bool):
     return total, tail, regularized
 
 
-def _batch_only(single: bool, R, checkpoints):
-    if single and len(_radii(R, checkpoints)) > 1:
-        raise ConfigError("checkpoints need a batch of points; a single point returns one KernelEval")
+_FORMS = ("orbit", "paper_literal")
 
+
+def check_form(form, forms=_FORMS) -> str:
+    """The one check of a kernel form: one of `forms`, else `ConfigError`."""
+    if form not in forms:
+        raise ConfigError(f"unknown form {form!r}; use {' or '.join(map(repr, forms))}")
+    return form
+
+
+def _pipeline(n: int, x, y, R, checkpoints, total, tail, *, sep=lambda P: np.linalg.norm(P, axis=1),
+              check=None, single=None, axes=None, negate_fiber=False, form="orbit", forms=_FORMS):
+    """The one kernel pipeline: (values, tails) of a batch, or one point's `KernelEval`.
+
+    Each entry checks its spec and picks its regime: `total(P, R, checkpoints=...)`,
+    its shell sum at differences P, and `tail(r, sep)`, its bound at radius r.
+    Then: the form, the pair x - y, the radii, and `check(D)`, which returns the
+    differences to sum; the sums, superposed over the subsets A of the reflected
+    `axes` (P = x minus the source reflected on A for `orbit`, x - y reflected on
+    A otherwise; twist rho(A) = (-1)^|A| if the fiber is negated; summed from 0.0,
+    while with no `axes` the one sum is the value as it is, -0.0 included); the
+    tails per radius at `sep(P)`; under `np.errstate`, so a value past the float
+    range raises `ConfigError` before any numpy warning (tails may be inf); and
+    the wrap, a `KernelEval` if `single` (None: if x and y are single points).
+    """
+    check_form(form, forms)
+    D, one = _pair_batch(x, y, n)
+    radii = _radii(R, checkpoints)
+    single = one if single is None else single
+    if single and len(radii) > 1:
+        raise ConfigError("checkpoints need a batch of points; a single point returns one KernelEval")
+    if check is not None:
+        D = check(D)
+
+    def part(P):  # the sum at P, then its tails, a row per radius
+        vals, s = total(P, radii[-1], checkpoints=radii[:-1]), sep(P)
+        tails = [tail(r, s) for r in radii]
+        return vals, (np.stack(tails) if len(radii) > 1 else tails[0])
+
+    with np.errstate(all="ignore"):
+        if axes is None:
+            vals, tails = part(D)
+        else:
+            X = np.asarray(x, dtype=float).reshape(-1, n)
+            vals = tails = 0.0
+            for subset in _reflection_subsets(axes):
+                rho = (-1.0) ** len(subset) if negate_fiber else 1.0
+                v, t = part(X - reflect_coords(y, subset) if form == "orbit" else reflect_coords(D, subset))
+                vals = vals + rho * v
+                tails = tails + t
+    if not np.isfinite(vals).all():
+        raise ConfigError(f"kernel value is not finite: its terms leave the float range (magnitudes up to "
+                          f"{np.finfo(float).max:.4g}); rescale the lattice and the points")
+    if single:
+        return KernelEval.from_batch(vals, tails, R, n)
+    return vals, np.asarray(tails, dtype=float)
+
+
+def _reflection_subsets(axes: list[int]) -> list[tuple[int, ...]]:
+    """All subsets of the reflected block, enumerated by ascending bitmask."""
+    q = len(axes)
+    return [tuple(axes[i] for i in range(q) if bits >> i & 1) for bits in range(1 << q)]
+
+
+# -- cylinder kernels ----------------------------------------------------------------
 
 def _cylinder(L: Lattice, char: BundleCharacter, x, y, R: int, vector: bool, regularized: bool, diff,
               checkpoints):
-    """Single point or batch through `diff`, the public sum of the entry's regime: a
-    module-level call, so a tracer that rebinds module attributes times each sum."""
+    """A cylinder entry's pipeline, in the entry's own regime, summed by its public difference
+    form `diff`: the entry names it, so a tracer that rebinds module attributes records each sum."""
     _, tail, picked = periodic_regime(L, char, vector)
     if picked != regularized:
         names = ("cyl_cauchy", "cyl_cauchy_reg") if vector else ("cyl_green", "cyl_green_reg")
         raise RegimeError(f"{names[regularized]} does not serve rank k = {L.k} in n = {L.n}; "
                           f"the rank picks {names[picked]}")
-    D, single = _pair_batch(x, y, L.n)
-    _batch_only(single, R, checkpoints)
-    _check_not_on_orbit(L, D, "x - y")
-    sep = np.linalg.norm(D, axis=1)
-    vals = diff(L, char, D, R, checkpoints=checkpoints)
-    return _wrap(vals, _per_radius(lambda r: tail(r, sep), R, checkpoints), R, single, L.n)
+    return _pipeline(L.n, x, y, R, checkpoints, partial(diff, L, char), tail,
+                     check=lambda D: _check_not_on_orbit(L, D, "x - y") or D)
 
 
 def cyl_cauchy(L: Lattice, char: BundleCharacter, x, y, R: int, *, checkpoints=()):
@@ -605,17 +656,8 @@ def _jacobian_apply(W: np.ndarray, w2: np.ndarray, V: np.ndarray, n: int) -> np.
     ) / wn
 
 
-def torus_cauchy_two_point(
-    L: Lattice,
-    char: BundleCharacter,
-    a,
-    b,
-    x,
-    R: int,
-    form: str = "coupled_subtracted",
-    *,
-    checkpoints=(),
-):
+def torus_cauchy_two_point(L: Lattice, char: BundleCharacter, a, b, x, R: int,
+                           form: str = "coupled_subtracted", *, checkpoints=()):
     """Two-singularity Cauchy kernel on the torus (k = n).
 
     `coupled_subtracted` sums chi(m) [G(x-a+w) - G(x-b+w) - J_G(w)(b-a... the
@@ -628,56 +670,49 @@ def torus_cauchy_two_point(
     """
     if L.k != L.n:
         raise RegimeError("torus kernel requires a full-rank lattice (k = n)")
-    if form not in ("coupled_subtracted", "paper_literal"):
-        raise ValueError(f"unknown form {form!r}")
     n = L.n
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    Dab, _ = _pair_batch(a, b, n)
-    if not np.any(np.abs(Dab) > 0):
-        raise SingularPoint("a and b coincide")
-    _check_not_on_orbit(L, Dab, "a - b")
-    Da, single = _pair_batch(x, a, n)
-    _batch_only(single, R, checkpoints)
-    Db, _ = _pair_batch(x, b, n)
-    _check_not_on_orbit(L, Da, "x - a")
-    _check_not_on_orbit(L, Db, "x - b")
-
-    D = np.stack((Da, Db), axis=1)
-    term = _cauchy_term(n)
     literal = form == "paper_literal"
-    if literal:
-        warnings.warn(
-            "paper_literal torus series has no convergence guarantee",
-            NonConvergentSeriesWarning,
-            stacklevel=2,
-        )
+    term = _cauchy_term(n)
 
-    def image(D, Ms, W):
-        return D[None, :, :, :] + W[:, None, None, :]
+    def check(Da):
+        """The sources apart and off each other's orbits, x off both: D (B, 2, n)."""
+        Dab, _ = _pair_batch(a, b, n)
+        if not np.any(np.abs(Dab) > 0):
+            raise SingularPoint("a and b coincide")
+        _check_not_on_orbit(L, Dab, "a - b")
+        Db, _ = _pair_batch(x, b, n)
+        _check_not_on_orbit(L, Da, "x - a")
+        _check_not_on_orbit(L, Db, "x - b")
+        if literal:
+            warnings.warn("paper_literal torus series has no convergence guarantee",
+                          NonConvergentSeriesWarning, stacklevel=4)
+        return np.stack((Da, Db), axis=1)
 
     def pair(U, r2):
         G = term(U, r2)
         return G[:, :, 0] + G[:, :, 1] if literal else G[:, :, 0] - G[:, :, 1]
 
-    subtract = None
-    if literal:
-        # the uncoupled terms add the lattice images of both sources, G(-a-w) + G(-b-w)
-        def subtract(W):
+    def subtract(W):
+        if literal:  # the uncoupled terms add the lattice images of both sources, G(-a-w) + G(-b-w)
             V = np.stack((-a - W, -b - W), axis=1)[:, None]
             return -pair(V, sq_norm(V))
-    elif char.l == 0:
         # the gradient subtraction is even in w, so it is character-safe only on
         # the trivial bundle (where the telescoping reindex cancels it exactly);
         # twisted bundles rely on the character's own alternation instead.
         # (x - a) - (x - b) = b - a for every point; one gradient term per shell row.
-        def subtract(W):
-            return _jacobian_apply(W, sq_norm(W), -Dab[:1], n)
+        return _jacobian_apply(W, sq_norm(W), -np.atleast_2d(a - b)[:1], n)
 
-    vals = shell_sum(L, char, D, R, pair, (n,), image, subtract, checkpoints=checkpoints)
-    if literal:
-        return _wrap(vals, _per_radius(lambda r: np.full(D.shape[0], math.inf), R, checkpoints), R, single, n)
-    dab = float(np.linalg.norm(a - b))
-    sep_a, sep_b = np.linalg.norm(Da, axis=1), np.linalg.norm(Db, axis=1)
-    tails = _per_radius(lambda r: torus_tail(L, r, sep_a, sep_b, dab, char), R, checkpoints)
-    return _wrap(vals, tails, R, single, L.n)
+    def total(D, R, checkpoints=()):
+        image = lambda D, Ms, W: D[None, :, :, :] + W[:, None, None, :]
+        return shell_sum(L, char, D, R, pair, (n,), image, subtract if literal or char.l == 0 else None,
+                         checkpoints=checkpoints)
+
+    def tail(r, sep):
+        dab = float(np.linalg.norm(a - b))
+        return np.full(len(sep[0]), math.inf) if literal else torus_tail(L, r, *sep, dab, char)
+
+    return _pipeline(n, x, a, R, checkpoints, total, tail, check=check, form=form,
+                     forms=("coupled_subtracted", "paper_literal"),
+                     sep=lambda D: (np.linalg.norm(D[:, 0], axis=1), np.linalg.norm(D[:, 1], axis=1)))

@@ -15,72 +15,58 @@ Each kernel ships in two forms:
   residual check.  It is retained for the discrepancy probes.
 
 The deck group itself (generators, action, inverse, and the signs of each
-element's linear part, `deck_signs`) comes from `lattice`.  The regime, its
-lattice sum and its tail come from `kernels_periodic.periodic_regime`, the
-one place that compares the rank with n; this module compares no rank.  It
-adds what belongs to the pin bundle: the twist rho, the block reflection's
-value map, and the image maps.  Class A (projective) reflections act on the
-coordinate block k..p-1; the bundle twist is rho(A) = +1 for the trivial
-bundle and (-1)^|A| when the fiber is negated.  Class B (the Moebius strip,
-whose translations flip the last coordinate with their sign, and the Klein
-quotient, whose k-th translation folds axis k-1) is one image sum over
+element's linear part, `deck_signs`) comes from `lattice`; the regime (the
+one rank decision) and the pipeline every kernel runs come from
+`kernels_periodic` (`periodic_regime`, `_pipeline`).  This module adds what
+belongs to the pin bundle: the twist rho, the block reflection's value map,
+and the image maps.  Class A (projective) reflections act on the coordinate
+block k..p-1, superposed by the pipeline with the twist rho(A) = +1 for the
+trivial bundle and (-1)^|A| when the fiber is negated.  Class B (the Moebius
+strip, whose translations flip the last coordinate with their sign, and the
+Klein quotient, whose k-th translation folds axis k-1) is one image sum over
 `deck_signs` through the scalar regime: plain at k <= n-3, regularized at
 k = n-2 for both kinds.  Only the trivial pin bundle is constructed there,
 and only the SumParity sign variant defines a character (AllEven is
 reachable with `allow_noncharacter=True` for the probe pathway).
+
+`KERNELS` maps each CLI kernel name to its batched op (`KernelOp`).
 """
 
 from __future__ import annotations
+
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .calculus import FDScheme, _pointwise, dirac_residual_batch
 from .clifford import MultiVector, reflect_coords
-from .errors import DimensionMismatch, RegimeError, SingularPoint
+from .errors import ConfigError, DimensionMismatch, RegimeError, SingularPoint
 from .kernels_euclid import cauchy_g_batch, sq_norm
-from .kernels_periodic import _SINGULAR_R2, KernelEval, _pair_batch, _per_radius, periodic_regime
+from .kernels_periodic import (
+    _SINGULAR_R2,
+    KernelEval,
+    _pipeline,
+    _reflection_subsets,
+    cyl_cauchy,
+    cyl_cauchy_reg,
+    cyl_green,
+    cyl_green_reg,
+    periodic_regime,
+    torus_cauchy_two_point,
+)
 from .lattice import ManifoldSpec, apply_group_element, char_sign, deck_generators, deck_signs
 
 
 # -- Class A: projective cylinders and real projective space -------------------
 
-def _reflection_subsets(axes: list[int]) -> list[tuple[int, ...]]:
-    """All subsets of the reflected block, enumerated by ascending bitmask."""
-    out = []
-    q = len(axes)
-    for bits in range(1 << q):
-        out.append(tuple(axes[i] for i in range(q) if bits >> i & 1))
-    return out
-
-
-def _superpose(X, y, n: int, axes, negate_fiber: bool, form: str, diff, tail):
-    """Sum rho(A) diff(D_A) and tail(|D_A|) over every subset A of the reflected axes.
-
-    D_A is x minus the source reflected on A (`orbit`) or x - y reflected on
-    A (`paper_literal`); the bundle twist rho(A) is (-1)^|A| when the fiber
-    is negated and 1 otherwise.  Every add is elementwise, so values and
-    tails stacked over checkpoint radii sum row by row.
-    """
-    _check_form(form)
-    D, _ = _pair_batch(X, y, n)
-    X = np.asarray(X, dtype=float).reshape(-1, n)
-    vals = tails = 0.0
-    for subset in _reflection_subsets(axes):
-        rho = (-1.0) ** len(subset) if negate_fiber else 1.0
-        DA = X - reflect_coords(y, subset) if form == "orbit" else reflect_coords(D, subset)
-        vals = vals + rho * diff(DA)
-        tails = tails + tail(np.linalg.norm(DA, axis=1))
-    return vals, tails
-
-
-def _projective(M: ManifoldSpec, what: str, vector: bool, R: int, checkpoints):
-    """The regime's diff(D) and tail(sep) at radius R (and the checkpoints) for a
-    projective or oriented spec."""
+def _projective(M: ManifoldSpec, X, y, R: int, form: str, checkpoints, vector: bool, single=False):
+    """The pipeline of a projective (or oriented) spec: its regime's frame sum over the reflected block."""
     if M.kind not in ("Projective", "Cylinder", "Torus"):
-        raise RegimeError(f"{what} expects a projective or oriented spec, got {M.kind}")
+        raise RegimeError(f"{'proj_cauchy' if vector else 'proj_green'} expects a projective or "
+                          f"oriented spec, got {M.kind}")
     total, tail, _ = periodic_regime(M.lattice, M.bundle, vector)
-    return (lambda D: total(D, R, checkpoints=checkpoints),
-            lambda sep: _per_radius(lambda r: tail(r, sep), R, checkpoints))
+    return _pipeline(M.n, X, y, R, checkpoints, total, tail, single=single, axes=M.reflection_axes(),
+                     negate_fiber=M.bundle.negate_fiber, form=form)
 
 
 def proj_cauchy_batch(M: ManifoldSpec, X, y, R: int, form: str = "orbit", *, checkpoints=()):
@@ -91,77 +77,57 @@ def proj_cauchy_batch(M: ManifoldSpec, X, y, R: int, form: str = "orbit", *, che
     `kernels_periodic.cyl_cauchy` does; so do the other batched Class-A and
     Class-B kernels here.
     """
-    diff, tail = _projective(M, "proj_cauchy", True, R, checkpoints)
-    return _superpose(X, y, M.n, M.reflection_axes(), M.bundle.negate_fiber, form, diff, tail)
+    return _projective(M, X, y, R, form, checkpoints, True)
 
 
 def proj_cauchy(M: ManifoldSpec, x, y, R: int, form: str = "orbit") -> KernelEval:
     """Cauchy kernel on a projective cylinder (finite superposition of 2^(p-k))."""
-    vals, tails = proj_cauchy_batch(M, np.atleast_2d(np.asarray(x, float)), y, R, form)
-    return KernelEval.from_batch(vals, tails, R, M.n)
+    return _projective(M, x, y, R, form, (), True, single=True)
 
 
 def proj_green_batch(M: ManifoldSpec, X, y, R: int, form: str = "orbit", *, checkpoints=()):
     """Batched projective Green kernel: (values (B,), tail_bounds (B,))."""
-    diff, tail = _projective(M, "proj_green", False, R, checkpoints)
-    return _superpose(X, y, M.n, M.reflection_axes(), M.bundle.negate_fiber, form, diff, tail)
+    return _projective(M, X, y, R, form, checkpoints, False)
 
 
 def proj_green(M: ManifoldSpec, x, y, R: int, form: str = "orbit") -> KernelEval:
-    vals, tails = proj_green_batch(M, np.atleast_2d(np.asarray(x, float)), y, R, form)
-    return KernelEval.from_batch(vals, tails, R, M.n)
+    return _projective(M, x, y, R, form, (), False, single=True)
 
 
-def realproj_cauchy_batch(p: int, X, y, form: str = "orbit", negate_fiber: bool = False):
-    """k = 0 specialisation: finite reflection sum of the Euclidean kernel.
+def _realproj(p: int, X, y, form: str, negate_fiber: bool, R=0, checkpoints=(), single=False):
+    """The k = 0 pipeline: a finite reflection sum, the same at every radius, with zero tails.
 
     A difference D_A with |D_A|^2 < `_SINGULAR_R2` (|x| + |y|)^2 is on the
     singular orbit and raises `SingularPoint`, in both forms and at every scale.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    n = X.shape[1]
-    if not 0 <= p <= n:
+    if not 0 <= p <= X.shape[1]:
         raise RegimeError(f"reflection count p must satisfy 0 <= p <= n, got {p}")
-    _pair_batch(X, y, n)  # shapes and finiteness, before the norms below
-    singular = _SINGULAR_R2 * (np.sqrt(sq_norm(X)) + np.sqrt(sq_norm(np.asarray(y, float)))) ** 2
 
-    def diff(DA):
+    def total(DA, R, checkpoints=()):
+        singular = _SINGULAR_R2 * (np.sqrt(sq_norm(X)) + np.sqrt(sq_norm(np.asarray(y, float)))) ** 2
         if np.any(sq_norm(DA) < singular):
             raise SingularPoint("evaluation point on a kernel singularity")
-        return cauchy_g_batch(DA, 0.0)
+        G = cauchy_g_batch(DA, 0.0)
+        return np.stack([G] * (len(checkpoints) + 1)) if checkpoints else G
 
-    vals, _ = _superpose(X, y, n, list(range(p)), negate_fiber, form, diff, lambda sep: 0.0)
-    return vals
+    return _pipeline(X.shape[1], X, y, R, checkpoints, total, lambda r, sep: np.zeros(len(sep)),
+                     single=single, axes=list(range(p)), negate_fiber=negate_fiber, form=form)
+
+
+def realproj_cauchy_batch(p: int, X, y, form: str = "orbit", negate_fiber: bool = False):
+    """k = 0 specialisation: finite reflection sum of the Euclidean kernel; values (B, n)."""
+    return _realproj(p, X, y, form, negate_fiber)[0]
 
 
 def realproj_cauchy(p: int, x, y, form: str = "orbit", negate_fiber: bool = False) -> MultiVector:
-    vals = realproj_cauchy_batch(p, np.atleast_2d(np.asarray(x, float)), y, form, negate_fiber)
-    return MultiVector.from_vector(vals[0])
-
-
-def _check_form(form: str):
-    if form not in ("orbit", "paper_literal"):
-        raise ValueError(f"unknown kernel form {form!r}; use 'orbit' or 'paper_literal'")
+    return _realproj(p, x, y, form, negate_fiber, single=True).value
 
 
 # -- Class B: Moebius strips and Klein quotients -------------------------------
 
-def _class_b_pairs(M: ManifoldSpec, kind: str, X, y, form: str):
-    """Checks and pair batch shared by the Class-B kernels: (X, y, D0 = x - y)."""
-    _check_form(form)
-    if M.kind != kind:
-        raise RegimeError(f"the {kind} Green kernel requires a {kind} spec")
-    if M.bundle.l != 0 or M.bundle.negate_fiber:
-        raise RegimeError(f"only the trivial pin bundle is constructed on {kind} quotients")
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    yv = np.asarray(y, dtype=float)
-    if yv.ndim != 1:
-        raise DimensionMismatch(f"the {kind} Green kernel takes one source point y")
-    D0, _ = _pair_batch(X, yv, M.n)
-    return X, yv, D0
-
-
-def _class_b_green(M: ManifoldSpec, X, yv, D0, R: int, form: str, c: int, checkpoints):
+def _class_b(M: ManifoldSpec, kind: str, X, y, R: int, form: str, checkpoints, single=False,
+             allow_noncharacter=False):
     """Green image sum over the deck group, twisted on axis c: (values (B,), tails (B,)).
 
     The scalar regime of the rank (`periodic_regime`) gives the sum, its
@@ -169,47 +135,51 @@ def _class_b_green(M: ManifoldSpec, X, yv, D0, R: int, form: str, c: int, checkp
     w = m @ basis).  The orbit form's differences (x - S y) + w are x minus
     the source's images (each shell holds -m beside m, with the same S); the
     literal form's S (x - y) + w has the norm of the paper's x - y + S w.
-    The tail's separation is |x - y| except |x_c| + |y_c| on axis c, over all
-    n axes when regularized and the first k otherwise.  With `checkpoints`,
-    values and tails get a row per radius.
+    The tail's separation is |x - y| except |x_c| + |y_c| on axis c (n-1 on
+    the Moebius strip, k-1 on the Klein quotient), over all n axes when
+    regularized and the first k otherwise.
     """
+    if M.kind != kind:
+        raise RegimeError(f"the {kind} Green kernel requires a {kind} spec")
+    if M.bundle.l != 0 or M.bundle.negate_fiber:
+        raise RegimeError(f"only the trivial pin bundle is constructed on {kind} quotients")
+    moebius = kind == "MoebiusStrip"
+    if moebius and M.sign_variant == "AllEven" and not allow_noncharacter:
+        raise RegimeError("AllEven sign variant is not a lattice character; pass allow_noncharacter=True "
+                          "to probe it anyway")
     total, tail, regularized = periodic_regime(M.lattice, M.bundle, False)
+    c = M.n - 1 if moebius else M.k - 1
     orbit = form == "orbit"
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    y = np.asarray(y, dtype=float)
+    if y.ndim != 1:
+        raise DimensionMismatch(f"the {kind} Green kernel takes one source point y")
 
     def image(P, Ms, W):
         S = deck_signs(M, Ms)[:, None, :]
-        return (P[None] - S * yv if orbit else S * P[None]) + W[:, None, :]
+        return (P[None] - S * y if orbit else S * P[None]) + W[:, None, :]
 
-    vals = total(X if orbit else D0, R, image, checkpoints)
-    E = np.abs(D0)
-    E[:, c] = np.abs(X[:, c]) + abs(yv[c])
-    E = E[:, : M.n if regularized else M.k]
-    # the first c axes, then the twisted one: the order the tail bits depend on
-    sep = np.sqrt(np.sum(E[:, :c] ** 2, axis=1) + np.sum(E[:, c:] ** 2, axis=1))
-    return vals, _per_radius(lambda r: tail(r, sep), R, checkpoints)
+    def sep(D0):
+        E = np.abs(D0)
+        E[:, c] = np.abs(X[:, c]) + abs(y[c])
+        E = E[:, : M.n if regularized else M.k]
+        # the first c axes, then the twisted one: the order the tail bits depend on
+        return np.sqrt(np.sum(E[:, :c] ** 2, axis=1) + np.sum(E[:, c:] ** 2, axis=1))
+
+    return _pipeline(M.n, X, y, R, checkpoints,
+                     lambda D0, R, checkpoints: total(X if orbit else D0, R, image, checkpoints),
+                     tail, sep=sep, single=single, form=form)
 
 
-def moebius_green_batch(
-    M: ManifoldSpec, X, y, R: int, form: str = "orbit", allow_noncharacter: bool = False, *,
-    checkpoints=(),
-):
+def moebius_green_batch(M: ManifoldSpec, X, y, R: int, form: str = "orbit", allow_noncharacter: bool = False,
+                        *, checkpoints=()):
     """Batched Moebius-strip Green kernel: (values (B,), tail_bounds (B,))."""
-    pairs = _class_b_pairs(M, "MoebiusStrip", X, y, form)
-    if M.sign_variant == "AllEven" and not allow_noncharacter:
-        raise RegimeError(
-            "AllEven sign variant is not a lattice character; pass allow_noncharacter=True "
-            "to probe it anyway"
-        )
-    return _class_b_green(M, *pairs, R, form, M.n - 1, checkpoints)
+    return _class_b(M, "MoebiusStrip", X, y, R, form, checkpoints, allow_noncharacter=allow_noncharacter)
 
 
-def moebius_green(
-    M: ManifoldSpec, x, y, R: int, form: str = "orbit", allow_noncharacter: bool = False
-) -> KernelEval:
-    vals, tails = moebius_green_batch(
-        M, np.atleast_2d(np.asarray(x, float)), y, R, form, allow_noncharacter
-    )
-    return KernelEval.from_batch(vals, tails, R, M.n)
+def moebius_green(M: ManifoldSpec, x, y, R: int, form: str = "orbit",
+                  allow_noncharacter: bool = False) -> KernelEval:
+    return _class_b(M, "MoebiusStrip", x, y, R, form, (), True, allow_noncharacter)
 
 
 def klein_green_batch(M: ManifoldSpec, X, y, R: int, form: str = "orbit", *, checkpoints=()):
@@ -218,13 +188,60 @@ def klein_green_batch(M: ManifoldSpec, X, y, R: int, form: str = "orbit", *, che
     Plain at k <= n-3 and regularized at k = n-2, as `periodic_regime` picks
     for a scalar kernel; k = n-1 raises `RegimeError`.
     """
-    pairs = _class_b_pairs(M, "KleinBottle", X, y, form)
-    return _class_b_green(M, *pairs, R, form, M.k - 1, checkpoints)
+    return _class_b(M, "KleinBottle", X, y, R, form, checkpoints)
 
 
 def klein_green(M: ManifoldSpec, x, y, R: int, form: str = "orbit") -> KernelEval:
-    vals, tails = klein_green_batch(M, np.atleast_2d(np.asarray(x, float)), y, R, form)
-    return KernelEval.from_batch(vals, tails, R, M.n)
+    return _class_b(M, "KleinBottle", x, y, R, form, (), True)
+
+
+# -- the kernel names ---------------------------------------------------------------
+
+class KernelOp(NamedTuple):
+    """A kernel name's batched op: `run(M, X, R, checkpoints=(), *, y, form, **inputs)` calls the
+    public entry by name (a tracer rebinds those names); `points` are the config points it takes
+    besides x and y, `orbit` the form an `orbit` config runs as, `truncated` False for a finite sum."""
+
+    run: Callable
+    points: tuple = ()
+    orbit: str = "orbit"
+    truncated: bool = True
+
+
+def _lattice(M: ManifoldSpec):
+    if M.lattice is None:
+        raise ConfigError(f"the kernel needs a lattice in the manifold spec, and a {M.kind} spec has none")
+    return M.lattice, M.bundle
+
+
+def _realproj_op(M: ManifoldSpec, X, R, checkpoints=(), *, y, form, **_):
+    if M.kind != "RealProjective":
+        raise ConfigError("realproj-cauchy needs a RealProjective manifold spec")
+    return _realproj(M.p, X, y, form, M.bundle.negate_fiber, R, checkpoints)
+
+
+KERNELS = {
+    "cyl-cauchy": KernelOp(lambda M, X, R, cps=(), *, y, **_: cyl_cauchy(*_lattice(M), X, y, R, checkpoints=cps)),
+    "cyl-cauchy-reg": KernelOp(
+        lambda M, X, R, cps=(), *, y, **_: cyl_cauchy_reg(*_lattice(M), X, y, R, checkpoints=cps)),
+    "cyl-green": KernelOp(lambda M, X, R, cps=(), *, y, **_: cyl_green(*_lattice(M), X, y, R, checkpoints=cps)),
+    "cyl-green-reg": KernelOp(
+        lambda M, X, R, cps=(), *, y, **_: cyl_green_reg(*_lattice(M), X, y, R, checkpoints=cps)),
+    "torus-cauchy": KernelOp(
+        lambda M, X, R, cps=(), *, a, b, form, **_: torus_cauchy_two_point(
+            *_lattice(M), a, b, X, R, form, checkpoints=cps),
+        points=("a", "b"), orbit="coupled_subtracted"),
+    "proj-cauchy": KernelOp(
+        lambda M, X, R, cps=(), *, y, form, **_: proj_cauchy_batch(M, X, y, R, form, checkpoints=cps)),
+    "proj-green": KernelOp(
+        lambda M, X, R, cps=(), *, y, form, **_: proj_green_batch(M, X, y, R, form, checkpoints=cps)),
+    "realproj-cauchy": KernelOp(_realproj_op, truncated=False),
+    "moebius-green": KernelOp(
+        lambda M, X, R, cps=(), *, y, form, allow_noncharacter=False, **_: moebius_green_batch(
+            M, X, y, R, form, allow_noncharacter, checkpoints=cps)),
+    "klein-green": KernelOp(
+        lambda M, X, R, cps=(), *, y, form, **_: klein_green_batch(M, X, y, R, form, checkpoints=cps)),
+}
 
 
 # -- descent and obstruction probes ----------------------------------------------

@@ -1,0 +1,198 @@
+"""The one kernel pipeline: finite values, the form check, the name table,
+signed zeros, scale covariance of the torus and Moebius kernels, and the
+image width of point chunks."""
+
+import json
+
+import numpy as np
+import pytest
+
+from flatkernels import kernels_periodic
+from flatkernels.cli import KERNEL_NAMES, main
+from flatkernels.errors import ConfigError
+from flatkernels.kernels_periodic import cyl_cauchy, cyl_green_reg, torus_cauchy_two_point
+from flatkernels.kernels_pin import (
+    KERNELS,
+    klein_green,
+    klein_green_batch,
+    moebius_green,
+    moebius_green_batch,
+    proj_cauchy,
+    proj_cauchy_batch,
+    proj_green,
+    realproj_cauchy,
+    realproj_cauchy_batch,
+)
+from flatkernels.lattice import BundleCharacter, Lattice, ManifoldSpec
+
+CH0 = BundleCharacter(0)
+CH1 = BundleCharacter(1)
+TINY = 1e-150
+TORUS_BASIS = np.array([[1.0, 0.0], [0.2, 1.0]])
+TORUS_A, TORUS_B, TORUS_X = np.array([0.25, 0.25]), np.array([0.75, 0.6]), np.array([0.3, 0.1])
+
+
+# -- values past the float range ------------------------------------------------
+
+OVERFLOWING = {
+    "cylinder": lambda: cyl_cauchy(Lattice(np.eye(4)[:1] * 1e-100), CH0, np.array([[0.3, 0.2, 0.1, 0.4]]) * 1e-100,
+                                   np.array([0.6, 0.5, 0.4, 0.3]) * 1e-100, 5),
+    "torus": lambda: torus_cauchy_two_point(Lattice(TORUS_BASIS * TINY), CH0, TORUS_A * TINY, TORUS_B * TINY,
+                                            TORUS_X * TINY, 3),
+    "projective": lambda: proj_cauchy_batch(ManifoldSpec("Projective", 3, Lattice([[TINY, 0.0, 0.0]]), p=2),
+                                            np.array([[0.3, 0.2, 0.1]]) * TINY, np.array([0.6, 0.5, 0.4]) * TINY, 3),
+    "real projective": lambda: realproj_cauchy_batch(2, np.array([[0.3, 0.2, 0.1]]) * TINY,
+                                                     np.array([0.6, 0.5, 0.4]) * TINY),
+    "moebius": lambda: moebius_green_batch(
+        ManifoldSpec("MoebiusStrip", 5, Lattice(np.eye(5)[:2] * TINY), sign_variant="SumParity"),
+        np.linspace(0.1, 0.5, 5)[None] * TINY, np.linspace(0.6, 0.2, 5) * TINY, 5),
+}
+
+
+@pytest.mark.parametrize("family", sorted(OVERFLOWING))
+def test_a_value_past_the_float_range_raises_config_error(family):
+    # pytest turns RuntimeWarning into an error: a numpy warning first would fail this
+    with pytest.raises(ConfigError, match="float range"):
+        OVERFLOWING[family]()
+
+
+def test_tails_may_overflow_without_a_warning():
+    s = 1e-100
+    M = ManifoldSpec("MoebiusStrip", 5, Lattice(np.eye(5)[:3] * s), sign_variant="SumParity")
+    vals, tails = moebius_green_batch(M, np.linspace(0.1, 0.5, 5)[None] * s, np.linspace(0.6, 0.2, 5) * s, 5)
+    assert np.isfinite(vals).all() and np.isinf(tails).all()
+
+
+def test_cli_exits_2_on_an_overflowing_torus(tmp_path, capsys):
+    p = tmp_path / "tiny.json"
+    p.write_text(json.dumps({
+        "kernel": "torus-cauchy", "R": 3, "x": (TORUS_X * TINY).tolist(), "y": [0.0, 0.0],
+        "a": (TORUS_A * TINY).tolist(), "b": (TORUS_B * TINY).tolist(),
+        "manifold": {"kind": "Torus", "n": 2, "basis": (TORUS_BASIS * TINY).tolist()}}))
+    assert main(["eval", "--config", str(p)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("config error: ")
+
+
+# -- the one form check -----------------------------------------------------------
+
+PROJ = ManifoldSpec("Projective", 3, Lattice([[1.0, 0.0, 0.0]]), p=2)
+MOEB = ManifoldSpec("MoebiusStrip", 4, Lattice(np.eye(4)[:2]), sign_variant="SumParity")
+KLEIN = ManifoldSpec("KleinBottle", 4, Lattice(np.eye(4)[:1]))
+X3, Y3 = np.array([0.3, 0.45, 0.6]), np.array([0.7, 0.8, 0.25])
+X4, Y4 = np.array([0.3, 0.2, 0.1, 0.4]), np.array([0.6, 0.5, 0.4, 0.3])
+
+
+@pytest.mark.parametrize("call", [
+    lambda: torus_cauchy_two_point(Lattice(TORUS_BASIS), CH0, TORUS_A, TORUS_B, TORUS_X, 3, form="x"),
+    lambda: torus_cauchy_two_point(Lattice(TORUS_BASIS), CH0, TORUS_A, TORUS_B, TORUS_X, 3, form="orbit"),
+    lambda: proj_cauchy(PROJ, X3, Y3, 3, form="x"),
+    lambda: proj_green(PROJ, X3, Y3, 3, form="x"),
+    lambda: proj_cauchy_batch(PROJ, X3[None], Y3, 3, form="x"),
+    lambda: realproj_cauchy(2, X3, Y3, form="x"),
+    lambda: moebius_green(MOEB, X4, Y4, 3, form="x"),
+    lambda: klein_green_batch(KLEIN, X4[None], Y4, 3, form="x"),
+], ids=["torus", "torus-orbit", "proj", "proj-green", "proj-batch", "realproj", "moebius", "klein"])
+def test_unknown_form_raises_config_error(call):
+    with pytest.raises(ConfigError, match="unknown form"):
+        call()
+
+
+# -- the name table ---------------------------------------------------------------
+
+def test_cli_names_are_the_table_keys_in_order():
+    assert KERNEL_NAMES == tuple(KERNELS) == (
+        "cyl-cauchy", "cyl-cauchy-reg", "cyl-green", "cyl-green-reg", "torus-cauchy",
+        "proj-cauchy", "proj-green", "realproj-cauchy", "moebius-green", "klein-green")
+
+
+def test_single_points_are_row_0_of_the_batch():
+    for one, batch, args in [
+        (klein_green, klein_green_batch, (KLEIN, X4, Y4, 6)),
+        (moebius_green, moebius_green_batch, (MOEB, X4, Y4, 6)),
+        (proj_cauchy, proj_cauchy_batch, (PROJ, X3, Y3, 6)),
+    ]:
+        e = one(*args)
+        vals, tails = batch(args[0], args[1][None], *args[2:])
+        assert np.asarray(e.vector if vals.ndim == 2 else e.scalar).tobytes() == vals[0].tobytes()
+        assert e.tail_bound == tails[0]
+
+
+# -- signed zeros -----------------------------------------------------------------
+
+def _signed_zero_case():
+    """x_j = -0.0 against y_j = 0.0 on a transverse axis: equal coordinates, and
+    the cylinder's near term keeps the sign of x_j - y_j = -0.0."""
+    y = np.array([0.9, 0.1, 0.0, 0.2])
+    X = np.random.default_rng(11).uniform(-0.5, 0.5, size=(12, 4))
+    X[:, 2] = -0.0
+    return y, X
+
+
+def test_cylinder_keeps_negative_zeros_in_library_and_table(tmp_path):
+    y, X = _signed_zero_case()
+    vals, _ = cyl_cauchy(Lattice([[1.0, 0.0, 0.0, 0.0]]), CH0, X, y, 6)
+    negative_zero = (vals == 0.0) & np.signbit(vals)
+    assert negative_zero[:, 2].sum() >= 3 and not negative_zero[:, [0, 1, 3]].any()
+    p = tmp_path / "zero.json"
+    p.write_text(json.dumps({"kernel": "cyl-cauchy", "R": 6, "y": y.tolist(), "points": X.tolist(),
+                             "manifold": {"kind": "Cylinder", "n": 4, "basis": [[1.0, 0, 0, 0]]}}))
+    for threads in ("1", "2"):
+        out = tmp_path / f"t{threads}.csv"
+        assert main(["table", "--config", str(p), "--threads", threads, "--out", str(out)]) == 0
+        cells = [line.split(",")[5:9] for line in out.read_text().splitlines()[1:]]
+        assert (np.array(cells) == "-0").tolist() == negative_zero.tolist()
+        assert np.array(cells, dtype=float).tobytes() == vals.tobytes()
+
+
+# -- scale covariance ---------------------------------------------------------------
+
+SCALES = [1e-8, 3.0, 1e8]
+
+
+def _covariant(run, power):
+    base_v, base_t = run(1.0)
+    for lam in SCALES:
+        v, t = run(lam)
+        v, t = v * lam ** -power, t * lam ** -power
+        assert np.max(np.abs(v - base_v)) <= 1e-13 * np.max(np.abs(base_v)), lam
+        assert np.allclose(t, base_t, rtol=1e-13, atol=0.0), lam
+
+
+@pytest.mark.parametrize("l", [0, 1])
+def test_torus_scale_covariance(l):
+    """K(lam x; lam a, lam b) = lam^(1-n) K(x; a, b) on the lattice lam L, tails alike."""
+    basis = np.array([[1.0, 0.0, 0.0], [0.2, 1.0, 0.0], [0.2, 0.2, 1.0]])
+    X = np.random.default_rng(21).uniform(0.05, 0.95, size=(6, 3))
+    a, b = np.array([0.1, 0.2, 0.3]), np.array([0.6, 0.5, 0.4])
+    _covariant(lambda lam: torus_cauchy_two_point(Lattice(lam * basis), BundleCharacter(l), lam * a, lam * b,
+                                                  lam * X, 6), 1 - 3)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("form", ["orbit", "paper_literal"])
+def test_moebius_scale_covariance(form, k):
+    """lam^(2-n) for the plain (k = 2) and regularized (k = 3) sums in R^5."""
+    X = np.random.default_rng(22).uniform(0.05, 0.95, size=(6, 5))
+    y = np.array([0.5, 0.4, 0.3, 0.2, 0.1])
+
+    def run(lam):
+        M = ManifoldSpec("MoebiusStrip", 5, Lattice(lam * np.eye(5)[:k]), sign_variant="SumParity")
+        return moebius_green_batch(M, lam * X, lam * y, 6, form)
+
+    _covariant(run, 2 - 5)
+
+
+# -- point chunks by image width ---------------------------------------------------
+
+def test_blocks_hold_at_most_a_tile_of_image_coordinates(monkeypatch):
+    sizes = []
+    real = kernels_periodic.sq_norm
+    monkeypatch.setattr(kernels_periodic, "sq_norm", lambda U: sizes.append(U.size) or real(U))
+    X = np.random.default_rng(23).uniform(0.0, 1.0, (2048, 5))
+    vals, _ = cyl_green_reg(Lattice(np.eye(5)[:3]), CH0, X, np.array([0.5, 0.4, 0.3, 0.2, 0.1]), 3)
+    monkeypatch.undo()
+    assert max(sizes) <= kernels_periodic._TILE
+    one = cyl_green_reg(Lattice(np.eye(5)[:3]), CH0, X[1500], np.array([0.5, 0.4, 0.3, 0.2, 0.1]), 3)
+    assert one.scalar == vals[1500]
