@@ -16,20 +16,27 @@ while the arrays keep their (m, B, n) shapes as views; elementwise loops
 then run over the batch or the shell rows instead of over the n
 coordinates.
 
-Row blocks: a shell is evaluated in blocks of rows, the largest power of
-two whose images of the chunk hold at most `_TILE` = 2^15 coordinates
-(256 KiB), and never fewer than `_MIN_ROWS` rows.  Memory then follows the
-block, not the shell.  The bits do not move: a block of 2^j rows that
-starts at a multiple of 2^j is one subtree of the shell's pairwise tree
-(`_pairwise_sum`), the last block a partial one, so the pairwise sum of the
-block sums is the shell sum.  Every term is elementwise in its row.  The
+Row blocks: the terms are evaluated a block of rows at a time, and a block
+holds at most `_TILE` = 2^15 image coordinates of the chunk (256 KiB), so
+memory follows the block, not the shell.  A shell with more rows than the
+largest power of two that fits (`_block_rows`, never fewer than
+`_MIN_ROWS`) is split into blocks of that many rows.  The bits do not
+move: a block of 2^j rows that starts at a multiple of 2^j is one subtree
+of the shell's pairwise tree (`_pairwise_sum`), the last block a partial
+one, so the pairwise sum of the block sums is the shell sum.  Smaller
+shells r >= 1 go the other way: a run of consecutive whole shells shares
+one block while their rows fit the tile, and each shell's rows are summed
+as their own slice of the block's terms, so every shell keeps its pairwise
+tree and its compensated add.  Every term is elementwise in its row.  The
 BLAS products of a block (W = m @ basis, the torus's W @ V) round each row
 as in the whole shell only if the block starts on the row groups the BLAS
 kernels unroll: with OpenBLAS a 1-row W takes a vector kernel and a 2-row
 W @ V at n = 9 another order of adds, both measured to change bits.  So a
-block holds at least `_MIN_ROWS` = 16 rows, which covers the row unrolls
-of the x86 OpenBLAS kernels; shells r >= 1 have an even row count, so the
-last block is never a single row.
+split shell's block holds at least `_MIN_ROWS` = 16 rows, which covers the
+row unrolls of the x86 OpenBLAS kernels; shells r >= 1 have an even row
+count, so the last block is never a single row.  Runs are tested to keep
+the bits of one block per shell: at rank 1 each row of W is one exact
+product, and at rank >= 2 a run holds at least 24 rows.
 
 Checkpoints: the sum to a radius r is a prefix of the sum to any R > r, so
 one pass to R can return the sums to several radii (`shell_sum`'s
@@ -234,8 +241,8 @@ def kahan_shell_sum(shape, shells, prefixes=()):
     return np.stack(rows + [total]) if prefixes else total
 
 
-# A row block holds at most this many image coordinates (256 KiB of floats),
-# and never fewer than _MIN_ROWS rows (see `shell_sum`).
+# A row block holds at most this many image coordinates (256 KiB of floats);
+# a split shell's blocks hold at least _MIN_ROWS rows (see `shell_sum`).
 _TILE = 2**15
 _MIN_ROWS = 16
 
@@ -304,11 +311,14 @@ def shell_sum(L: Lattice, char: BundleCharacter, D: np.ndarray, R: int, term,
     result does not depend on the chunking.  Shells come from `_shell_rows`:
     a large one is built for each chunk that reaches it and dropped after it.
 
-    Each shell is evaluated in row blocks (`_block_rows`: a power of two of
-    rows, at most `_TILE` image coordinates of the chunk, at least
-    `_MIN_ROWS` rows), each reduced by `_pairwise_sum`; the pairwise sum of
-    the block sums has the bits of the whole shell's tree (module
-    docstring).  A shell that fits one block is summed as it is, uncopied.
+    Terms are evaluated in row blocks of at most `_TILE` image coordinates of
+    the chunk (module docstring).  A shell of more than `_block_rows` rows is
+    split into blocks of that many rows (a power of two, at least
+    `_MIN_ROWS`), each reduced by `_pairwise_sum`; the pairwise sum of the
+    block sums has the bits of the whole shell's tree.  Consecutive smaller
+    shells r >= 1 share one block while their rows fit the tile, and each is
+    summed as its own row slice of the block's terms, as if alone.  A run of
+    one shell is summed as it is, uncopied.
 
     `image` gets the chunk D (b, ..., n) and the shell's W (m, n) in Fortran
     order (module docstring); an image that returns another layout gets the
@@ -353,13 +363,26 @@ def shell_sum(L: Lattice, char: BundleCharacter, D: np.ndarray, R: int, term,
             return t
 
         def shells():
-            for r in range(_start, R + 1):
+            r = _start
+            while r <= R:
                 Ms = _shell_rows(L.k, r)
-                if len(Ms) <= rows:
-                    yield block(Ms, r)
-                else:
+                if len(Ms) > rows:
                     yield np.stack([_pairwise_sum(block(Ms[i : i + rows], r))
                                     for i in range(0, len(Ms), rows)])
+                    r += 1
+                    continue
+                run, m = [Ms], len(Ms)  # whole shells r >= 1 that share one block
+                while r > 0 and r + len(run) <= R:
+                    size = _shell_size(L.k, r + len(run))
+                    if size > rows or (m + size) * Dc.size > _TILE:
+                        break
+                    run.append(_shell_rows(L.k, r + len(run)))
+                    m += size
+                t = block(np.concatenate(run) if len(run) > 1 else Ms, r)
+                for Ms in run:  # a row slice per shell: its own tree, add and checkpoint
+                    yield t[: len(Ms)]
+                    t = t[len(Ms) :]
+                r += len(run)
 
         # without checkpoints the call keeps its two-argument form, so a stand-in
         # sum with that signature (an exact reference sum, say) still fits

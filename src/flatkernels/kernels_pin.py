@@ -270,16 +270,18 @@ def descent_check(M: ManifoldSpec, kernel, samples, R: int) -> dict:
     """Max deviation of K(gamma x, y) from rho(gamma) K(x, y) over samples.
 
     gamma runs over `lattice.deck_generators(M)`.  `kernel` is a callable
-    (x, y) -> KernelEval.  Report-only: the caller decides what deviation is
-    acceptable; `tail_context` carries the 2*tau certificate that
-    equivariance of a truncated sum can honestly meet.  A row whose two
-    tails are 0 (a finite sum) is held to rounding, 16 eps (|K(x)| + |K(gx)|).
+    (x, y) -> KernelEval, called once per sample for K(x, y) and once per
+    generator and sample for K(gamma x, y).  Report-only: the caller decides
+    what deviation is acceptable; `tail_context` carries the 2*tau
+    certificate that equivariance of a truncated sum can honestly meet.  A
+    row whose two tails are 0 (a finite sum) is held to rounding, 16 eps
+    (|K(x)| + |K(gx)|).
     """
     rows = []
+    points = [(np.asarray(x, float), np.asarray(y, float)) for x, y in samples]
+    bases = [kernel(x, y) for x, y in points]
     for label, g in deck_generators(M):
-        for idx, (x, y) in enumerate(samples):
-            x, y = np.asarray(x, float), np.asarray(y, float)
-            base = kernel(x, y)
+        for idx, ((x, y), base) in enumerate(zip(points, bases)):
             moved = kernel(apply_group_element(M, g, x), y)
             expect = base.value * _twist(M, g)
             if g.flip:

@@ -304,6 +304,17 @@ class TestKleinGreen:
         rep = descent_check(KLE6, lambda a, b: klein_green(KLE6, a, b, 20), [(X6, Y6)], 20)
         assert rep["within_bounds"]
 
+    def test_descent_evaluates_each_base_once(self):
+        # two generators (v1 and the fold), three samples: 3 + 2 * 3 kernel calls, not 2 * 2 * 3
+        samples = [(X6 + 0.05 * i, Y6) for i in range(3)]
+        calls = []
+        kernel = lambda a, b: calls.append(a) or klein_green(KLE6, a, b, 6)
+        rep = descent_check(KLE6, kernel, samples, 6)
+        assert len(calls) == 3 + 2 * 3
+        assert [(r["generator"], r["sample"]) for r in rep["rows"]] == [
+            (g, i) for g in ("translation v1", "fold translation e_k") for i in range(3)]
+        assert rep["within_bounds"]
+
     def test_orbit_harmonic(self):
         f = lambda Z: klein_green_batch(KLE6, Z, Y6, 20)[0]
         assert float(laplace_residual_batch(f, X6[None, :])[0]) <= 1e-5
