@@ -6,10 +6,10 @@ reports carry the library version plus a config echo but no timestamps.
 Every kernel command evaluates through one batched op per kernel
 (`make_evaluator`).  `converge` is one pass: a single call at the largest
 radius, with the other radii as checkpoints of the shell sum, each row
-bit-identical to a separate call at its radius.  Worker threads (--threads)
-fan out contiguous slices of the points in `table` and join the results in
-input order; a point's bits do not depend on the batch it shares, so the
-thread count never changes the bytes.  `converge` accepts --threads and
+bit-identical to a separate call at its radius.  Worker threads (--threads),
+one `threading.Thread` per contiguous slice of the points in `table`, join
+their results in input order; a point's bits do not depend on the batch it
+shares, so the thread count never changes the bytes.  `converge` accepts --threads and
 ignores it: its one pass has nothing to fan out.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error.
@@ -22,6 +22,7 @@ import functools
 import json
 import math
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -194,12 +195,31 @@ def _segment_points(cfg: dict, n: int) -> np.ndarray:
 
 
 def _pool_map(fn, items, threads: int):
+    """[fn(item) for item in items], with one `threading.Thread` per item if threads > 1.
+
+    A worker's exception is raised here once every worker has ended, the first
+    item's first.
+    """
     if threads <= 1:
         return [fn(it) for it in items]
-    from concurrent.futures import ThreadPoolExecutor  # only threaded runs pay for the import
+    results = [None] * len(items)
+    errors = [None] * len(items)
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+    def work(i):
+        try:
+            results[i] = fn(items[i])
+        except BaseException as exc:  # handed to the main thread
+            errors[i] = exc
+
+    workers = [threading.Thread(target=work, args=(i,)) for i in range(len(items))]
+    for w in workers:
+        w.start()
+    for w in workers:
+        w.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return results
 
 
 def cmd_table(args) -> int:

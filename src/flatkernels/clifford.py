@@ -5,13 +5,16 @@ bitmask selecting the canonical blade e_{i1}...e_{ir} with i1 < ... < ir
 (0-based axes).  Blade products are signed by the standard transposition-count
 algorithm plus one sign flip per annihilated generator pair.
 
-`gp` evaluates a product by gathering: one cached table per algebra holds, for
+`gp` evaluates a product through one cached table per algebra that holds, for
 output slot k, the partner blade i ^ k of every blade i and the sign of
 e_i e_(i^k).  Slot k is then a sum of (sign a_i) b_(i^k) started at +0.0 and
 taken in ascending blade order i, skipping blades of `a` that are zero
 throughout.  That order alone fixes the bits of every product, signed zeros
 included; for finite operands they do not depend on the operand layout or the
-batch size.
+batch size.  A batched product gathers whole partner arrays when every blade
+of `b` is live, and otherwise multiplies only the pairs whose blade of `b` is
+nonzero somewhere (vector times vector: n^2 of the 4^n pairs); a skipped
+pair adds +-0, which leaves a sum started at +0.0 as it is.
 
 Module-level helpers (`gp`, `reversion_coeffs`) operate on raw coefficient
 arrays of shape (..., 2^n) so that batched kernel and quadrature code can stay
@@ -86,12 +89,20 @@ def gp(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     """Geometric product on coefficient arrays of shape (..., 2^n).
 
     Output slot k is the sum over blades i of (sign[i, k] a_i) b_partner[i, k],
-    read by gathers through `_gather_table` (signs from the transposition
-    count in `_tables`), started at +0.0 and taken in ascending i; that order
-    fixes the bits.  Blades of `a` that are zero throughout are skipped.  Two
-    1-D operands form one (nonzero blades of a) x 2^n term matrix whose rows
-    are added in order; batched operands add one gathered term array per
-    nonzero blade of `a`, with no (..., 2^n, 2^n) temporary.  Raises
+    read through `_gather_table` (signs from the transposition count in
+    `_tables`), started at +0.0 and taken in ascending i; that order fixes the
+    bits.  Blades of `a` that are zero throughout are skipped.  Two 1-D
+    operands form one (nonzero blades of a) x 2^n term matrix whose rows are
+    added in order.
+
+    Batched operands: blade i of `a` meets every blade of `b` once, the
+    partner of slot k being i ^ k.  If every blade of `b` is nonzero
+    somewhere, each blade of `a` adds one gathered (..., 2^n) term array,
+    vectorised.  Otherwise only the live pairs are multiplied: for each
+    blade j of `b` that is nonzero somewhere, slot i ^ j adds or subtracts
+    a_i b_j, one column at a time.  A skipped pair's products are +-0, and
+    adding +-0 to a sum started at +0.0 changes no bit (round to nearest
+    never makes that sum -0.0), so both ways give the same bits.  Raises
     DimensionMismatch unless both trailing axes have length 2^n.
     """
     partner, sign = _gather_table(n)
@@ -110,9 +121,21 @@ def gp(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
         # a reduction over the outer axis adds whole rows, one after another
         return np.add.reduce(terms, axis=0, initial=0.0)
     blades = a.reshape(-1, dim).any(axis=0).nonzero()[0]
+    rows = b.reshape(-1, dim)
+    # a first row with every blade nonzero settles it without a pass over b
+    live = range(dim) if np.count_nonzero(rows[:1]) == dim else rows.any(axis=0).nonzero()[0]
     out = np.zeros(np.broadcast_shapes(a.shape, b.shape))
+    if len(live) == dim:
+        for i in blades:
+            out += (a[..., i, None] * sign[i]) * np.take(b, partner[i], axis=-1)
+        return out
+    # (-a_i) b_j is -(a_i b_j) exactly, and x + (-p) is x - p
+    ab = np.empty(out.shape[:-1])
     for i in blades:
-        out += (a[..., i, None] * sign[i]) * np.take(b, partner[i], axis=-1)
+        for j in live:
+            k = i ^ j
+            np.multiply(a[..., i], b[..., j], out=ab)
+            (np.add if sign[i, k] > 0 else np.subtract)(out[..., k], ab, out=out[..., k])
     return out
 
 

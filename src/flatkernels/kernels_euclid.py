@@ -13,7 +13,9 @@ engine relies on it.
 
 This module owns the formula: `sq_norm` and the vector and scalar terms
 (`_cauchy_term`, `_green_term`) are the ones every lattice sum evaluates,
-and the single-point kernels are row 0 of the batched ones.
+and the single-point kernels are row 0 of the batched ones.  Each takes an
+optional `out`, the array to write its result into, so the shell engine can
+keep its block-sized arrays across calls; the bits are those without `out`.
 """
 
 from __future__ import annotations
@@ -41,25 +43,37 @@ def _difference(x, y) -> np.ndarray:
     return x - y
 
 
-def sq_norm(U: np.ndarray) -> np.ndarray:
+def sq_norm(U: np.ndarray, out=None) -> np.ndarray:
     """|U|^2 over the last axis, summed left to right: ((U0 U0 + U1 U1) + U2 U2) + ...
 
     One fixed order for every memory layout and batch size, so the bits of a
-    squared norm depend only on the coordinates.
+    squared norm depend only on the coordinates.  With `out` (U's shape
+    without the last axis) the sum is written there.
     """
-    r2 = U[..., 0] * U[..., 0]
+    r2 = np.multiply(U[..., 0], U[..., 0], out=out)
     sq = np.empty_like(r2)  # one scratch square, not a full-size U * U
     for j in range(1, U.shape[-1]):
         r2 += np.multiply(U[..., j], U[..., j], out=sq)
     return r2
 
 
+def _power(r2: np.ndarray, p: float, in_place: bool) -> np.ndarray:
+    """r2 ** p, overwriting r2 if `in_place`: `**=` takes the fast paths of `**`, so the bits agree."""
+    if not in_place:
+        return r2 ** p
+    r2 **= p
+    return r2
+
+
 def _cauchy_term(n: int):
-    """The vector kernel as term(U, r2) of differences U (..., n) and r2 = |U|^2."""
+    """The vector kernel as term(U, r2, out=None) of differences U (..., n) and r2 = |U|^2.
+
+    With `out` (U's shape) the terms are written there and r2 is overwritten.
+    """
     wn = sphere_area(n)
 
-    def term(U, r2):
-        G = U * (r2 ** (-n / 2.0))[..., None]
+    def term(U, r2, out=None):
+        G = np.multiply(U, _power(r2, -n / 2.0, out is not None)[..., None], out=out)
         G /= wn
         return G
 
@@ -67,11 +81,14 @@ def _cauchy_term(n: int):
 
 
 def _green_term(n: int):
-    """The scalar kernel as term(U, r2); n <= 2 raises RegimeError."""
+    """The scalar kernel as term(U, r2, out=None); n <= 2 raises RegimeError.
+
+    With `out` (r2's shape) the terms are written there and r2 is overwritten.
+    """
     if n <= 2:
         raise RegimeError("scalar kernel requires n > 2")
     c = 1.0 / (sphere_area(n) * (1.0 - n))
-    return lambda U, r2: r2 ** ((2.0 - n) / 2.0) * c
+    return lambda U, r2, out=None: np.multiply(_power(r2, (2.0 - n) / 2.0, out is not None), c, out=out)
 
 
 def _euclid(X, Y, make_term, what: str) -> np.ndarray:

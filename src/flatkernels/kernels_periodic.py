@@ -38,6 +38,17 @@ count, so the last block is never a single row.  Runs are tested to keep
 the bits of one block per shell: at rank 1 each row of W is one exact
 product, and at rank >= 2 a run holds at least 24 rows.
 
+Workspace: the block-sized arrays of a sum (the Fortran copy of the
+lattice vectors, images, |U|^2, terms, the pairwise levels, the stacked
+block sums and the five Neumaier arrays) live in buffers of the calling
+thread (`_take`, a `threading.local`) that persist from call to call, so a
+warm sum allocates none of them and does not fault their pages in again.
+Threads never share a buffer, and a buffer that something still views is
+replaced rather than overwritten, so a consumer that keeps the shells it
+was handed keeps their values.  The Euclidean terms, `sq_norm`, the
+default, Class-B and torus images and the torus pair write into these
+buffers through their `out` parameter, with the bits they have without it.
+
 Checkpoints: the sum to a radius r is a prefix of the sum to any R > r, so
 one pass to R can return the sums to several radii (`shell_sum`'s
 `checkpoints`), each with the bits of a separate call at its radius.
@@ -76,9 +87,11 @@ from __future__ import annotations
 
 import bisect
 import math
+import sys
+import threading
 import warnings
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -186,6 +199,63 @@ def _check_not_on_orbit(L: Lattice, D: np.ndarray, what: str):
 
 # -- the shell-sum engine ------------------------------------------------------
 
+class _Workspace(threading.local):
+    """The calling thread's scratch buffers, kept from call to call by key."""
+
+    def __init__(self):
+        self.buffers = {}
+
+
+_WORKSPACE = _Workspace()
+
+
+def _refs_when_alone() -> int:
+    """The reference count `_take` reads for a buffer that only the workspace holds."""
+    buffers = {0: np.empty(0)}
+    buf = buffers.get(0)
+    return sys.getrefcount(buf)
+
+
+_ALONE = _refs_when_alone()
+
+
+def _take(key, shape: tuple, lead: int = 2) -> np.ndarray:
+    """An uninitialised float array of `shape` in the calling thread's buffer `key`.
+
+    The axes after the first `lead` (values or coordinates) are slowest in
+    memory, then the leading ones (rows, points) in order: the layout numpy
+    gives the engine's images and terms.  The buffer outlives the call and is
+    reused by the next take of `key` on the thread, unless an array made from
+    it is still alive: then a new buffer takes its place, and whatever holds
+    the old one keeps its values.  A buffer too small for a take is replaced
+    by one that fits.
+    """
+    buffers = _WORKSPACE.buffers
+    size = math.prod(shape)
+    buf = buffers.get(key)
+    if buf is None or buf.size < size or sys.getrefcount(buf) > _ALONE:
+        buf = buffers[key] = np.empty(size)
+    tail = shape[lead:]
+    flat = buf[:size].reshape(tail + shape[:lead])
+    return flat.transpose(_behind(len(tail), len(shape))) if tail else flat
+
+
+@lru_cache(maxsize=None)
+def _behind(tail: int, ndim: int) -> tuple:
+    """The axes that move the first `tail` of `ndim` axes behind the rest (few pairs occur)."""
+    return tuple(range(tail, ndim)) + tuple(range(tail))
+
+
+def _takes_out(fn) -> bool:
+    """Whether an image, term or squared norm has an `out` parameter to write into."""
+    code = getattr(fn, "__code__", None)
+    return code is not None and "out" in code.co_varnames[: code.co_argcount + code.co_kwonlyargcount]
+
+
+# trees of fewer values than this allocate their levels (`_pairwise_sum`)
+_SMALL = 2**12
+
+
 def _pairwise_sum(t: np.ndarray) -> np.ndarray:
     """Balanced pairwise tree over axis 0, carrying the odd row up a level.
 
@@ -195,11 +265,28 @@ def _pairwise_sum(t: np.ndarray) -> np.ndarray:
     a block of 2^j rows that starts at a multiple of 2^j is one node, and
     the tree over the block sums is the rest of the tree, so `shell_sum`'s
     row blocks keep every bit.
+
+    A tree of at least `_SMALL` values writes its levels into the two parts
+    of one workspace array (`_take`): level 1 fills the first ceil(m/2)
+    rows, level 2 the next ceil(ceil(m/2)/2), level 3 the first part again;
+    the sum is a view of it that stays valid while it is held.  A smaller
+    tree allocates its levels, which costs less than a take.
     """
-    while t.shape[0] > 1:
-        m = t.shape[0]
-        s = t[0 : m - 1 : 2] + t[1:m:2]
-        t = np.concatenate((s, t[-1:])) if m % 2 else s
+    if t.size < _SMALL:
+        while t.shape[0] > 1:
+            m = t.shape[0]
+            s = t[0 : m - 1 : 2] + t[1:m:2]
+            t = np.concatenate((s, t[-1:])) if m % 2 else s
+        return t[0]
+    m = t.shape[0]
+    half = (m + 1) // 2
+    levels = _take("levels", (half + (half + 1) // 2 * (half > 1),) + t.shape[1:])
+    out, spare = levels[:half], levels[half:]
+    while m > 1:
+        np.add(t[0 : m - 1 : 2], t[1:m:2], out=out[: m // 2])
+        if m % 2:
+            out[m // 2] = t[m - 1]
+        t, out, spare, m = out, spare, out, (m + 1) // 2
     return t[0]
 
 
@@ -209,9 +296,11 @@ def kahan_shell_sum(shape, shells, prefixes=()):
     Each shell is summed by a pairwise tree over its rows; the shell sums are
     accumulated with Neumaier compensation, the rounding error of every add
     taken exactly (TwoSum) and added back at the end.  The updates run in
-    place, into scratch arrays allocated once per call in the memory layout
-    of the first shell's sum; the order of operations is that of
-    `s = acc + x; bx = s - acc; comp += (acc - (s - bx)) + (x - bx); acc = s`.
+    place, into five workspace arrays (`_take`) laid out as the first shell's
+    sum, reused from call to call on a thread; the order of operations is that
+    of `s = acc + x; bx = s - acc; comp += (acc - (s - bx)) + (x - bx); acc = s`.
+    Each shell is dropped before the next is drawn, so the engine may write
+    the next block into its buffer; the result is a new array.
 
     With `prefixes`, nondecreasing shell counts no larger than the number of
     shells, the result is (len(prefixes) + 1, *shape): row i is `acc + comp`
@@ -225,7 +314,9 @@ def kahan_shell_sum(shape, shells, prefixes=()):
     for terms in shells:
         x = _pairwise_sum(terms)
         if acc is None:
-            acc, comp, s, bx, e = (np.zeros_like(x, dtype=float) for _ in range(5))
+            acc, comp, s, bx, e = (_take(("kahan", i), x.shape, 1) for i in range(5))
+            acc.fill(0.0)
+            comp.fill(0.0)
         np.add(acc, x, out=s)
         np.subtract(s, acc, out=bx)
         np.subtract(s, bx, out=e)
@@ -234,6 +325,7 @@ def kahan_shell_sum(shape, shells, prefixes=()):
         np.add(e, bx, out=e)
         np.add(comp, e, out=comp)
         acc, s = s, acc
+        del terms, x  # the shell's buffers are free for the next block
         done += 1
         while len(rows) < len(prefixes) and prefixes[len(rows)] == done:
             rows.append(acc + comp)
@@ -273,9 +365,9 @@ def _chunks(B: int, max_rows: int, width):
         yield lo, min(B, lo + per)
 
 
-def _translate(D: np.ndarray, Ms: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """Image differences d + w for every shell row and point: (m, b, n)."""
-    return D[None, :, :] + W[:, None, :]
+def _translate(D: np.ndarray, Ms: np.ndarray, W: np.ndarray, out=None) -> np.ndarray:
+    """Image differences d + w for every shell row and point: (m, b, n), into `out` if given."""
+    return np.add(D[None, :, :], W[:, None, :], out=out)
 
 
 def _at_lattice(term):
@@ -324,6 +416,16 @@ def shell_sum(L: Lattice, char: BundleCharacter, D: np.ndarray, R: int, term,
     order (module docstring); an image that returns another layout gets the
     same bits, only slower.
 
+    Workspace: an `image`, `term` or `sq_norm` with an `out` parameter
+    writes into the calling thread's buffers (`_take`): the images and |U|^2
+    into their own, and the terms over the images (vector terms, whose
+    values have U's shape) or over |U|^2 (scalar terms), as neither is read
+    again, else into a buffer of their own (the torus pair, which drops the
+    pair axis of U); the subtraction and the character sign then apply in
+    place.  A callable without `out` (a stand-in term or image) returns its
+    own arrays.  Each shell handed to `kahan_shell_sum` is a view of a
+    buffer that the next block reuses once the view is gone.
+
     R must be an integer >= 0 (an integral float or numpy integer counts as
     the int); a bool, a fraction, a string or a negative R raises
     `ConfigError`.  A squared image distance below `_SINGULAR_R2 * sigma_min^2`
@@ -343,6 +445,7 @@ def shell_sum(L: Lattice, char: BundleCharacter, D: np.ndarray, R: int, term,
     B = D.shape[0]
     out = np.empty((len(radii), B) + shape)
     singular = _SINGULAR_R2 * L.sigma_min**2
+    image_out, norm_out, term_out = _takes_out(image), _takes_out(sq_norm), _takes_out(term)
     for lo, hi in _chunks(B, _shell_size(L.k, R), (math.prod(shape), math.prod(D.shape[1:]))):
         Dc = np.asfortranarray(D[lo:hi])
         rows = _block_rows(Dc.size)
@@ -351,15 +454,23 @@ def shell_sum(L: Lattice, char: BundleCharacter, D: np.ndarray, R: int, term,
             W = Ms.astype(float) @ L.basis
             # only the elementwise image gets the Fortran copy: the torus
             # subtraction's W @ V rounds differently in another layout
-            U = image(Dc, Ms, np.asfortranarray(W))
-            r2 = sq_norm(U)
+            Wf = _take("lattice vectors", W.shape, 1)
+            Wf[...] = W
+            m = len(Ms)
+            U = image(Dc, Ms, Wf, out=_take("images", (m,) + Dc.shape)) if image_out else image(Dc, Ms, Wf)
+            r2 = sq_norm(U, out=_take("norms", U.shape[:-1])) if norm_out else sq_norm(U)
             if np.any(r2 < singular):
                 raise SingularPoint("evaluation point on a kernel singularity")
-            t = term(U, r2)
+            if term_out:  # over U (vector terms) or |U|^2 (scalar terms): neither is read again
+                size = (m, hi - lo) + shape
+                t = term(U, r2, out=U if image_out and U.shape == size else
+                         r2 if norm_out and r2.shape == size else _take("terms", size))
+            else:
+                t = term(U, r2)
             if r > 0 and subtract is not None:
-                t = t - subtract(W)
+                t -= subtract(W)
             if char.l:
-                t = t * char_sign(char, Ms).reshape((-1,) + (1,) * (t.ndim - 1))
+                t *= char_sign(char, Ms).reshape((-1,) + (1,) * (t.ndim - 1))
             return t
 
         def shells():
@@ -367,8 +478,12 @@ def shell_sum(L: Lattice, char: BundleCharacter, D: np.ndarray, R: int, term,
             while r <= R:
                 Ms = _shell_rows(L.k, r)
                 if len(Ms) > rows:
-                    yield np.stack([_pairwise_sum(block(Ms[i : i + rows], r))
-                                    for i in range(0, len(Ms), rows)])
+                    starts = range(0, len(Ms), rows)
+                    sums = _take("block sums", (len(starts), hi - lo) + shape)
+                    for j, i in enumerate(starts):
+                        sums[j] = _pairwise_sum(block(Ms[i : i + rows], r))
+                    yield sums
+                    del sums  # free for the next split shell
                     r += 1
                     continue
                 run, m = [Ms], len(Ms)  # whole shells r >= 1 that share one block
@@ -382,6 +497,7 @@ def shell_sum(L: Lattice, char: BundleCharacter, D: np.ndarray, R: int, term,
                 for Ms in run:  # a row slice per shell: its own tree, add and checkpoint
                     yield t[: len(Ms)]
                     t = t[len(Ms) :]
+                del t  # free for the next block
                 r += len(run)
 
         # without checkpoints the call keeps its two-argument form, so a stand-in
@@ -713,9 +829,10 @@ def torus_cauchy_two_point(L: Lattice, char: BundleCharacter, a, b, x, R: int,
                           NonConvergentSeriesWarning, stacklevel=4)
         return np.stack((Da, Db), axis=1)
 
-    def pair(U, r2):
-        G = term(U, r2)
-        return G[:, :, 0] + G[:, :, 1] if literal else G[:, :, 0] - G[:, :, 1]
+    def pair(U, r2, out=None):
+        # the images and r2 are not read again: the term may write over them
+        G = term(U, r2, out=U) if _takes_out(term) else term(U, r2)
+        return (np.add if literal else np.subtract)(G[:, :, 0], G[:, :, 1], out=out)
 
     def subtract(W):
         if literal:  # the uncoupled terms add the lattice images of both sources, G(-a-w) + G(-b-w)
@@ -728,7 +845,7 @@ def torus_cauchy_two_point(L: Lattice, char: BundleCharacter, a, b, x, R: int,
         return _jacobian_apply(W, sq_norm(W), -np.atleast_2d(a - b)[:1], n)
 
     def total(D, R, checkpoints=()):
-        image = lambda D, Ms, W: D[None, :, :, :] + W[:, None, None, :]
+        image = lambda D, Ms, W, out=None: np.add(D[None, :, :, :], W[:, None, None, :], out=out)
         return shell_sum(L, char, D, R, pair, (n,), image, subtract if literal or char.l == 0 else None,
                          checkpoints=checkpoints)
 

@@ -155,9 +155,11 @@ def _class_b(M: ManifoldSpec, kind: str, X, y, R: int, form: str, checkpoints, s
     if y.ndim != 1:
         raise DimensionMismatch(f"the {kind} Green kernel takes one source point y")
 
-    def image(P, Ms, W):
+    def image(P, Ms, W, out=None):
         S = deck_signs(M, Ms)[:, None, :]
-        return (P[None] - S * y if orbit else S * P[None]) + W[:, None, :]
+        U = np.subtract(P[None], S * y, out=out) if orbit else np.multiply(S, P[None], out=out)
+        U += W[:, None, :]
+        return U
 
     def sep(D0):
         E = np.abs(D0)

@@ -229,8 +229,10 @@ def _field_values(field_fn, X: np.ndarray, n: int) -> np.ndarray:
 
 
 def _surface_sum(S: Hypersurface, integrand: np.ndarray) -> np.ndarray:
+    """Weighted node sum of a new (B, 2^n) integrand, which is scaled in place."""
+    integrand *= S.weights[:, None]
     # fixed node order; numpy pairwise summation is deterministic per shape
-    return np.sum(S.weights[:, None] * integrand, axis=0)
+    return np.sum(integrand, axis=0)
 
 
 def _flux(S: Hypersurface, K, section) -> np.ndarray:
@@ -240,11 +242,13 @@ def _flux(S: Hypersurface, K, section) -> np.ndarray:
     the node normal; `section` maps the node positions to f, or is a constant.
     A constant c scales K n instead of a second product: gp with c in the
     scalar slot has one nonzero product per slot, so the bits are the same.
+    K n is a new array, so c and then the weights scale it in place.
     """
     n = S.dim
     KN = gp(_coerce_batch(K, n), _coerce_batch(S.normals, n), n)
     if not callable(section):
-        return _surface_sum(S, KN * float(section))
+        KN *= float(section)
+        return _surface_sum(S, KN)
     return _surface_sum(S, gp(KN, _field_values(section, S.positions, n), n))
 
 
