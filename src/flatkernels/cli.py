@@ -3,14 +3,12 @@
 Outputs are byte-deterministic for a fixed config and seed: JSON is emitted
 with sorted keys and round-trip float repr, CSV with '%.17g' formatting, and
 reports carry the library version plus a config echo but no timestamps.
-Every kernel command evaluates through one batched op per kernel
-(`make_evaluator`).  `converge` is one pass: a single call at the largest
-radius, with the other radii as checkpoints of the shell sum, each row
-bit-identical to a separate call at its radius.  Worker threads (--threads),
-one `threading.Thread` per contiguous slice of the points in `table`, join
-their results in input order; a point's bits do not depend on the batch it
-shares, so the thread count never changes the bytes.  `converge` accepts --threads and
-ignores it: its one pass has nothing to fan out.
+Every kernel command evaluates its points as one serial batch: one call of
+the kernel's batched op (`make_evaluator`) on the calling thread.
+`converge` is one pass: a single call at the largest radius, with the other
+radii as checkpoints of the shell sum, each row bit-identical to a separate
+call at its radius.  --threads is accepted for compatibility (a value below
+1 is a usage error) and changes neither the work nor the bytes.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error.
 """
@@ -22,7 +20,6 @@ import functools
 import json
 import math
 import sys
-import threading
 import warnings
 from pathlib import Path
 
@@ -194,45 +191,14 @@ def _segment_points(cfg: dict, n: int) -> np.ndarray:
     return pts
 
 
-def _pool_map(fn, items, threads: int):
-    """[fn(item) for item in items], with one `threading.Thread` per item if threads > 1.
-
-    A worker's exception is raised here once every worker has ended, the first
-    item's first.
-    """
-    if threads <= 1:
-        return [fn(it) for it in items]
-    results = [None] * len(items)
-    errors = [None] * len(items)
-
-    def work(i):
-        try:
-            results[i] = fn(items[i])
-        except BaseException as exc:  # handed to the main thread
-            errors[i] = exc
-
-    workers = [threading.Thread(target=work, args=(i,)) for i in range(len(items))]
-    for w in workers:
-        w.start()
-    for w in workers:
-        w.join()
-    for exc in errors:
-        if exc is not None:
-            raise exc
-    return results
-
-
 def cmd_table(args) -> int:
     cfg = _load_config(args)
     op, M, R, form = make_evaluator(cfg)
     X = _segment_points(cfg, M.n)
-    # contiguous slices, joined in order: a point's bits do not depend on its batch
-    slices = np.array_split(X, min(args.threads, len(X)))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        parts = _pool_map(lambda Xs: op(Xs, R), slices, args.threads)
-    vals = np.concatenate([_columns(v) for v, _ in parts])
-    tails = np.concatenate([t for _, t in parts])
+        vals, tails = op(X, R)
+    vals = _columns(vals)
     header = (
         ["index"]
         + [f"x{j + 1}" for j in range(M.n)]
@@ -358,8 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--R", type=int, default=None, help="override truncation radius")
         p.add_argument("--form", choices=["orbit", "paper-literal"], default=None)
         p.add_argument("--threads", type=int, default=1,
-                       help="worker threads over contiguous point slices (table); converge "
-                       "is one pass and ignores it; output-identical")
+                       help="accepted for compatibility (must be >= 1); every command runs "
+                       "one serial batch, so it changes neither the work nor the output")
 
     p_eval = sub.add_parser("eval", help="single kernel evaluation to JSON")
     common(p_eval)

@@ -198,7 +198,7 @@ def suite_lattice(seed: int = 0) -> dict:
     counts = [shell(L2, r).shape[0] for r in range(4)]
     total_ok = sum(counts) == 7 * 7 and counts[0] == 1
     stacked = np.concatenate([shell(L2, r) for r in range(4)])
-    dedup = np.unique(stacked, axis=0).shape[0] == stacked.shape[0]
+    dedup = len(set(map(tuple, stacked.tolist()))) == len(stacked)  # np.unique(axis=0) imports numpy.ma
     _check(checks, "shell_partition", total_ok and dedup, counts)
     char = BundleCharacter(2)
     ok = True

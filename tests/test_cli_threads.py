@@ -1,11 +1,10 @@
-"""`table --threads` runs its slices on plain threads: no `concurrent.futures`, same bytes."""
+"""`--threads` is accepted and ignored: one serial batch, no thread, no `concurrent.futures`, same bytes."""
 
 import json
 import os
 import subprocess
 import sys
-
-import pytest
+import threading
 
 from flatkernels import cli
 
@@ -15,9 +14,9 @@ TABLE = {
     "samples": {"count": 12, "low": [0, 0, 0, 0, 0], "high": [1, 1, 1, 1, 1]}, "seed": 3,
 }
 
-# runs the CLI, then fails if anything imported concurrent.futures
+# runs the CLI, then fails if anything imported concurrent.futures or numpy.ma
 PROBE = ("import sys; from flatkernels.cli import main; rc = main(sys.argv[1:]); "
-         "sys.exit(rc or 3 * any(m.split('.')[0] == 'concurrent' for m in sys.modules))")
+         "sys.exit(rc or 3 * any(m.split('.')[0] == 'concurrent' or m == 'numpy.ma' for m in sys.modules))")
 
 
 def test_threaded_table_imports_no_executor_and_keeps_the_bytes(tmp_path):
@@ -34,19 +33,24 @@ def test_threaded_table_imports_no_executor_and_keeps_the_bytes(tmp_path):
     assert blobs["2"] == blobs["1"] == blobs["5"]
 
 
-def test_a_worker_error_is_raised_first_slice_first():
-    started = []
+def test_verify_all_imports_neither_executor_nor_masked_arrays(tmp_path):
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    subprocess.run([sys.executable, "-c", PROBE, "verify", "--suite", "all", "--out", str(tmp_path / "v.json")],
+                   check=True, env=env)
 
-    def fn(i):
-        started.append(i)
-        if i in (1, 3):
-            raise ValueError(f"slice {i}")
-        return i * i
 
-    with pytest.raises(ValueError, match="slice 1"):
-        cli._pool_map(fn, [0, 1, 2, 3], 4)
-    assert sorted(started) == [0, 1, 2, 3]  # every worker ran to its end
-    assert cli._pool_map(lambda i: i * i, [0, 1, 2, 3], 4) == [0, 1, 4, 9]
+def test_more_threads_than_points_start_no_thread(tmp_path, monkeypatch):
+    cfg = tmp_path / "table.json"
+    cfg.write_text(json.dumps(TABLE))
+    assert cli.main(["table", "--config", str(cfg), "--threads", "1", "--out", str(tmp_path / "t1.csv")]) == 0
+
+    def refuse(self):
+        raise AssertionError("table started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    assert cli.main(["table", "--config", str(cfg), "--threads", "64", "--out", str(tmp_path / "t64.csv")]) == 0
+    assert (tmp_path / "t64.csv").read_bytes() == (tmp_path / "t1.csv").read_bytes()
 
 
 def test_threaded_table_reports_a_config_error_as_one_thread_does(tmp_path):
