@@ -11,18 +11,22 @@ e_i e_(i^k).  Slot k is then a sum of (sign a_i) b_(i^k) started at +0.0 and
 taken in ascending blade order i, skipping blades of `a` that are zero
 throughout.  That order alone fixes the bits of every product, signed zeros
 included; for finite operands they do not depend on the operand layout or the
-batch size.  A batched product gathers whole partner arrays when every blade
-of `b` is live, and otherwise multiplies only the pairs whose blade of `b` is
-nonzero somewhere (vector times vector: n^2 of the 4^n pairs); a skipped
-pair adds +-0, which leaves a sum started at +0.0 as it is.
+batch size.  A batched product either gathers whole partner arrays, one per
+blade of `a`, or multiplies only the pairs whose blade of `b` is nonzero
+somewhere (vector times vector: n^2 of the 4^n pairs), whichever costs less
+for its batch size (`_gathers`); a skipped pair adds +-0, which leaves a sum
+started at +0.0 as it is, so both ways give the same bits.
 
 Module-level helpers (`gp`, `reversion_coeffs`) operate on raw coefficient
 arrays of shape (..., 2^n) so that batched kernel and quadrature code can stay
-vectorised; the `MultiVector` class wraps single elements.
+vectorised; the `MultiVector` class wraps single elements.  Grades and
+reversion signs come from popcounts alone (`_grade_table`), so they serve
+every stored n <= 16; only products need the tables of n <= `MAX_DIM`.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -46,6 +50,34 @@ def _popcount(a: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
+def _grade_table(n: int):
+    """(grade, rev_sign) of every coefficient slot of a stored Cl_n, by popcount."""
+    if not 1 <= n <= _MAX_STORED_DIM:
+        raise DimensionMismatch(f"multivector dimension must be in [1, {_MAX_STORED_DIM}], got {n}")
+    grade = _popcount(np.arange(1 << n, dtype=np.int64))
+    rev = np.where((grade * (grade - 1) // 2) & 1, -1.0, 1.0)
+    grade.setflags(write=False)
+    rev.setflags(write=False)
+    return grade, rev
+
+
+@lru_cache(maxsize=None)
+def _slots_outside(n: int, grade) -> np.ndarray:
+    """Indices of the coefficient slots of Cl_n whose grade is not `grade`."""
+    slots = (_grade_table(n)[0] != grade).nonzero()[0]
+    slots.setflags(write=False)
+    return slots
+
+
+@lru_cache(maxsize=None)
+def _vector_slots(n: int) -> np.ndarray:
+    """Slot of each basis vector e_j of Cl_n: 1 << j."""
+    slots = 1 << np.arange(n)
+    slots.setflags(write=False)
+    return slots
+
+
+@lru_cache(maxsize=None)
 def _tables(n: int):
     """Blade index and sign tables: (xor, sign, grade, rev_sign) for Cl_n."""
     if not 1 <= n <= MAX_DIM:
@@ -63,13 +95,9 @@ def _tables(n: int):
         a = a >> 1
     swaps = swaps + _popcount(idx[:, None] & idx[None, :])  # e_j^2 = -1 per pair
     sign = np.where(swaps & 1, -1.0, 1.0)
-    grade = _popcount(idx)
-    rev = np.where((grade * (grade - 1) // 2) & 1, -1.0, 1.0)
     xor.setflags(write=False)
     sign.setflags(write=False)
-    grade.setflags(write=False)
-    rev.setflags(write=False)
-    return xor, sign, grade, rev
+    return (xor, sign) + _grade_table(n)
 
 
 @lru_cache(maxsize=None)
@@ -85,6 +113,21 @@ def _gather_table(n: int):
     return xor, gather_sign
 
 
+def _gathers(live: int, rows: int, dim: int) -> bool:
+    """Whether a batched `gp` of `rows` products should gather rather than multiply live pairs.
+
+    Costs per blade of `a`, in element operations, fitted to timings of
+    both ways for n = 2..8 and 1 to 8,192 rows (2-vCPU Xeon, one BLAS
+    thread): the gather's four numpy calls cost about 1,600 and it touches
+    rows * 2^n elements; each of the `live` pairs costs about 800 for its two
+    calls plus its rows.  So small batches gather (16 vector products at n = 3
+    take 4 calls a blade, not 6), large ones with few live blades multiply
+    pairs (the 8,192-node flux K n at n = 3), and with every blade of `b`
+    live the gather always wins.
+    """
+    return 1600 + rows * dim <= live * (800 + rows)
+
+
 def gp(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     """Geometric product on coefficient arrays of shape (..., 2^n).
 
@@ -96,14 +139,15 @@ def gp(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     added in order.
 
     Batched operands: blade i of `a` meets every blade of `b` once, the
-    partner of slot k being i ^ k.  If every blade of `b` is nonzero
-    somewhere, each blade of `a` adds one gathered (..., 2^n) term array,
-    vectorised.  Otherwise only the live pairs are multiplied: for each
-    blade j of `b` that is nonzero somewhere, slot i ^ j adds or subtracts
-    a_i b_j, one column at a time.  A skipped pair's products are +-0, and
-    adding +-0 to a sum started at +0.0 changes no bit (round to nearest
-    never makes that sum -0.0), so both ways give the same bits.  Raises
-    DimensionMismatch unless both trailing axes have length 2^n.
+    partner of slot k being i ^ k.  Either each blade of `a` adds one
+    gathered (..., 2^n) term array, vectorised, or only the live pairs are
+    multiplied: for each blade j of `b` that is nonzero somewhere, slot
+    i ^ j adds or subtracts a_i b_j, one column at a time.  `_gathers`
+    picks the cheaper way from the batch size and the live blade count (the
+    gather whenever every blade of `b` is live).  A skipped pair's products
+    are +-0, and adding +-0 to a sum started at +0.0 changes no bit (round
+    to nearest never makes that sum -0.0), so both ways give the same bits.
+    Raises DimensionMismatch unless both trailing axes have length 2^n.
     """
     partner, sign = _gather_table(n)
     dim = 1 << n
@@ -125,7 +169,7 @@ def gp(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     # a first row with every blade nonzero settles it without a pass over b
     live = range(dim) if np.count_nonzero(rows[:1]) == dim else rows.any(axis=0).nonzero()[0]
     out = np.zeros(np.broadcast_shapes(a.shape, b.shape))
-    if len(live) == dim:
+    if _gathers(len(live), out.size // dim, dim):
         for i in blades:
             out += (a[..., i, None] * sign[i]) * np.take(b, partner[i], axis=-1)
         return out
@@ -141,13 +185,12 @@ def gp(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
 
 def reversion_coeffs(a: np.ndarray, n: int) -> np.ndarray:
     """Reversion on coefficient arrays: grade r picks up (-1)^(r(r-1)/2)."""
-    _, _, _, rev = _tables(n)
-    return np.asarray(a, dtype=float) * rev
+    return np.asarray(a, dtype=float) * _grade_table(n)[1]
 
 
 def grades(n: int) -> np.ndarray:
     """Grade of each coefficient slot of Cl_n."""
-    return _tables(n)[2]
+    return _grade_table(n)[0]
 
 
 class MultiVector:
@@ -165,6 +208,14 @@ class MultiVector:
             )
         self.n = n
         self.coeffs = coeffs.copy()
+
+    @classmethod
+    def _own(cls, n: int, coeffs: np.ndarray) -> "MultiVector":
+        """Wrap a new float array of shape (2^n,) that nothing else holds: no check, no copy."""
+        mv = object.__new__(cls)
+        mv.n = n
+        mv.coeffs = coeffs
+        return mv
 
     # -- constructors ------------------------------------------------------
     @classmethod
@@ -190,8 +241,7 @@ class MultiVector:
         x = np.asarray(x, dtype=float)
         n = x.shape[0]
         c = np.zeros(1 << n)
-        for j in range(n):
-            c[1 << j] = x[j]
+        c[_vector_slots(n)] = x
         return cls(n, c)
 
     # -- parts -------------------------------------------------------------
@@ -201,17 +251,12 @@ class MultiVector:
 
     @property
     def vector_part(self) -> np.ndarray:
-        return np.array([self.coeffs[1 << j] for j in range(self.n)])
+        return self.coeffs[_vector_slots(self.n)]
 
     def max_grade_coeff(self, exclude: int | None = None) -> float:
         """Largest |coefficient| outside the given grade (None: over all)."""
-        g = grades(self.n)
-        mask = np.ones_like(self.coeffs, dtype=bool)
-        if exclude is not None:
-            mask = g != exclude
-        if not mask.any():
-            return 0.0
-        return float(np.max(np.abs(self.coeffs[mask])))
+        c = self.coeffs if exclude is None else self.coeffs.take(_slots_outside(self.n, exclude))
+        return float(np.abs(c).max()) if c.size else 0.0
 
     # -- arithmetic ---------------------------------------------------------
     def _check(self, other: "MultiVector"):
@@ -221,7 +266,7 @@ class MultiVector:
     def __add__(self, other):
         if isinstance(other, MultiVector):
             self._check(other)
-            return MultiVector(self.n, self.coeffs + other.coeffs)
+            return MultiVector._own(self.n, self.coeffs + other.coeffs)
         return self + MultiVector.scalar(self.n, float(other))
 
     __radd__ = __add__
@@ -229,34 +274,36 @@ class MultiVector:
     def __sub__(self, other):
         if isinstance(other, MultiVector):
             self._check(other)
-            return MultiVector(self.n, self.coeffs - other.coeffs)
+            return MultiVector._own(self.n, self.coeffs - other.coeffs)
         return self - MultiVector.scalar(self.n, float(other))
 
     def __rsub__(self, other):
         return MultiVector.scalar(self.n, float(other)) - self
 
     def __neg__(self):
-        return MultiVector(self.n, -self.coeffs)
+        return MultiVector._own(self.n, -self.coeffs)
 
     def __mul__(self, other):
         if isinstance(other, MultiVector):
             self._check(other)
-            return MultiVector(self.n, gp(self.coeffs, other.coeffs, self.n))
-        return MultiVector(self.n, self.coeffs * float(other))
+            return MultiVector._own(self.n, gp(self.coeffs, other.coeffs, self.n))
+        return MultiVector._own(self.n, self.coeffs * float(other))
 
     def __rmul__(self, other):
         if isinstance(other, MultiVector):  # pragma: no cover - dispatched to __mul__
             return other.__mul__(self)
-        return MultiVector(self.n, float(other) * self.coeffs)
+        return MultiVector._own(self.n, float(other) * self.coeffs)
 
     def __truediv__(self, other):
-        return MultiVector(self.n, self.coeffs / float(other))
+        return MultiVector._own(self.n, self.coeffs / float(other))
 
     def reversion(self) -> "MultiVector":
-        return MultiVector(self.n, reversion_coeffs(self.coeffs, self.n))
+        return MultiVector._own(self.n, self.coeffs * _grade_table(self.n)[1])
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.coeffs))
+        """Euclidean norm of the coefficients: sqrt(c . c), the bits of `np.linalg.norm`."""
+        c = self.coeffs
+        return math.sqrt(c.dot(c))
 
     def __repr__(self):
         nz = [(int(i), float(c)) for i, c in enumerate(self.coeffs) if c != 0.0]

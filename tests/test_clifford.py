@@ -6,13 +6,16 @@ from flatkernels.clifford import (
     MAX_DIM,
     MultiVector,
     DimensionMismatch,
+    _grade_table,
     _popcount,
     _tables,
     geometric_product,
     gp,
+    grades,
     norm,
     reflect_coords,
     reversion,
+    reversion_coeffs,
     vector_inverse,
     versor_inverse,
 )
@@ -212,6 +215,59 @@ class TestNorm:
         assert norm(MultiVector.from_vector(x)) == pytest.approx(np.linalg.norm(x))
 
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 16), st.integers(0, 2**32 - 1), st.sampled_from(["mixed", 1e-170, 1e150, 1.0]))
+    def test_bits_of_the_linalg_norm(self, n, seed, scale):
+        rng = np.random.default_rng(seed)
+        if scale == "mixed":  # magnitudes from 1e-200 to 1e200 in one element
+            scale = 10.0 ** rng.integers(-200, 200, size=1 << n)
+        c = rng.normal(size=1 << n) * scale
+        c[rng.random(1 << n) < 0.3] = 0.0
+        with np.errstate(over="ignore", under="ignore"):  # squares may leave the float range
+            got, want = MultiVector(n, c).norm(), np.linalg.norm(c)
+        assert type(got) is float
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+class TestGradesPastTheTables:
+    """Grades and reversion need popcounts only: every stored n <= 16, not just n <= MAX_DIM."""
+
+    @staticmethod
+    def reference_grades(n):
+        return np.array([bin(b).count("1") for b in range(1 << n)])
+
+    @pytest.mark.parametrize("n", range(9, 17))
+    def test_grades_and_reversion_match_popcounts(self, n):
+        g = self.reference_grades(n)
+        assert np.array_equal(grades(n), g)
+        rev = np.where((g * (g - 1) // 2) % 2, -1.0, 1.0)
+        c = np.random.default_rng(n).normal(size=1 << n)
+        mv = MultiVector(n, c)
+        assert mv.reversion().coeffs.tobytes() == (c * rev).tobytes()
+        assert reversion_coeffs(c, n).tobytes() == (c * rev).tobytes()
+        for k in (0, 1, n // 2, n):
+            assert mv.max_grade_coeff(exclude=k) == np.max(np.abs(c[g != k]))
+        assert mv.max_grade_coeff() == np.max(np.abs(c))
+
+    def test_the_reported_case(self):
+        mv = MultiVector(10, np.ones(1024))
+        assert mv.max_grade_coeff(exclude=0) == 1.0
+        assert np.array_equal(mv.reversion().coeffs, np.where((self.reference_grades(10) // 2) % 2, -1.0, 1.0))
+
+    def test_products_still_raise_past_the_tables(self):
+        a = MultiVector(9, np.ones(512))
+        with pytest.raises(DimensionMismatch):
+            a * a
+        with pytest.raises(DimensionMismatch):
+            gp(a.coeffs, a.coeffs, 9)
+        with pytest.raises(DimensionMismatch):
+            grades(17)
+
+    def test_an_excluded_grade_outside_the_algebra_keeps_every_slot(self):
+        c = np.arange(8.0) - 3.5
+        assert MultiVector(3, c).max_grade_coeff(exclude=5) == 3.5
+
+
 class TestReflectCoords:
     def test_empty_set(self):
         x = np.array([1.0, 2.0, 3.0])
@@ -259,3 +315,6 @@ class TestPopcount:
         for n, want in zip(range(1, MAX_DIM + 1), tables):
             got = _tables.__wrapped__(n)
             assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        for n in range(1, 17):  # the grade slots of every stored n
+            grade, _ = _grade_table.__wrapped__(n)
+            assert np.array_equal(grade, [bin(b).count("1") for b in range(1 << n)])

@@ -1,9 +1,12 @@
 """Batched `gp` multiplies only live blade pairs: the bits of the gather loop it replaced."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from flatkernels.clifford import MAX_DIM, _gather_table, gp
+from flatkernels import clifford
+from flatkernels.clifford import MAX_DIM, _gather_table, _gathers, gp
+from flatkernels.quadrature import _flux, sphere_surface
 
 
 def gather_gp(a, b, n):
@@ -83,3 +86,62 @@ def test_signed_zero_sums_start_at_plus_zero():
     got = gp(a, b, 2)
     assert got.tobytes() == gather_gp(a, b, 2).tobytes()
     assert not np.signbit(got).any()
+
+
+def live_pairs_gp(a, b, n):
+    """`gp`'s live-pair loop alone, whatever the batch size: the other way to the same bits."""
+    partner, sign = _gather_table(n)
+    dim = 1 << n
+    blades = a.reshape(-1, dim).any(axis=0).nonzero()[0]
+    live = b.reshape(-1, dim).any(axis=0).nonzero()[0]
+    out = np.zeros(np.broadcast_shapes(a.shape, b.shape))
+    for i in blades:
+        for j in live:
+            k = i ^ j
+            out[..., k] += sign[i, k] * (a[..., i] * b[..., j])
+    return out
+
+
+def _vectors(rng, rows, n):
+    x = np.zeros((rows, 1 << n))
+    x[:, [1 << j for j in range(n)]] = rng.normal(size=(rows, n))
+    return x
+
+
+@pytest.mark.parametrize("rows", [16, 8192])
+@pytest.mark.parametrize("n", [2, 3, 5])
+@pytest.mark.parametrize("kind", ["vector", "half"])
+@pytest.mark.parametrize("force", [None, True, False])
+def test_either_way_has_the_bits_at_16_and_8192_rows(rows, n, kind, force, monkeypatch):
+    """Whichever way `_gathers` picks (or is forced to take), the bits are the gather loop's."""
+    rng = np.random.default_rng(rows + n)
+    a = _vectors(rng, rows, n)
+    b = _vectors(rng, rows, n) if kind == "vector" else np.where(
+        np.arange(1 << n) < (1 << (n - 1)), rng.normal(size=(rows, 1 << n)), 0.0)
+    a[::7] = 0.0  # rows of zeros, and a signed zero
+    b[::5, 1] = -0.0
+    if force is not None:
+        monkeypatch.setattr(clifford, "_gathers", lambda live, rows, dim: force)
+    got, ref = gp(a, b, n), gather_gp(a, b, n)
+    assert got.tobytes() == ref.tobytes()
+    assert live_pairs_gp(a, b, n).tobytes() == ref.tobytes()
+
+
+def test_the_path_rule_weighs_the_batch_size():
+    # vector times vector at n = 3: 3 live blades of b
+    assert _gathers(3, 16, 8)  # 16 rows: 4 numpy calls a blade of a beat 6
+    assert not _gathers(3, 8192, 8)  # the 8,192-node flux K n keeps the live pairs
+    assert _gathers(5, 16, 32) and not _gathers(5, 1024, 32)
+    # every blade of b live: always the gather
+    assert all(_gathers(dim, rows, dim) for dim in (4, 32, 256) for rows in (1, 16, 8192))
+
+
+def test_the_flux_product_multiplies_live_pairs(monkeypatch):
+    """The sphere's K n (8,192 vector products at n = 3) must not fall back to the gather."""
+    picked = []
+    rule = clifford._gathers
+    monkeypatch.setattr(clifford, "_gathers", lambda *args: picked.append(rule(*args)) or picked[-1])
+    S = sphere_surface(np.array([0.5, 0.6, 0.2]), 0.15, (64, 128))
+    K = np.random.default_rng(3).normal(size=(len(S.weights), 3))
+    _flux(S, K, 1.0)
+    assert picked == [False]
