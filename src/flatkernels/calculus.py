@@ -6,9 +6,11 @@ small, regardless of how the field was constructed.  Default step 1e-3 with
 order-4 stencils balances truncation against roundoff for fields that stay
 O(1) away from their singularities.
 
-One stencil engine (`_stencil`) serves the pointwise operators and the
-batched residuals alike: the pointwise forms wrap their single-point field
-as a batched one, so both share every bit of arithmetic.
+One stencil engine (`_stencil`) serves the pointwise operators, the
+batched residuals and `quadrature`'s Jacobians alike.  It returns the
+weighted values in the field's own shape; the operators place each sum into
+Clifford slots.  `_pointwise` wraps a single-point field or map as a batched
+one, so the pointwise and batched forms share every bit of arithmetic.
 """
 
 from __future__ import annotations
@@ -69,20 +71,19 @@ def _coerce_batch(vals: np.ndarray, n: int) -> np.ndarray:
     raise ValueError(f"cannot interpret batched field values of shape {vals.shape}")
 
 
-def _pointwise(f: Callable, n: int):
-    """A single-point field as a batched one; f returns a float, an n-vector,
-    2^n coefficients or a MultiVector."""
-    return lambda P: _coerce_batch(
-        [v.coeffs if isinstance(v, MultiVector) else v for v in map(f, P)], n
-    )
+def _pointwise(f: Callable):
+    """A single-point field or map as a batched one; f returns a float, an
+    n-vector, 2^n coefficients or a MultiVector."""
+    return lambda P: np.array([v.coeffs if isinstance(v, MultiVector) else np.asarray(v, dtype=float)
+                               for v in map(f, P)])
 
 
 def _stencil(field, X: np.ndarray, table, h: float, scale: float) -> np.ndarray:
     """Weighted stencil terms of a batched field along every axis.
 
     Term [j, t] is (w_t / scale) f(X + off_t h e_j) for the t-th (off_t, w_t)
-    of `table`, shape (n, len(table), B, 2^n).  `field` maps an (M, n) point
-    array to (M,), (M, n) or (M, 2^n) values; it is called once on all
+    of `table`, shape (n, len(table), B, *value shape).  `field` maps an (M, n)
+    point array to (M, *value shape) values; it is called once on all
     shifted points and, when the table has a zero offset, once on X.
     """
     B, n = X.shape
@@ -92,13 +93,14 @@ def _stencil(field, X: np.ndarray, table, h: float, scale: float) -> np.ndarray:
     steps = np.asarray(shifted, dtype=float) * h
     for j in range(n):
         P[j, :, :, j] += steps[:, None]
-    vals = _coerce_batch(field(P.reshape(-1, n)), n).reshape(n, len(shifted), B, 1 << n)
+    vals = np.asarray(field(P.reshape(-1, n)), dtype=float)
+    vals = vals.reshape((n, len(shifted), B) + vals.shape[1:])
     if 0 in offsets:
         z = offsets.index(0)
-        center = np.broadcast_to(_coerce_batch(field(X), n), (n, 1, B, 1 << n))
+        center = np.broadcast_to(np.asarray(field(X), dtype=float), (n, 1) + vals.shape[2:])
         vals = np.concatenate([vals[:, :z], center, vals[:, z:]], axis=1)
     weights = np.array([w / scale for _, w in table])
-    return weights[:, None, None] * vals
+    return weights.reshape((-1,) + (1,) * (vals.ndim - 2)) * vals
 
 
 def _dirac(field, X: np.ndarray, s: FDScheme, side: str) -> np.ndarray:
@@ -106,10 +108,10 @@ def _dirac(field, X: np.ndarray, s: FDScheme, side: str) -> np.ndarray:
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
     terms = _stencil(field, X, _D1[s.order], s.h, s.h)
-    n = X.shape[1]
-    res = np.zeros(terms.shape[2:])
+    B, n = X.shape
+    res = np.zeros((B, 1 << n))
     for j, axis_terms in enumerate(terms):
-        df = sum(axis_terms, 0.0)
+        df = _coerce_batch(sum(axis_terms, 0.0), n)
         ej = MultiVector.basis_vector(n, j).coeffs
         res += gp(ej, df, n) if side == "left" else gp(df, ej, n)
     return res
@@ -118,21 +120,21 @@ def _dirac(field, X: np.ndarray, s: FDScheme, side: str) -> np.ndarray:
 def _laplace(field, X: np.ndarray, s: FDScheme) -> np.ndarray:
     """FD Laplacian of a batched field at the rows of X, componentwise, (B, 2^n)."""
     terms = _stencil(field, X, _D2[s.order], s.h, s.h * s.h)
-    return sum(terms.reshape((-1,) + terms.shape[2:]), 0.0)
+    return _coerce_batch(sum(terms.reshape((-1,) + terms.shape[2:]), 0.0), X.shape[1])
 
 
 def dirac_fd(f: Callable, x, s: FDScheme = FDScheme(), side: str = "left") -> MultiVector:
     """FD Dirac operator: sum_j e_j d_j f (left) or sum_j (d_j f) e_j (right)."""
     x = np.asarray(x, dtype=float)
     n = x.shape[0]
-    return MultiVector(n, _dirac(_pointwise(f, n), x[None, :], s, side)[0])
+    return MultiVector(n, _dirac(_pointwise(f), x[None, :], s, side)[0])
 
 
 def laplace_fd(f: Callable, x, s: FDScheme = FDScheme()) -> MultiVector:
     """FD Laplacian applied componentwise to a Clifford-valued field."""
     x = np.asarray(x, dtype=float)
     n = x.shape[0]
-    return MultiVector(n, _laplace(_pointwise(f, n), x[None, :], s)[0])
+    return MultiVector(n, _laplace(_pointwise(f), x[None, :], s)[0])
 
 
 def dirac_residual_batch(field, X, s: FDScheme = FDScheme(), side: str = "left") -> np.ndarray:

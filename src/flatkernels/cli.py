@@ -10,7 +10,8 @@ radii as checkpoints of the shell sum, each row bit-identical to a separate
 call at its radius.  --threads is accepted for compatibility (a value below
 1 is a usage error) and changes neither the work nor the bytes.
 
-Exit codes: 0 success, 1 verification failure, 2 configuration error.
+Exit codes: 0 success, 1 verification failure, 2 configuration error, which
+includes a surface that a config asks for but that cannot be built.
 """
 
 from __future__ import annotations
@@ -27,9 +28,9 @@ import numpy as np
 
 from . import __version__, kernels_periodic, kernels_pin, quadrature, suites
 from .clifford import _MAX_STORED_DIM
-from .errors import ConfigError, RegimeError, SingularPoint
+from .errors import ConfigError, RegimeError, SingularPoint, SurfaceError
 from .kernels_euclid import cauchy_g_batch
-from .lattice import ManifoldSpec, config_bool, config_int
+from .lattice import ManifoldSpec, _check_radius, config_bool, config_int
 
 KERNEL_NAMES = tuple(kernels_pin.KERNELS)
 
@@ -66,13 +67,6 @@ def _config_point(cfg: dict, key: str, n: int) -> np.ndarray:
     return p
 
 
-def _radius(value) -> int:
-    R = config_int(value, "truncation radius")
-    if R < 0:
-        raise ConfigError("truncation radius R must be >= 0")
-    return R
-
-
 def make_evaluator(cfg: dict):
     """Parse a config once into (op, manifold, R, form).
 
@@ -92,7 +86,7 @@ def make_evaluator(cfg: dict):
         M = ManifoldSpec.from_dict(cfg["manifold"])
     except (TypeError, ValueError) as exc:  # e.g. a dependent basis or a non-numeric p
         raise ConfigError(str(exc)) from exc
-    R = _radius(cfg.get("R", 20))
+    R = _check_radius(config_int(cfg.get("R", 20), "truncation radius"))
     form = kernels_periodic.check_form(str(cfg.get("form", "orbit")).replace("-", "_"))
     if form == "orbit":
         form = kernel.orbit
@@ -218,7 +212,7 @@ def cmd_converge(args) -> int:
     radii = args.R_list.split(",") if args.R_list else cfg.get("R_list", [10, 20, 40])
     if not isinstance(radii, list) or not radii:
         raise ConfigError("R_list must hold nonnegative radii")
-    R_list = [_radius(r) for r in radii]
+    R_list = [_check_radius(config_int(r, "truncation radius")) for r in radii]
     op, M, _, _ = make_evaluator(cfg)
     x = _config_point(cfg, "x", M.n)[None, :]
     # one pass to the largest radius; the others are its checkpoints
@@ -267,12 +261,6 @@ def cmd_order(args) -> int:
     grid = config_int(cfg.get("grid", 256), "grid")
     if c.shape != (2,):
         raise ConfigError("order command is shipped for planar maps (center of length 2)")
-    if not np.all(np.isfinite(c)):
-        raise ConfigError("center must be finite")
-    if not (math.isfinite(delta) and delta > 0.0):
-        raise ConfigError("delta must be finite and > 0")
-    if grid < 1:
-        raise ConfigError("grid must be >= 1")
     name = cfg.get("map", "winding1")
     if not isinstance(name, str) or name not in suites.ORDER_MAPS:
         raise ConfigError(f"unknown map {name!r}; choose from {', '.join(suites.ORDER_MAPS)}")
@@ -363,7 +351,7 @@ def main(argv=None) -> int:
         ap.error("argument --threads: must be >= 1")
     try:
         return _COMMANDS[args.command](args)
-    except (ConfigError, RegimeError, SingularPoint) as exc:
+    except (ConfigError, RegimeError, SingularPoint, SurfaceError) as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return 2
 

@@ -190,8 +190,7 @@ def _pair_batch(x, y, n: int) -> tuple[np.ndarray, bool]:
 
 
 def _check_not_on_orbit(L: Lattice, D: np.ndarray, what: str):
-    t = np.linalg.solve(L.gram, L.basis @ D.T).T
-    nearest = np.rint(t) @ L.basis
+    nearest = np.rint(L.coords(D)) @ L.basis
     gap = D - nearest
     if np.any(np.sum(gap * gap, axis=1) < _SINGULAR_R2 * L.sigma_min**2):
         raise SingularPoint(f"{what} lies on the singular lattice orbit")

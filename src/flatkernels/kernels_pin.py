@@ -262,10 +262,7 @@ def _twist(M: ManifoldSpec, g) -> float:
 
 def _reflect_value(mv: MultiVector, axes) -> MultiVector:
     """The block reflection's value map: negate the reflected vector components."""
-    out = MultiVector(mv.n, mv.coeffs)
-    for j in axes:
-        out.coeffs[1 << j] = -out.coeffs[1 << j]
-    return out
+    return MultiVector(mv.n, reflect_coords(mv.coeffs, [1 << j for j in axes]))
 
 
 def descent_check(M: ManifoldSpec, kernel, samples, R: int) -> dict:
@@ -322,7 +319,7 @@ def monogenic_obstruction_probe(f, axis: int, samples, scheme: FDScheme = FDSche
     X = np.asarray(samples, dtype=float)
     residuals = []
     if X.size:
-        field = _pointwise(f, X.shape[1])
+        field = _pointwise(f)
         res = dirac_residual_batch(lambda P: field(reflect_coords(P, [axis])), X, scheme)
         residuals = [float(r) for r in res]
     return {

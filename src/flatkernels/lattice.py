@@ -127,9 +127,10 @@ class Lattice:
         return lattice_point(self, m)
 
     def coords(self, x) -> np.ndarray:
-        """Coefficients of the orthogonal projection of x onto the span."""
+        """Coefficients of the orthogonal projection of x onto the span: (k,) for a
+        point (n,), (B, k) for a batch (B, n)."""
         x = np.asarray(x, dtype=float)
-        return np.linalg.solve(self.gram, self.basis @ x)
+        return np.linalg.solve(self.gram, self.basis @ x.T).T
 
     def __repr__(self):
         return f"Lattice(k={self.k}, n={self.n})"
@@ -211,6 +212,11 @@ class BundleCharacter:
             raise ValueError("split index must be >= 0")
 
 
+def _parity(M: np.ndarray) -> np.ndarray:
+    """(-1)^(sum of |m_i|) per integer row of M (m, j); +1.0 for j = 0."""
+    return 1.0 - 2.0 * (np.sum(np.abs(M), axis=1) % 2)
+
+
 def char_sign(char: BundleCharacter, m) -> np.ndarray:
     """(-1)^(m_1 + ... + m_l) for one coefficient vector or a stack of them."""
     m = np.asarray(m, dtype=np.int64)
@@ -218,10 +224,7 @@ def char_sign(char: BundleCharacter, m) -> np.ndarray:
     M = np.atleast_2d(m)
     if char.l > M.shape[1]:
         raise DimensionMismatch(f"split index {char.l} exceeds lattice rank {M.shape[1]}")
-    if char.l == 0:
-        out = np.ones(M.shape[0])
-    else:
-        out = 1.0 - 2.0 * (np.sum(np.abs(M[:, : char.l]), axis=1) % 2)
+    out = _parity(M[:, : char.l])
     return out[0] if single else out
 
 
@@ -236,7 +239,7 @@ def moebius_sgn(m, variant: str) -> np.ndarray:
         even = np.all(M % 2 == 0, axis=1)
         out = np.where(even, 1.0, -1.0)
     else:
-        out = 1.0 - 2.0 * (np.sum(np.abs(M), axis=1) % 2)
+        out = _parity(M)
     return out[0] if single else out
 
 
@@ -397,7 +400,7 @@ def deck_signs(M: ManifoldSpec, Ms) -> np.ndarray:
     if M.kind == "MoebiusStrip":
         S[:, -1] = moebius_sgn(Ms, M.sign_variant)
     elif M.kind == "KleinBottle":
-        S[:, M.k - 1] = 1.0 - 2.0 * (Ms[:, -1] % 2)
+        S[:, M.k - 1] = _parity(Ms[:, -1:])
     return S
 
 

@@ -10,9 +10,10 @@ pushed through g by the cofactor matrix).
 
 Maps g come in two forms.  `order_of_zero_batch` takes a batched map, (M, n)
 points to (M, n) values, and calls it twice per contour: on the nodes and on
-their whole FD stencil.  `order_of_zero` and `jacobian_fd` take a
-single-point map g(x) -> (n,) and wrap it as a batched one; `adjugate`
-accepts one matrix or a stack.
+their whole FD stencil.  The Jacobians come from `calculus`' stencil engine
+(`_stencil` with its order-2 first-derivative table).  `order_of_zero` and
+`jacobian_fd` take a single-point map g(x) -> (n,) and wrap it as a batched
+one with `calculus._pointwise`; `adjugate` accepts one matrix or a stack.
 
 Orientation convention.  With the anticommuting generators squaring to -1 and
 the kernel normalisations of `kernels_euclid`, the flux of the vector kernel
@@ -35,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calculus import _coerce_batch
+from .calculus import _D1, _coerce_batch, _pointwise, _stencil
 from .clifford import MultiVector, gp, reflect_coords
 from .errors import AccuracyError, SurfaceError
 from .kernels_euclid import green_to_cauchy_factor, sphere_area
@@ -362,22 +363,11 @@ def pv_jump_probe(kernel, S: Hypersurface, density, w_index: int, t_values=None,
 def _jacobians(g, X: np.ndarray, h: float) -> np.ndarray:
     """Central-difference Jacobians of a batched map at every row of X, (B, n, n).
 
-    `g` maps an (M, n) point array to (M, n) values; it is called once, on
-    all 2nB shifted points, ordered by axis, then +h before -h, then row.
+    `g` maps an (M, n) point array to (M, n) values; `calculus`' stencil calls
+    it once, on all 2nB shifted points.
     """
-    B, n = X.shape
-    shifted = np.repeat(X[None, :, :], 2 * n, axis=0)  # (2n, B, n)
-    for j in range(n):
-        shifted[2 * j, :, j] += h
-        shifted[2 * j + 1, :, j] -= h
-    G = np.asarray(g(shifted.reshape(-1, n)), dtype=float).reshape(n, 2, B, n)
-    # column j of each Jacobian is the j-th difference quotient
-    return np.transpose((G[:, 0] - G[:, 1]) / (2.0 * h), (1, 2, 0))
-
-
-def _single_point(g):
-    """A single-point map g(x) -> (n,) as a batched one."""
-    return lambda P: np.array([np.asarray(g(p), dtype=float) for p in P])
+    # column j of each Jacobian is the j-th axis's weighted difference
+    return np.transpose(_stencil(g, X, _D1[2], h, h).sum(axis=1), (1, 2, 0))
 
 
 def jacobian_fd(g, x, h: float = 1e-5) -> np.ndarray:
@@ -386,7 +376,7 @@ def jacobian_fd(g, x, h: float = 1e-5) -> np.ndarray:
     `g` maps one point (n,) to (n,) values; the batched form is `_jacobians`.
     """
     x = np.asarray(x, dtype=float)
-    return _jacobians(_single_point(g), x[None, :], h)[0]
+    return _jacobians(_pointwise(g), x[None, :], h)[0]
 
 
 def adjugate(A: np.ndarray) -> np.ndarray:
@@ -438,7 +428,7 @@ def order_of_zero(g, c, delta: float, kernel0, grid, fd_h: float = 1e-5) -> int:
     Wraps g as a batched map and calls `order_of_zero_batch`; the bits are
     those of the batched call on the same values.
     """
-    return order_of_zero_batch(_single_point(g), c, delta, kernel0, grid, fd_h)
+    return order_of_zero_batch(_pointwise(g), c, delta, kernel0, grid, fd_h)
 
 
 def polygon_winding(points: np.ndarray, origin=None) -> int:

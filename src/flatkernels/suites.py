@@ -39,20 +39,6 @@ from .lattice import (
     shell,
 )
 
-SUITES = (
-    "clifford",
-    "conformal",
-    "calculus",
-    "euclid",
-    "lattice",
-    "periodic",
-    "pin",
-    "descent",
-    "quadrature",
-    "order",
-    "probes",
-)
-
 
 def _check(checks: list, name: str, passed: bool, detail) -> None:
     checks.append({"name": name, "passed": bool(passed), "detail": detail})
@@ -505,7 +491,7 @@ def probe_reports() -> dict:
     return out
 
 
-_SUITE_FNS = {
+SUITES = {
     "clifford": suite_clifford,
     "conformal": suite_conformal,
     "calculus": suite_calculus,
@@ -528,6 +514,4 @@ def run_suite(name: str, seed: int = 0) -> dict:
             "reports": reports,
             "passed": all(r["passed"] for r in reports),
         }
-    if name not in _SUITE_FNS:
-        raise KeyError(name)
-    return _SUITE_FNS[name](seed)
+    return SUITES[name](seed)

@@ -383,6 +383,9 @@ class TestMalformedConfig:
         pytest.param({"center": [NAN, 0.0]}, id="nan-center"),
         pytest.param({"map": "spiral"}, id="unknown-map"),
         pytest.param({"map": ["winding1"]}, id="non-string-map"),
+        # contours on which |g| falls below the engine's 1e-12 guard
+        pytest.param({"map": "winding2", "delta": 1e-6}, id="winding2-tiny-delta"),
+        pytest.param({"map": "winding1", "delta": 1e-300}, id="winding1-tiny-delta"),
     ])
     def test_order_exits_2_with_one_line_message(self, tmp_path, capsys, override):
         p = tmp_path / "order.json"

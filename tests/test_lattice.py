@@ -44,6 +44,20 @@ class TestLattice:
         L = Lattice(np.eye(3)[:2])
         assert L.sigma_min == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("basis", [
+        [[1.0, 0.0, 0.0], [0.7, 1.3, 0.0]],
+        [[1.0, 0.2, -0.1, 0.0], [0.3, 1.1, 0.4, 0.2], [-0.5, 0.6, 0.9, 1.7]],
+    ], ids=["skewed-rank2", "rank3"])
+    def test_batched_coords_match_single_points(self, basis):
+        # a batch runs one matrix product and one many-column solve; BLAS may
+        # round those differently from a point's vector product and solve
+        L = Lattice(basis)
+        X = np.random.default_rng(4).normal(size=(17, L.n)) * 3.0
+        T = L.coords(X)
+        single = np.array([L.coords(x) for x in X])
+        assert T.shape == single.shape == (17, L.k)
+        assert np.max(np.abs(T - single)) <= 1e-14 * np.max(np.abs(single))
+
     @pytest.mark.parametrize("scale", [1e-7, 1.0, 1e7])
     def test_independence_check_is_scale_aware(self, scale):
         L = Lattice(np.array([[1.0, 0.0, 0.0], [0.3, 1.2, 0.0]]) * scale)
@@ -146,12 +160,18 @@ class TestShell:
 class TestCharSign:
     def test_prefix_parity_sign(self):
         assert char_sign(BundleCharacter(1), [3, 2]) == -1.0
+        assert char_sign(BundleCharacter(1), [-3, 2]) == -1.0
+        stacked = [[3, 2], [-3, 2], [-2, 5], [0, -7]]
+        assert np.array_equal(char_sign(BundleCharacter(1), stacked), [-1.0, -1.0, 1.0, 1.0])
 
     def test_trivial(self):
         assert char_sign(BundleCharacter(0), [7, -5, 2]) == 1.0
+        assert np.array_equal(char_sign(BundleCharacter(0), [[7, -5, 2], [-1, 0, 0]]), [1.0, 1.0])
 
     def test_parity_of_prefix(self):
         assert char_sign(BundleCharacter(2), [1, 1, 5]) == 1.0
+        assert char_sign(BundleCharacter(2), [-1, 1, 5]) == 1.0
+        assert np.array_equal(char_sign(BundleCharacter(2), [[1, 1, 5], [-1, -2, 5], [0, -3, 4]]), [1.0, -1.0, -1.0])
 
     def test_group_character(self):
         rng = np.random.default_rng(1)
@@ -169,6 +189,11 @@ class TestMoebiusSgn:
     def test_mixed(self):
         assert moebius_sgn([1, 2], "AllEven") == -1.0
         assert moebius_sgn([1, 2], "SumParity") == -1.0
+        assert moebius_sgn([-1, -2], "AllEven") == -1.0
+        assert moebius_sgn([-1, -2], "SumParity") == -1.0
+        stacked = [[1, 2], [-1, -2], [-2, 4], [-3, 1]]
+        assert np.array_equal(moebius_sgn(stacked, "AllEven"), [-1.0, -1.0, 1.0, -1.0])
+        assert np.array_equal(moebius_sgn(stacked, "SumParity"), [-1.0, -1.0, 1.0, 1.0])
 
     def test_distinguishing_case(self):
         assert moebius_sgn([1, 1], "AllEven") == -1.0
@@ -344,6 +369,10 @@ class TestDeckSigns:
         K = ManifoldSpec("KleinBottle", 5, Lattice([[0.8, 0, 0, 0, 0], [0, 1.0, 0, 0, 0]]))
         S = deck_signs(K, Ms)
         assert np.array_equal(S[:, 1], (-1.0) ** Ms[:, 1])
+        assert np.all(np.delete(S, 1, axis=1) == 1.0)
+        # the fold reads m_k mod 2 of a negative m_k too
+        S = deck_signs(K, [[0, -1], [2, -4], [-3, -3], [1, 5]])
+        assert np.array_equal(S[:, 1], [-1.0, 1.0, -1.0, -1.0])
         assert np.all(np.delete(S, 1, axis=1) == 1.0)
         for M in GROUP_SPECS[:3]:
             assert np.all(deck_signs(M, _shell_array(M.k, 1)) == 1.0)

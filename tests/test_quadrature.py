@@ -447,6 +447,21 @@ class TestBatchedOrderEngine:
         ref = np.array([jacobian_fd(g, x) for x in X])
         assert _jacobians(_batched(g), X, 1e-5).tobytes() == ref.tobytes()
 
+    @pytest.mark.parametrize("name", list(ORDER_MAPS) + list(R3_MAPS))
+    def test_jacobians_match_central_difference_quotients(self, name):
+        # the stencil weights each side by +-0.5/h, so its bits differ from
+        # (g+ - g-)/(2h) by rounding in terms of size |g|/h
+        if name in ORDER_MAPS:
+            g, X = lambda P: ORDER_MAPS[name](P, self.C), sphere_surface(self.C, 0.5, (64,)).positions
+        else:
+            g, X = _batched(R3_MAPS[name][0]), sphere_surface(R3_MAPS[name][1], 0.4, (6, 12)).positions
+        h = 1e-5
+        J = _jacobians(g, X, h)
+        for j, step in enumerate(h * np.eye(X.shape[1])):
+            plus, minus = g(X + step), g(X - step)
+            scale = np.maximum(np.abs(plus), np.abs(minus)).max() / h
+            assert np.max(np.abs(J[:, :, j] - (plus - minus) / (2.0 * h))) <= 1e-12 * scale
+
     @pytest.mark.parametrize("name,delta", ORDER_CASES)
     def test_batched_order_matches_single_point(self, name, delta):
         g = lambda x: ORDER_MAPS[name](x, self.C)
