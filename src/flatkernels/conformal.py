@@ -3,8 +3,8 @@
 A map acts as x -> (a x + b)(c x + d)^(-1) inside Cl_n.  Validity of the
 coefficient quadruple is checked numerically at construction (the products
 a~c, c~d, d~b, b~a must be vectors and the pseudo-determinant a~d - b~c must
-be +-1, both within 1e-10); no symbolic factorisation into vectors is
-attempted.
+be +-1, both within 1e-10), except for the standard families, valid by
+construction; no symbolic factorisation into vectors is attempted.
 
 The weight factors
 
@@ -57,12 +57,18 @@ class MoebiusMap:
         if abs(abs(det.scalar_part) - 1.0) > _VAHLEN_TOL * scale * scale:
             raise ValueError(f"pseudo-determinant must be +-1, got {det.scalar_part}")
 
-    # -- standard families ---------------------------------------------------
+    # -- standard families: valid by construction, so built without `_validate` --
+    @classmethod
+    def _valid(cls, a: MultiVector, b: MultiVector, c: MultiVector, d: MultiVector) -> "MoebiusMap":
+        psi = object.__new__(cls)
+        psi.n, psi.a, psi.b, psi.c, psi.d = a.n, a, b, c, d
+        return psi
+
     @classmethod
     def identity(cls, n: int) -> "MoebiusMap":
         one = MultiVector.scalar(n, 1.0)
         zero = MultiVector.zero(n)
-        return cls(one, zero, zero, one)
+        return cls._valid(one, zero, zero, one)
 
     @classmethod
     def translation(cls, v) -> "MoebiusMap":
@@ -70,7 +76,7 @@ class MoebiusMap:
         n = v.shape[0]
         one = MultiVector.scalar(n, 1.0)
         zero = MultiVector.zero(n)
-        return cls(one, MultiVector.from_vector(v), zero, one)
+        return cls._valid(one, MultiVector.from_vector(v), zero, one)
 
     @classmethod
     def dilation(cls, lam: float, n: int) -> "MoebiusMap":
@@ -78,7 +84,7 @@ class MoebiusMap:
             raise ValueError("dilation factor must be positive")
         s = math.sqrt(lam)
         zero = MultiVector.zero(n)
-        return cls(MultiVector.scalar(n, s), zero, zero, MultiVector.scalar(n, 1.0 / s))
+        return cls._valid(MultiVector.scalar(n, s), zero, zero, MultiVector.scalar(n, 1.0 / s))
 
     def compose(self, inner: "MoebiusMap") -> "MoebiusMap":
         """Map acting as self(inner(x)) (matrix product of the quadruples)."""

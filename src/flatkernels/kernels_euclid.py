@@ -11,11 +11,11 @@ c_n = (n - 2)/(n - 1); `green_to_cauchy_factor` exposes that constant and the
 test suite re-derives it with the FD oracle before the boundary-integral
 engine relies on it.
 
-This module owns the formula: `sq_norm` and the vector and scalar terms
-(`_cauchy_term`, `_green_term`) are the ones every lattice sum evaluates,
-and the single-point kernels are row 0 of the batched ones.  Each takes an
-optional `out`, the array to write its result into, so the shell engine can
-keep its block-sized arrays across calls; the bits are those without `out`.
+This module owns the formula: `sq_norm`, the exponents and constants
+(`_kernel`) and the terms every lattice sum evaluates (`_cauchy_term`,
+`_green_term`, the frame's `_frame_term`); single-point kernels are row 0 of
+the batched ones.  Each term takes an optional `out` to write into, so the
+shell engine keeps its block-sized arrays; the bits are those without `out`.
 """
 
 from __future__ import annotations
@@ -65,15 +65,22 @@ def _power(r2: np.ndarray, p: float, in_place: bool) -> np.ndarray:
     return r2
 
 
+def _kernel(n: int, vector: bool) -> tuple[float, float]:
+    """(e, c): the vector kernel is U r2^e / c, the scalar one (n > 2) r2^e c, r2 = |U|^2."""
+    if not vector and n <= 2:
+        raise RegimeError("scalar kernel requires n > 2")
+    return (-n / 2.0, sphere_area(n)) if vector else ((2.0 - n) / 2.0, 1.0 / (sphere_area(n) * (1.0 - n)))
+
+
 def _cauchy_term(n: int):
     """The vector kernel as term(U, r2, out=None) of differences U (..., n) and r2 = |U|^2.
 
     With `out` (U's shape) the terms are written there and r2 is overwritten.
     """
-    wn = sphere_area(n)
+    e, wn = _kernel(n, True)
 
     def term(U, r2, out=None):
-        G = np.multiply(U, _power(r2, -n / 2.0, out is not None)[..., None], out=out)
+        G = np.multiply(U, _power(r2, e, out is not None)[..., None], out=out)
         G /= wn
         return G
 
@@ -85,10 +92,31 @@ def _green_term(n: int):
 
     With `out` (r2's shape) the terms are written there and r2 is overwritten.
     """
-    if n <= 2:
-        raise RegimeError("scalar kernel requires n > 2")
-    c = 1.0 / (sphere_area(n) * (1.0 - n))
-    return lambda U, r2, out=None: np.multiply(_power(r2, (2.0 - n) / 2.0, out is not None), c, out=out)
+    e, c = _kernel(n, False)
+    return lambda U, r2, out=None: np.multiply(_power(r2, e, out is not None), c, out=out)
+
+
+def _frame_term(n: int, vector: bool):
+    """The kernel without its constant, as a lattice frame sums it: (term, at_lattice, finish).
+
+    term(V, r2, out=None) of span coordinates V (..., k) and |U|^2 is p = r2^e, or (V p, p)
+    (..., k+1), the transverse channel over rho last; it overwrites r2 when given `out`
+    (the vector `out` may begin with V, the scalar one is r2).  at_lattice(W) is p or
+    (w p, 0) at lattice points W (m, k+1); finish(S) applies the constant in place.
+    """
+    e, c = _kernel(n, vector)
+    if not vector:
+        term = lambda V, r2, out=None: _power(r2, e, out is r2)
+        return term, lambda W: sq_norm(W)[:, None] ** e, lambda S: np.multiply(S, c, out=S)
+
+    def term(V, r2, out=None):
+        p = _power(r2, e, out is not None)
+        out = np.empty(V.shape[:-1] + (V.shape[-1] + 1,)) if out is None else out
+        np.multiply(V, p[..., None], out=out[..., :-1])
+        out[..., -1] = p
+        return out
+
+    return term, lambda W: W[:, None, :] * (sq_norm(W) ** e)[:, None, None], lambda S: np.divide(S, c, out=S)
 
 
 def _euclid(X, Y, make_term, what: str) -> np.ndarray:

@@ -17,10 +17,10 @@ then run over the batch or the shell rows instead of over the n
 coordinates.
 
 Row blocks: the terms are evaluated a block of rows at a time, and a block
-holds at most `_TILE` = 2^15 image coordinates of the chunk (256 KiB), so
-memory follows the block, not the shell.  A shell with more rows than the
-largest power of two that fits (`_block_rows`, never fewer than
-`_MIN_ROWS`) is split into blocks of that many rows.  The bits do not
+holds at most `_TILE` = 2^15 image coordinates or term values of the chunk
+(256 KiB), so memory follows the block, not the shell.  A shell with more
+rows than the largest power of two that fits (`_block_rows`, never fewer
+than `_MIN_ROWS`) is split into blocks of that many rows.  The bits do not
 move: a block of 2^j rows that starts at a multiple of 2^j is one subtree
 of the shell's pairwise tree (`_pairwise_sum`), the last block a partial
 one, so the pairwise sum of the block sums is the shell sum.  Smaller
@@ -45,9 +45,9 @@ thread (`_take`, a `threading.local`) that persist from call to call, so a
 warm sum allocates none of them and does not fault their pages in again.
 Threads never share a buffer, and a buffer that something still views is
 replaced rather than overwritten, so a consumer that keeps the shells it
-was handed keeps their values.  The Euclidean terms, `sq_norm`, the
-default, Class-B and torus images and the torus pair write into these
-buffers through their `out` parameter, with the bits they have without it.
+was handed keeps their values.  The terms, `sq_norm`, the images and the
+torus pair write into these buffers through their `out` parameter, with
+the bits they have without it.
 
 Checkpoints: the sum to a radius r is a prefix of the sum to any R > r, so
 one pass to R can return the sums to several radii (`shell_sum`'s
@@ -55,12 +55,14 @@ one pass to R can return the sums to several radii (`shell_sum`'s
 
 The cylinder and projective sums are near + far (`_lattice_sum`): shell 0
 in full coordinates, and shells 1..R in the lattice frame, where an image
-d + w depends only on t = d Q along the span and rho, the distance to it:
-k+1 coordinates instead of n.  Class B and the torus keep full coordinates.
+d + w is (t + w, rho), t = d Q along the span and rho the distance to it.
+Only the k coordinates t + w vary with the shell row; rho^2 is added last
+to each |U|^2, and the far terms leave out the kernel's constant, applied
+once to the far sum.  Class B and the torus keep full coordinates.
 
-Every term is the Euclidean formula of `kernels_euclid` (`sq_norm` and
-its vector and scalar terms).  Regimes (k = lattice rank, n = ambient
-dimension; `periodic_regime` is the one place that compares k with n):
+Every term is the formula of `kernels_euclid`.  Regimes (k = lattice rank,
+n = ambient dimension; `periodic_regime` is the one place that compares k
+with n):
 
 * `cyl_cauchy`: k <= n-2, plain sum of vector kernels;
 * `cyl_cauchy_reg`: k = n-1, subtracts the lattice-point value G(w) per term;
@@ -97,7 +99,7 @@ import numpy as np
 
 from .clifford import MultiVector, reflect_coords
 from .errors import ConfigError, DimensionMismatch, RegimeError, SingularPoint
-from .kernels_euclid import _cauchy_term, _green_term, sphere_area, sq_norm
+from .kernels_euclid import _cauchy_term, _frame_term, _green_term, sphere_area, sq_norm
 from .lattice import BundleCharacter, Lattice, _check_radius, _shell_rows, _shell_size, char_sign
 
 # a squared distance below _SINGULAR_R2 * sigma_min^2 is on the singular orbit
@@ -346,12 +348,13 @@ def _block_rows(width: int) -> int:
 def _chunks(B: int, max_rows: int, width):
     """Point chunks [lo, hi) of a batch of B, for shells of up to `max_rows` rows.
 
-    `width` is a pair (values, image coordinates) per point, or one number for
-    both.  A chunk of b points is summed in blocks of `_block_rows(b * coords)`
-    rows.  b is the largest count (at least 1) for which neither the images of
-    one block of the largest shell nor that shell's stacked block sums hold
-    more than `_TILE` values: more points would only outgrow the tile where
-    the `_MIN_ROWS` floor holds a block or where the block sums pile up.
+    `width` is a pair (values, the wider of image coordinates and values) per
+    point, or one number for both.  A chunk of b points is summed in blocks of
+    `_block_rows(b * coords)` rows.  b is the largest count (at least 1) for
+    which neither the images or terms of one block of the largest shell nor
+    that shell's stacked block sums hold more than `_TILE` values: more points
+    would only outgrow the tile where the `_MIN_ROWS` floor holds a block or
+    where the block sums pile up.
     """
     values, coords = width if isinstance(width, tuple) else (width, width)
 
@@ -391,7 +394,7 @@ def _radii(R, checkpoints=()) -> tuple:
 
 def shell_sum(L: Lattice, char: BundleCharacter, D: np.ndarray, R: int, term,
               shape=(), image=_translate, subtract=None, *, checkpoints=(),
-              _start: int = 0) -> np.ndarray:
+              _start: int = 0, _rho2=None) -> np.ndarray:
     """Lattice sum over the sup-norm shells 0..R for each point of D; (B, *shape).
 
     Row m of shell r contributes chi(m) [term(U, |U|^2) - subtract(W)], where
@@ -402,14 +405,14 @@ def shell_sum(L: Lattice, char: BundleCharacter, D: np.ndarray, R: int, term,
     result does not depend on the chunking.  Shells come from `_shell_rows`:
     a large one is built for each chunk that reaches it and dropped after it.
 
-    Terms are evaluated in row blocks of at most `_TILE` image coordinates of
-    the chunk (module docstring).  A shell of more than `_block_rows` rows is
-    split into blocks of that many rows (a power of two, at least
-    `_MIN_ROWS`), each reduced by `_pairwise_sum`; the pairwise sum of the
-    block sums has the bits of the whole shell's tree.  Consecutive smaller
-    shells r >= 1 share one block while their rows fit the tile, and each is
-    summed as its own row slice of the block's terms, as if alone.  A run of
-    one shell is summed as it is, uncopied.
+    Terms are evaluated in row blocks of at most `_TILE` image coordinates or
+    values of the chunk, whichever are more (module docstring).  A shell of
+    more than `_block_rows` rows is split into blocks of that many rows (a
+    power of two, at least `_MIN_ROWS`), each reduced by `_pairwise_sum`; the
+    pairwise sum of the block sums has the bits of the whole shell's tree.
+    Consecutive smaller shells r >= 1 share one block while their rows fit the
+    tile, and each is summed as its own row slice of the block's terms, as if
+    alone.  A run of one shell is summed as it is, uncopied.
 
     `image` gets the chunk D (b, ..., n) and the shell's W (m, n) in Fortran
     order (module docstring); an image that returns another layout gets the
@@ -417,19 +420,20 @@ def shell_sum(L: Lattice, char: BundleCharacter, D: np.ndarray, R: int, term,
 
     Workspace: an `image`, `term` or `sq_norm` with an `out` parameter
     writes into the calling thread's buffers (`_take`): the images and |U|^2
-    into their own, and the terms over the images (vector terms, whose
-    values have U's shape) or over |U|^2 (scalar terms), as neither is read
-    again, else into a buffer of their own (the torus pair, which drops the
-    pair axis of U); the subtraction and the character sign then apply in
-    place.  A callable without `out` (a stand-in term or image) returns its
+    into their own, and the terms over the images (vector terms, the images'
+    buffer as wide as their values) or over |U|^2 (scalar terms), as neither
+    is read again, else into a buffer of their own (the torus pair, which
+    drops the pair axis of U); the subtraction and the character sign then
+    apply in place.  A callable without `out` (a stand-in term or image) returns its
     own arrays.  Each shell handed to `kahan_shell_sum` is a view of a
     buffer that the next block reuses once the view is gone.
 
     R must be an integer >= 0 (an integral float or numpy integer counts as
     the int); a bool, a fraction, a string or a negative R raises
     `ConfigError`.  A squared image distance below `_SINGULAR_R2 * sigma_min^2`
-    raises `SingularPoint`.  `_lattice_sum` sums the frame lattice at (t, rho)
-    from shell 1 (`_start`); Class B and the torus sum L from shell 0.
+    raises `SingularPoint`.  `_lattice_sum` sums the frame lattice at t from
+    shell 1 (`_start`), adding rho^2 last to each |U|^2 (`_rho2`, one per
+    point); Class B and the torus sum L from shell 0.
 
     Checkpoints: with `checkpoints`, strictly increasing radii in [0, R), one
     pass to R returns (len(checkpoints) + 1, B, *shape), the sum to each
@@ -445,9 +449,10 @@ def shell_sum(L: Lattice, char: BundleCharacter, D: np.ndarray, R: int, term,
     out = np.empty((len(radii), B) + shape)
     singular = _SINGULAR_R2 * L.sigma_min**2
     image_out, norm_out, term_out = _takes_out(image), _takes_out(sq_norm), _takes_out(term)
-    for lo, hi in _chunks(B, _shell_size(L.k, R), (math.prod(shape), math.prod(D.shape[1:]))):
+    width = max(math.prod(shape), math.prod(D.shape[1:]))  # per row and point: image coordinates or values
+    for lo, hi in _chunks(B, _shell_size(L.k, R), (math.prod(shape), width)):
         Dc = np.asfortranarray(D[lo:hi])
-        rows = _block_rows(Dc.size)
+        rows = _block_rows((hi - lo) * width)
 
         def block(Ms, r):
             W = Ms.astype(float) @ L.basis
@@ -455,14 +460,16 @@ def shell_sum(L: Lattice, char: BundleCharacter, D: np.ndarray, R: int, term,
             # subtraction's W @ V rounds differently in another layout
             Wf = _take("lattice vectors", W.shape, 1)
             Wf[...] = W
-            m = len(Ms)
-            U = image(Dc, Ms, Wf, out=_take("images", (m,) + Dc.shape)) if image_out else image(Dc, Ms, Wf)
+            m, size = len(Ms), (len(Ms), hi - lo) + shape
+            wide = _take("images", (m,) + Dc.shape[:-1] + (max((Dc.shape[-1],) + shape[-1:]),)) if image_out else None
+            U = image(Dc, Ms, Wf, out=wide[..., : Dc.shape[-1]]) if image_out else image(Dc, Ms, Wf)
             r2 = sq_norm(U, out=_take("norms", U.shape[:-1])) if norm_out else sq_norm(U)
-            if np.any(r2 < singular):
+            if _rho2 is not None:
+                r2 += _rho2[lo:hi]
+            if r2.min() < singular:
                 raise SingularPoint("evaluation point on a kernel singularity")
-            if term_out:  # over U (vector terms) or |U|^2 (scalar terms): neither is read again
-                size = (m, hi - lo) + shape
-                t = term(U, r2, out=U if image_out and U.shape == size else
+            if term_out:  # over the images (vector terms; the buffer is as wide) or |U|^2: neither is read again
+                t = term(U, r2, out=wide if image_out and wide.shape == size else
                          r2 if norm_out and r2.shape == size else _take("terms", size))
             else:
                 t = term(U, r2)
@@ -488,7 +495,7 @@ def shell_sum(L: Lattice, char: BundleCharacter, D: np.ndarray, R: int, term,
                 run, m = [Ms], len(Ms)  # whole shells r >= 1 that share one block
                 while r > 0 and r + len(run) <= R:
                     size = _shell_size(L.k, r + len(run))
-                    if size > rows or (m + size) * Dc.size > _TILE:
+                    if size > rows or (m + size) * (hi - lo) * width > _TILE:
                         break
                     run.append(_shell_rows(L.k, r + len(run)))
                     m += size
@@ -506,10 +513,10 @@ def shell_sum(L: Lattice, char: BundleCharacter, D: np.ndarray, R: int, term,
 
 
 def _dot(A: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """A @ M summed left to right over A's columns: unlike BLAS, one order at every batch size."""
-    out = A[:, :1] * M[0]
-    for i in range(1, A.shape[1]):
-        out += A[:, i : i + 1] * M[i]
+    """A @ M summed left to right over A's last axis: unlike BLAS, one order at every batch size."""
+    out = A[..., :1] * M[0]
+    for i in range(1, A.shape[-1]):
+        out += A[..., i : i + 1] * M[i]
     return out
 
 
@@ -527,33 +534,32 @@ def _lattice_sum(L: Lattice, char: BundleCharacter, D: np.ndarray, R: int, vecto
     Without an `image`, the sum is near + far.  The near term is shell 0 in full
     coordinates, so at R = 0 the sum has the bits of `cauchy_g_batch` and
     `green_h_batch`.  The far sum covers shells 1..R in the lattice frame
-    (`Lattice._frame`), at (t, rho) with t = D Q and rho = |P|, P = D - t Q^T:
-    k+1 coordinates per image instead of n.  A vector far sum maps back as
-    far[:, :k] Q^T + (P / rho) far[:, k], with P / rho = 0 where rho = 0.
-    Class B passes its own `image` and sums every shell in full coordinates.
-    With `checkpoints` (see `shell_sum`) each checkpoint's far sum gets the
-    same near term and map-back: a row of (len(checkpoints) + 1, B, ...) per radius.
+    (`Lattice._frame`): images (t + w, rho), t = D Q, rho = |P|, P = D - t Q^T,
+    hold the k coordinates t + w, and rho rho is added last to |U|^2 (`_rho2`).
+    The terms are `_frame_term`'s, their constant applied once to the far sum;
+    a vector one maps back as far[:, :k] Q^T + P far[:, k].  Class B passes its
+    own `image` and sums every shell in full coordinates.  With `checkpoints`
+    (see `shell_sum`) each checkpoint's far sum gets the same near term and
+    map-back: a row of (len(checkpoints) + 1, B, ...) per radius.
     """
     term = _cauchy_term(L.n) if vector else _green_term(L.n)
-    subtract = _at_lattice(term) if regularized and (vector or char.l == 0) else None
+    subtracted = regularized and (vector or char.l == 0)
     if image is not None:
-        return shell_sum(L, char, D, R, term, (L.n,) if vector else (), image, subtract,
-                         checkpoints=checkpoints)
+        return shell_sum(L, char, D, R, term, (L.n,) if vector else (), image,
+                         _at_lattice(term) if subtracted else None, checkpoints=checkpoints)
     r2 = sq_norm(D)
-    if np.any(r2 < _SINGULAR_R2 * L.sigma_min**2):
+    if r2.min() < _SINGULAR_R2 * L.sigma_min**2:
         raise SingularPoint("evaluation point on a kernel singularity")
     Q, reduced = L._frame
     t = _dot(D, Q)
     P = D - _dot(t, Q.T)
     rho = np.sqrt(sq_norm(P))
-    far = shell_sum(reduced, char, np.column_stack((t, rho)), R, term,
-                    (L.k + 1,) if vector else (), subtract=subtract, checkpoints=checkpoints, _start=1)
+    far_term, at_lattice, finish = _frame_term(L.n, vector)
+    span = lambda D, Ms, W, out=None: _translate(D, Ms, W[:, :-1], out)  # the frame basis' last column is 0
+    far = finish(shell_sum(reduced, char, t, R, far_term, (L.k + 1,) if vector else (), span,
+                           at_lattice if subtracted else None, checkpoints=checkpoints, _start=1, _rho2=rho * rho))
     if vector:
-        def back(f):
-            scale = np.divide(f[:, L.k], rho, out=np.zeros_like(rho), where=rho > 0.0)
-            return _dot(f[:, : L.k], Q.T) + P * scale[:, None]
-
-        far = back(far) if far.ndim == 2 else np.stack([back(f) for f in far])
+        far = _dot(far[..., : L.k], Q.T) + P * far[..., L.k :]
     return term(D, r2) + far
 
 

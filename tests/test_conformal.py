@@ -71,6 +71,20 @@ class TestValidation:
         with pytest.raises(ValueError):
             MoebiusMap(one, bad, zero, one)
 
+    def test_families_skip_the_check_that_the_constructor_and_compose_keep(self, monkeypatch):
+        checked = []
+        check = MoebiusMap._validate
+        monkeypatch.setattr(MoebiusMap, "_validate", lambda psi: checked.append(psi) or check(psi))
+        maps = MoebiusMap.identity(3), MoebiusMap.translation([0.5, -1.0, 2.0]), MoebiusMap.dilation(2.0, 3)
+        assert checked == []
+        maps[1].compose(maps[2])
+        assert len(checked) == 1
+        for psi in maps:  # each family's quadruple passes the check it skipped
+            MoebiusMap(psi.a, psi.b, psi.c, psi.d)
+        ident = maps[0]
+        with pytest.raises(ValueError):
+            MoebiusMap(ident.a * 2.0, ident.b, ident.c, ident.d)
+
 
 class TestComposition:
     def test_matches_pointwise_composition(self):

@@ -87,22 +87,31 @@ CASES = {
 
 @pytest.fixture
 def blocks(monkeypatch):
-    """The image shapes of every block, and the shells and rows the sums were handed.
+    """The shapes of every block, and the shells and rows the sums were handed.
 
-    A block is a term call on the images of several points; the subtractions
-    call the term on the lattice points alone, (m, 1, ...), and are not counted.
+    A block is a term call on the images of several points, recorded at the
+    wider of its images and its values (a frame's vector terms have one
+    channel more than its images); the subtractions call the term on the
+    lattice points alone, (m, 1, ...), and are not counted.
     """
     rec = {"images": [], "shells": 0, "rows": 0}
-    for name in ("_cauchy_term", "_green_term"):
-        def made(n, make=getattr(kernels_periodic, name)):
-            term = make(n)
 
-            def counted(U, r2):
-                if U.ndim >= 3 and U.shape[1] > 1:
-                    rec["images"].append(U.shape)
-                return term(U, r2)
-            return counted
-        monkeypatch.setattr(kernels_periodic, name, made)
+    def counted(term):
+        def call(U, r2):
+            t = term(U, r2)
+            if U.ndim >= 3 and U.shape[1] > 1:
+                rec["images"].append(max(U.shape, t.shape, key=math.prod))
+            return t
+        return call
+
+    for name in ("_cauchy_term", "_green_term"):  # Class B and the torus
+        monkeypatch.setattr(kernels_periodic, name, lambda n, make=getattr(kernels_periodic, name): counted(make(n)))
+    frame = kernels_periodic._frame_term  # the cylinder and projective far sums
+
+    def frame_counted(n, vector):
+        term, *rest = frame(n, vector)
+        return (counted(term), *rest)
+    monkeypatch.setattr(kernels_periodic, "_frame_term", frame_counted)
     kahan = kernels_periodic.kahan_shell_sum
 
     def counted_sum(shape, shells, *prefixes):
@@ -167,7 +176,7 @@ def test_single_point_rank1_is_one_run():
 
 
 def test_tile_edge_and_single_shell_blocks(blocks):
-    # rank-1 frame images have 2 coordinates: 4096 points fit two 2-row shells
+    # rank-1 frame terms have 2 values: 4096 points fit two 2-row shells
     # in one tile, 8192 points only one (the sphere workload: nothing to share)
     M = ManifoldSpec("Projective", 3, Lattice(np.eye(3)[:1]), p=2)
     P = np.random.default_rng(8).uniform(-0.5, 0.5, (8192, 3))
