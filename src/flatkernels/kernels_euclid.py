@@ -12,10 +12,12 @@ test suite re-derives it with the FD oracle before the boundary-integral
 engine relies on it.
 
 This module owns the formula: `sq_norm`, the exponents and constants
-(`_kernel`) and the terms every lattice sum evaluates (`_cauchy_term`,
-`_green_term`, the frame's `_frame_term`); single-point kernels are row 0 of
-the batched ones.  Each term takes an optional `out` to write into, so the
-shell engine keeps its block-sized arrays; the bits are those without `out`.
+(`_kernel`), the powers r2^e (`_power`: correctly rounded IEEE steps, so a
+kernel value has the same bits on every CPU; the tails still use `**`) and
+the terms every lattice sum evaluates (`_cauchy_term`, `_green_term`, the
+frame's `_frame_term`); single-point kernels are row 0 of the batched ones.
+Each term takes an optional `out` to write into, so the shell engine keeps
+its block-sized arrays; the bits are those without `out`.
 """
 
 from __future__ import annotations
@@ -57,12 +59,28 @@ def sq_norm(U: np.ndarray, out=None) -> np.ndarray:
     return r2
 
 
-def _power(r2: np.ndarray, p: float, in_place: bool) -> np.ndarray:
-    """r2 ** p, overwriting r2 if `in_place`: `**=` takes the fast paths of `**`, so the bits agree."""
-    if not in_place:
-        return r2 ** p
-    r2 **= p
-    return r2
+def _power(r2: np.ndarray, e: float, out=None, spare=None) -> np.ndarray:
+    """r2 ** e, e = -(m + h/2), h in {0, 1}: 1 / (r2^m sqrt(r2)^h) from correctly rounded steps.
+
+    r2^m by squaring over m's binary digits, times sqrt(r2) if h, inverted: IEEE 754 x, sqrt
+    and /, so the bits do not depend on the CPU.  A power in [2^-1022, 2^1022] errs by at most
+    gamma_k = k u / (1 - k u) relative (under k ulp), k = m + 2h: 2, 1, 3, 2, 4, 3, 5, 4, 6 at
+    e = -1/2, -1, ..., -9/2; above 2^1022 the product is subnormal and a step may err by 4 u;
+    past the float range the power is inf, below 2^-1022 0 or subnormal.  Without `out` r2 is
+    kept; `out` (r2 itself in place) overwrites r2, and in place an e whose steps read r2 after
+    the first needs `spare` (r2's shape, else a new array).  The bits are the same in each case.
+    """
+    m, h = divmod(round(-2.0 * e), 2)
+    acc = spare if out is r2 and m and (h or m & (m - 1)) else out  # None: numpy allocates
+    p = r2
+    for bit in bin(m)[3:]:  # the digits after the leading one
+        p = np.multiply(p, p, out=acc if p is r2 else p)
+        if bit == "1":
+            np.multiply(p, r2, out=p)
+    if h:  # sqrt(r2) into acc while p is r2 (m <= 1), else over r2
+        s = np.sqrt(r2, out=acc if p is r2 else None if out is None else r2)
+        p = np.multiply(p, s, out=s if p is r2 else p) if m else s
+    return np.divide(1.0, p, out=out)
 
 
 def _kernel(n: int, vector: bool) -> tuple[float, float]:
@@ -73,14 +91,14 @@ def _kernel(n: int, vector: bool) -> tuple[float, float]:
 
 
 def _cauchy_term(n: int):
-    """The vector kernel as term(U, r2, out=None) of differences U (..., n) and r2 = |U|^2.
+    """The vector kernel as term(U, r2, out=None, spare=None) of differences U (..., n) and r2 = |U|^2.
 
-    With `out` (U's shape) the terms are written there and r2 is overwritten.
+    With `out` (U's shape) the terms are written there, over r2 and `spare` (`_power`'s).
     """
     e, wn = _kernel(n, True)
 
-    def term(U, r2, out=None):
-        G = np.multiply(U, _power(r2, e, out is not None)[..., None], out=out)
+    def term(U, r2, out=None, spare=None):
+        G = np.multiply(U, _power(r2, e, None if out is None else r2, spare)[..., None], out=out)
         G /= wn
         return G
 
@@ -90,33 +108,33 @@ def _cauchy_term(n: int):
 def _green_term(n: int):
     """The scalar kernel as term(U, r2, out=None); n <= 2 raises RegimeError.
 
-    With `out` (r2's shape) the terms are written there and r2 is overwritten.
+    With `out` (r2's shape) the terms are written there, over r2 and U[..., 0] (`_power`'s spare).
     """
     e, c = _kernel(n, False)
-    return lambda U, r2, out=None: np.multiply(_power(r2, e, out is not None), c, out=out)
+    return lambda U, r2, out=None: np.multiply(_power(r2, e, None if out is None else r2, U[..., 0]), c, out=out)
 
 
 def _frame_term(n: int, vector: bool):
     """The kernel without its constant, as a lattice frame sums it: (term, at_lattice, finish).
 
     term(V, r2, out=None) of span coordinates V (..., k) and |U|^2 is p = r2^e, or (V p, p)
-    (..., k+1), the transverse channel over rho last; it overwrites r2 when given `out`
-    (the vector `out` may begin with V, the scalar one is r2).  at_lattice(W) is p or
-    (w p, 0) at lattice points W (m, k+1); finish(S) applies the constant in place.
+    (..., k+1), the transverse channel over rho last; `out` overwrites r2 (a vector `out` may
+    begin with V, p goes into its last channel; a scalar one is r2, V[..., 0] `_power`'s spare).
+    at_lattice(W) is p or (w p, 0) at lattice points W (m, k+1); finish(S) applies the constant.
     """
     e, c = _kernel(n, vector)
     if not vector:
-        term = lambda V, r2, out=None: _power(r2, e, out is r2)
-        return term, lambda W: sq_norm(W)[:, None] ** e, lambda S: np.multiply(S, c, out=S)
+        term = lambda V, r2, out=None: _power(r2, e, out, V[..., 0])
+        return term, lambda W: _power(sq_norm(W), e)[:, None], lambda S: np.multiply(S, c, out=S)
 
     def term(V, r2, out=None):
-        p = _power(r2, e, out is not None)
-        out = np.empty(V.shape[:-1] + (V.shape[-1] + 1,)) if out is None else out
+        if out is None:  # r2 is kept
+            out, r2 = np.empty(V.shape[:-1] + (V.shape[-1] + 1,)), r2.copy()
+        p = _power(r2, e, out[..., -1])
         np.multiply(V, p[..., None], out=out[..., :-1])
-        out[..., -1] = p
         return out
 
-    return term, lambda W: W[:, None, :] * (sq_norm(W) ** e)[:, None, None], lambda S: np.divide(S, c, out=S)
+    return term, lambda W: W[:, None, :] * _power(sq_norm(W), e)[:, None, None], lambda S: np.divide(S, c, out=S)
 
 
 def _euclid(X, Y, make_term, what: str) -> np.ndarray:

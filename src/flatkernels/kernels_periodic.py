@@ -99,7 +99,7 @@ import numpy as np
 
 from .clifford import MultiVector, reflect_coords
 from .errors import ConfigError, DimensionMismatch, RegimeError, SingularPoint
-from .kernels_euclid import _cauchy_term, _frame_term, _green_term, sphere_area, sq_norm
+from .kernels_euclid import _cauchy_term, _frame_term, _green_term, _power, sphere_area, sq_norm
 from .lattice import BundleCharacter, Lattice, _check_radius, _shell_rows, _shell_size, char_sign
 
 # a squared distance below _SINGULAR_R2 * sigma_min^2 is on the singular orbit
@@ -795,8 +795,8 @@ def _jacobian_apply(W: np.ndarray, w2: np.ndarray, V: np.ndarray, n: int) -> np.
     wn = sphere_area(n)
     dot = W @ V.T  # (m, B)
     return (
-        V[None, :, :] * (w2 ** (-n / 2.0))[:, None, None]
-        - n * dot[:, :, None] * W[:, None, :] * (w2 ** (-(n + 2.0) / 2.0))[:, None, None]
+        V[None, :, :] * _power(w2, -n / 2.0)[:, None, None]
+        - n * dot[:, :, None] * W[:, None, :] * _power(w2, -(n + 2.0) / 2.0)[:, None, None]
     ) / wn
 
 
@@ -835,8 +835,9 @@ def torus_cauchy_two_point(L: Lattice, char: BundleCharacter, a, b, x, R: int,
         return np.stack((Da, Db), axis=1)
 
     def pair(U, r2, out=None):
-        # the images and r2 are not read again: the term may write over them
-        G = term(U, r2, out=U) if _takes_out(term) else term(U, r2)
+        # the images and r2 are not read again (the term writes over them); `out` lends the spare
+        spare = out[..., :2] if out is not None and n > 1 else None
+        G = term(U, r2, out=U, spare=spare) if _takes_out(term) else term(U, r2)
         return (np.add if literal else np.subtract)(G[:, :, 0], G[:, :, 1], out=out)
 
     def subtract(W):

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -7,12 +8,17 @@ from hypothesis import given, settings, strategies as st
 from flatkernels.calculus import dirac_fd, laplace_fd
 from flatkernels.errors import ConfigError, DimensionMismatch, RegimeError, SingularPoint
 from flatkernels.kernels_euclid import (
+    _cauchy_term,
+    _frame_term,
+    _green_term,
+    _power,
     cauchy_g,
     cauchy_g_batch,
     green_h,
     green_h_batch,
     green_to_cauchy_factor,
     sphere_area,
+    sq_norm,
 )
 from flatkernels.kernels_periodic import cyl_cauchy_diff, cyl_green_diff
 from flatkernels.lattice import BundleCharacter, Lattice
@@ -156,3 +162,134 @@ def test_single_point_batch_row_and_lattice_sum_share_bits(n, seed, l):
         assert rows.tobytes() == lattice_sum(L, char, X - y, 0).tobytes()
         for i, x in enumerate(X):
             assert np.asarray(single(x, y)).tobytes() == rows[i].tobytes()
+
+
+# -- kernel powers from correctly rounded steps ------------------------------------
+
+U_ROUND = 2.0**-53
+EXPONENTS = sorted({-n / 2.0 for n in range(3, 10)} | {(2.0 - n) / 2.0 for n in range(3, 10)})
+
+
+def power_steps(e):
+    """k = m + 2h, the rounded steps _power takes at e = -(m + h/2)."""
+    m, h = divmod(round(-2.0 * e), 2)
+    return m + 2 * h
+
+
+def gamma(k):
+    return k * U_ROUND / (1.0 - k * U_ROUND)
+
+
+def reference_power(r2, e):
+    """r2^e to 50 digits: 1 / (r2^m sqrt(r2)^h) in `decimal`, from r2's exact binary value."""
+    m, h = divmod(round(-2.0 * e), 2)
+    with localcontext() as ctx:
+        ctx.prec = 50
+        R = Decimal(float(r2))
+        return 1 / (R**m * R.sqrt() ** h)
+
+
+def power_grid():
+    """r2 log-uniform in [1e-200, 1e200], binade edges and their neighbours, perfect squares,
+    and for every exponent r2 whose power lies in the top two binades or near 2^-1022."""
+    rng = np.random.default_rng(2626)
+    draws = 10.0 ** rng.uniform(-200.0, 200.0, 400)
+    edges = 2.0 ** np.array([-664.0, -300, -53, -52, -2, -1, 0, 1, 2, 52, 53, 300, 664])
+    squares = (np.arange(1.0, 40.0)[:, None] * 2.0 ** np.array([-300.0, -1.0, 0.0, 7.0, 300.0])) ** 2
+    with np.errstate(all="ignore"):
+        ends = 2.0 ** (np.array([1022.2, 1022.9, 1023.5, 1023.99, -1021.9, -1022.1])[:, None] / np.array(EXPONENTS))
+    ends = ends[(ends > 0.0) & (ends < np.inf)]  # r2 of the powers that a float r2 reaches
+    return np.concatenate((draws, edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf), squares.ravel(),
+                           ends))
+
+
+POWER_R2 = power_grid()
+TINY, HUGE, BIGGEST = 2.0**-1022, 2.0**1022, np.finfo(float).max
+
+
+def check_power(r2, e, p):
+    """The documented range of r2^e: gamma_k relative where the power is normal and at most
+    2^1022, gamma_4k above it (the product is subnormal there), inf past the float range, and
+    at most 2^-1022 (0 or subnormal, up to rounding) below the normal range; never NaN."""
+    k, ref = power_steps(e), reference_power(r2, e)
+    assert not math.isnan(p), (r2, e)
+    if ref >= Decimal(2.0) ** 1024:
+        assert p == math.inf, (r2, e)
+    elif ref < Decimal(TINY):
+        assert 0.0 <= p <= TINY * (1.0 + 2.0 * gamma(k)), (r2, e)
+    elif p != math.inf:
+        bound = gamma(k) if ref <= Decimal(HUGE) else gamma(4 * k)
+        assert float(abs(Decimal(float(p)) - ref) / ref) <= bound, (r2, e)
+    else:  # rounded past the largest float
+        assert ref * (1 + Decimal(gamma(4 * k))) > Decimal(BIGGEST), (r2, e)
+
+
+class TestPower:
+    @pytest.mark.parametrize("e", EXPONENTS)
+    def test_within_the_stated_bound_of_a_50_digit_reference(self, e):
+        with np.errstate(all="ignore"):
+            got = _power(POWER_R2, e)
+        for r2, p in zip(POWER_R2, got):
+            check_power(r2, e, p)
+
+    @pytest.mark.parametrize("e", EXPONENTS)
+    def test_overflow_gives_inf_and_underflow_zero_or_subnormal(self, e):
+        r2 = np.array([0.0, 5e-324, 1e-300, 1e-250, 1e-150, 1e150, 1e250, 1e300, BIGGEST, np.inf])
+        with np.errstate(all="ignore"):
+            got = _power(r2, e)
+        assert got[0] == np.inf and got[-1] == 0.0
+        for x, p in zip(r2[1:-1], got[1:-1]):
+            check_power(x, e, p)
+
+    @pytest.mark.parametrize("e", EXPONENTS)
+    def test_no_floating_point_flag_where_the_power_is_normal(self, e):
+        with np.errstate(all="ignore"):  # normal with a binade to spare, whatever `**` rounds
+            normal = POWER_R2[(2.0 * TINY <= POWER_R2**e) & (POWER_R2**e <= HUGE / 2.0)]
+        with np.errstate(all="raise"):  # any divide, overflow, underflow or invalid raises
+            _power(normal, e)
+            _power(normal.copy(), e, np.empty_like(normal))
+            for spare in (None, np.empty_like(normal)):
+                r2 = normal.copy()
+                _power(r2, e, r2, spare)
+
+    @pytest.mark.parametrize("e", EXPONENTS)
+    def test_same_bits_with_and_without_out(self, e):
+        r2 = POWER_R2[(POWER_R2 > 1e-40) & (POWER_R2 < 1e40)].reshape(-1, 1)[:200]
+        kept = r2.copy()
+        fresh = _power(r2, e)
+        assert r2.tobytes() == kept.tobytes()  # without out, r2 is kept
+        into, other = r2.copy(), np.empty_like(r2)
+        assert _power(into, e, other) is other
+        in_place, spared = r2.copy(), r2.copy()
+        assert _power(in_place, e, in_place) is in_place
+        _power(spared, e, spared, np.empty_like(r2))
+        for got in (other, in_place, spared):
+            assert got.tobytes() == fresh.tobytes()
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+def test_terms_have_the_same_bits_with_and_without_out(n):
+    # `out` as the shell engine passes it: the vector term over its images (with and
+    # without a spare), the scalar one over |U|^2, and the frame's vector term into
+    # the images' buffer, one channel wider, with p in its last channel
+    rng = np.random.default_rng(n)
+    U = rng.uniform(-2.0, 2.0, (5, 7, n))
+    r2 = sq_norm(U)
+    vector, scalar = _cauchy_term(n), _green_term(n)
+    G, H = vector(U, r2), scalar(U, r2)
+    for spare in (None, np.empty_like(r2)):
+        W = U.copy()
+        assert vector(W, r2.copy(), out=W, spare=spare) is W and W.tobytes() == G.tobytes()
+    W, r = U.copy(), r2.copy()
+    assert scalar(W, r, out=r) is r and r.tobytes() == H.tobytes()
+    for k in range(1, n):
+        frame_vector, frame_scalar = _frame_term(n, True)[0], _frame_term(n, False)[0]
+        V = U[..., :k]
+        P, Q = frame_vector(V, r2), frame_scalar(V, r2)
+        assert np.array_equal(P[..., :k], V * P[..., -1:])
+        wide = np.empty(V.shape[:-1] + (k + 1,))
+        wide[..., :k] = V
+        assert frame_vector(wide[..., :k], r2.copy(), out=wide) is wide and wide.tobytes() == P.tobytes()
+        W, r = V.copy(), r2.copy()
+        assert frame_scalar(W, r, out=r) is r and r.tobytes() == Q.tobytes()
+    assert r2.tobytes() == sq_norm(U).tobytes()  # without `out` no term writes over r2
