@@ -143,7 +143,9 @@ def _euclid(X, Y, make_term, what: str) -> np.ndarray:
     r2 = sq_norm(D)
     if np.any(r2 == 0.0):
         raise SingularPoint(f"{what} evaluated at coincident points")
-    return term(D, r2)
+    # far apart, r2^m sqrt(r2)^h overflows where the power underflows: 1 / inf is that 0
+    with np.errstate(over="ignore"):
+        return term(D, r2)
 
 
 def _single(batch, x, y):

@@ -2,12 +2,16 @@
 
 Every evaluation sums terms over sup-norm shells of the integer coefficient
 lattice, in increasing shell order and lexicographic order within a shell,
-pairwise within a shell and compensated across shells (`shell_sum`).  Every
-add is elementwise across points, so evaluations stay bit-reproducible: the
-bits of a point's value do not depend on the batch it shares, on how the
-batch is chunked, or on how callers parallelise around it.  Squared norms
-are summed over the coordinates left to right (`sq_norm`), one fixed order
-whatever the memory layout.
+pairwise within a shell and compensated across groups of shells
+(`shell_sum`).  A group is one shell, except that consecutive shells of
+fewer than 16 rows share one while it holds at most 16 rows: at rank 1,
+eight 2-row shells, whose sums a pairwise tree adds before one compensated
+add (`_groups`, `kahan_shell_sum`).  The groups depend only on the rank and
+the radii.  Every add is elementwise across points, so evaluations stay
+bit-reproducible: the bits of a point's value do not depend on the batch it
+shares, on how the batch is chunked, or on how callers parallelise around
+it.  Squared norms are summed over the coordinates left to right
+(`sq_norm`), one fixed order whatever the memory layout.
 
 Memory layout: `shell_sum` stores each chunk of points and each shell's
 lattice vectors coordinate-major (Fortran order), and numpy carries that
@@ -27,7 +31,7 @@ one, so the pairwise sum of the block sums is the shell sum.  Smaller
 shells r >= 1 go the other way: a run of consecutive whole shells shares
 one block while their rows fit the tile, and each shell's rows are summed
 as their own slice of the block's terms, so every shell keeps its pairwise
-tree and its compensated add.  Every term is elementwise in its row.  The
+tree and its place in its group.  Every term is elementwise in its row.  The
 BLAS products of a block (W = m @ basis, the torus's W @ V) round each row
 as in the whole shell only if the block starts on the row groups the BLAS
 kernels unroll: with OpenBLAS a 1-row W takes a vector kernel and a 2-row
@@ -40,7 +44,9 @@ product, and at rank >= 2 a run holds at least 24 rows.
 
 Workspace: the block-sized arrays of a sum (the Fortran copy of the
 lattice vectors, images, |U|^2, terms, the pairwise levels, the stacked
-block sums and the five Neumaier arrays) live in buffers of the calling
+block sums and the five summation arrays: the Neumaier sum and its
+compensation, and three that hold a group's pairwise levels or serve as the
+scratch of a compensated add) live in buffers of the calling
 thread (`_take`, a `threading.local`) that persist from call to call, so a
 warm sum allocates none of them and does not fault their pages in again.
 Threads never share a buffer, and a buffer that something still views is
@@ -51,7 +57,8 @@ the bits they have without it.
 
 Checkpoints: the sum to a radius r is a prefix of the sum to any R > r, so
 one pass to R can return the sums to several radii (`shell_sum`'s
-`checkpoints`), each with the bits of a separate call at its radius.
+`checkpoints`), each with the bits of a separate call at its radius, whose
+last group ends there.
 
 The cylinder and projective sums are near + far (`_lattice_sum`): shell 0
 in full coordinates, and shells 1..R in the lattice frame, where an image
@@ -88,6 +95,7 @@ from the lattice gap (`eisenstein_tail(..., offset=|x-y|)`), so the
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 import sys
 import threading
@@ -257,7 +265,7 @@ def _takes_out(fn) -> bool:
 _SMALL = 2**12
 
 
-def _pairwise_sum(t: np.ndarray) -> np.ndarray:
+def _pairwise_sum(t: np.ndarray, out=None) -> np.ndarray:
     """Balanced pairwise tree over axis 0, carrying the odd row up a level.
 
     Every add is elementwise across the trailing axes, so the bits of one
@@ -271,67 +279,189 @@ def _pairwise_sum(t: np.ndarray) -> np.ndarray:
     of one workspace array (`_take`): level 1 fills the first ceil(m/2)
     rows, level 2 the next ceil(ceil(m/2)/2), level 3 the first part again;
     the sum is a view of it that stays valid while it is held.  A smaller
-    tree allocates its levels, which costs less than a take.
+    tree allocates its levels, which costs less than a take.  With `out` (a
+    row's shape) the root add writes there, and a single row is copied there.
     """
+    m = t.shape[0]
+    if m == 1:
+        if out is None:
+            return t[0]
+        out[...] = t[0]
+        return out
     if t.size < _SMALL:
-        while t.shape[0] > 1:
-            m = t.shape[0]
+        while m > 2:
             s = t[0 : m - 1 : 2] + t[1:m:2]
             t = np.concatenate((s, t[-1:])) if m % 2 else s
-        return t[0]
-    m = t.shape[0]
-    half = (m + 1) // 2
-    levels = _take("levels", (half + (half + 1) // 2 * (half > 1),) + t.shape[1:])
-    out, spare = levels[:half], levels[half:]
-    while m > 1:
-        np.add(t[0 : m - 1 : 2], t[1:m:2], out=out[: m // 2])
-        if m % 2:
-            out[m // 2] = t[m - 1]
-        t, out, spare, m = out, spare, out, (m + 1) // 2
-    return t[0]
+            m = t.shape[0]
+    elif m > 2 or out is None:
+        half = (m + 1) // 2
+        levels = _take("levels", (half + (half + 1) // 2 * (half > 1),) + t.shape[1:])
+        lv, spare = levels[:half], levels[half:]
+        while m > 2:
+            np.add(t[0 : m - 1 : 2], t[1:m:2], out=lv[: m // 2])
+            if m % 2:
+                lv[m // 2] = t[m - 1]
+            t, lv, spare, m = lv, spare, lv, (m + 1) // 2
+        out = lv[0] if out is None else out
+    return np.add(t[0], t[1], out=out)
 
 
-def kahan_shell_sum(shape, shells, prefixes=()):
+def _neumaier(acc, comp, x, s, bx, e):
+    """One compensated add of x, in place: s = acc + x and comp += (acc - (s - bx)) + (x - bx).
+
+    bx = s - acc is the part of x that reached s (TwoSum).  `e` may be x's own
+    buffer: x is read for the last time as it is overwritten.
+    """
+    np.add(acc, x, out=s)
+    np.subtract(s, acc, out=bx)
+    np.subtract(x, bx, out=e)
+    np.subtract(s, bx, out=bx)
+    np.subtract(acc, bx, out=bx)
+    np.add(bx, e, out=e)
+    np.add(comp, e, out=comp)
+
+
+def _count(live, terms, free):
+    """Add the pairwise sum of a shell's `terms` to the binary counter `live`, in place.
+
+    `live` holds [level, buffer] pairs, levels falling: level j is the pairwise
+    sum of 2^j consecutive shell sums.  A shell sum starts at level 0, written
+    into a buffer from the list `free` (a new one if `free` is empty), and two
+    nodes of one level merge into the next in the earlier one's buffer; the
+    other goes to `free`.
+    """
+    if live and live[-1][0] == 0:
+        np.add(live[-1][1], _pairwise_sum(terms), out=live[-1][1])
+        live[-1][0] = 1
+        while len(live) > 1 and live[-2][0] == live[-1][0]:
+            _, top = live.pop()
+            np.add(live[-1][1], top, out=live[-1][1])
+            live[-1][0] += 1
+            free.append(top)
+    else:
+        buf = free.pop() if free else np.empty_like(live[0][1])
+        _pairwise_sum(terms, out=buf)
+        live.append([0, buf])
+
+
+def _flush(live, free):
+    """The counter's sum, low levels first: `_pairwise_sum`'s tree over its shell sums.
+
+    Each level is added to the carry from the levels below it, in place; the
+    counter is left empty, and every buffer but the sum's goes to `free`.
+    """
+    x = live.pop()[1]
+    while live:
+        below = live.pop()[1]
+        np.add(below, x, out=below)
+        free.append(x)
+        x = below
+    return x
+
+
+def _cut(acc, comp, live):
+    """acc + comp of a sum whose last group ends here: the counter's flush added to copies."""
+    x = _flush([[level, buf.copy()] for level, buf in live], [])
+    acc, comp, s = acc.copy(), comp.copy(), np.empty_like(acc)
+    _neumaier(acc, comp, x, s, np.empty_like(acc), x)
+    return s + comp
+
+
+def kahan_shell_sum(shape, shells, prefixes=(), groups=()):
     """Sum an iterator of (m, *shape) term arrays to one array of `shape`.
 
-    Each shell is summed by a pairwise tree over its rows; the shell sums are
-    accumulated with Neumaier compensation, the rounding error of every add
-    taken exactly (TwoSum) and added back at the end.  The updates run in
-    place, into five workspace arrays (`_take`) laid out as the first shell's
-    sum, reused from call to call on a thread; the order of operations is that
-    of `s = acc + x; bx = s - acc; comp += (acc - (s - bx)) + (x - bx); acc = s`.
-    Each shell is dropped before the next is drawn, so the engine may write
-    the next block into its buffer; the result is a new array.
+    Each shell is summed by a pairwise tree over its rows.  The shells fall
+    into groups of consecutive shells, `groups` giving the shell count of each
+    (every shell after them a group of its own, the default).  A group's shell
+    sums are added by the tree `_pairwise_sum` builds over them, and the group
+    sums are accumulated with Neumaier compensation, the rounding error of
+    every add taken exactly (TwoSum) and added back at the end.  The order of
+    operations is that of `s = acc + x; bx = s - acc; comp += (acc - (s - bx))
+    + (x - bx); acc = s`.
+
+    Everything runs in place, in five workspace arrays (`_take`) laid out as
+    the first shell's sum, reused from call to call on a thread: `acc`, `comp`
+    and three more.  A group of one shell takes the three as the scratch of its
+    add.  A larger group carries its tree as a binary counter (`_count`) in
+    them, level j holding the sum of 2^j shells, and at its end flushes the
+    levels low to high (`_flush`); the two levels left free are then the
+    scratch of the add.  A group of up to eight shells needs no more than three
+    levels; a larger one allocates more.  Each shell is dropped before the
+    next is drawn, so the engine may write the next block into its buffer; the
+    result is a new array.
 
     With `prefixes`, nondecreasing shell counts no larger than the number of
     shells, the result is (len(prefixes) + 1, *shape): row i is `acc + comp`
     after the first prefixes[i] shells (zeros after none), the last row the
     whole sum.  That add is the one that ends a sum over only those shells,
-    so each row has the bits of that shorter sum.
+    so each row has the bits of that shorter sum.  A prefix inside a group
+    ends that shorter sum's last group there: a copy of the counter is flushed
+    and added to copies of `acc` and `comp` (`_cut`), and the pass goes on
+    with the whole group.
     """
+    ends = set(itertools.accumulate(groups))
+    last_end = max(ends, default=0)
     acc = None
     rows = [np.zeros(shape) for c in prefixes if c == 0]
+    live = []  # the counter of the current group
     done = 0
     for terms in shells:
-        x = _pairwise_sum(terms)
         if acc is None:
-            acc, comp, s, bx, e = (_take(("kahan", i), x.shape, 1) for i in range(5))
+            acc, comp, *free = (_take(("kahan", i), terms.shape[1:], 1) for i in range(5))
             acc.fill(0.0)
             comp.fill(0.0)
-        np.add(acc, x, out=s)
-        np.subtract(s, acc, out=bx)
-        np.subtract(s, bx, out=e)
-        np.subtract(acc, e, out=e)
-        np.subtract(x, bx, out=bx)
-        np.add(e, bx, out=e)
-        np.add(comp, e, out=comp)
-        acc, s = s, acc
-        del terms, x  # the shell's buffers are free for the next block
         done += 1
+        if done in ends or done > last_end:  # the shell ends its group: one compensated add
+            if live:  # the counter's sum, ours to overwrite as the add's scratch
+                _count(live, terms, free)
+                x = e = _flush(live, free)
+                free.append(x)  # after free[0] and free[1], the add's s and bx
+            else:  # a group of one shell: its sum may be the caller's row
+                x, e = _pairwise_sum(terms), free[2]
+            _neumaier(acc, comp, x, free[0], free[1], e)
+            acc, free[0] = free[0], acc
+            del x, e
+        else:
+            _count(live, terms, free)
+        del terms  # the shell's buffers are free for the next block
         while len(rows) < len(prefixes) and prefixes[len(rows)] == done:
-            rows.append(acc + comp)
+            rows.append(_cut(acc, comp, live) if live else acc + comp)
+    if live:  # the shells ended inside a group
+        x = _flush(live, free)
+        _neumaier(acc, comp, x, free[0], free[1], x)
+        acc = free[0]
     total = np.zeros(shape) if acc is None else acc + comp
     return np.stack(rows + [total]) if prefixes else total
+
+
+# Consecutive shells of fewer rows than this share a compensated add while
+# their rows fit it (`_groups`).  A constant of its own: the block layout
+# constants below are changed by tests, and the trees must not follow them.
+_GROUP_ROWS = 16
+
+
+@lru_cache(maxsize=None)
+def _groups(k: int, start: int, R: int) -> tuple:
+    """The compensation groups of shells start..R of rank k: a shell count per group.
+
+    Shell 0 is a group of its own.  From shell 1 on, consecutive shells that
+    each have fewer than `_GROUP_ROWS` rows share a group while it holds at
+    most `_GROUP_ROWS` rows; every other shell is a group of its own, and the
+    last group ends at R.  So the groups depend only on k and the radii: at
+    k = 1 eight 2-row shells make a group, at k >= 2 every group is one shell
+    (at k = 2 shell 1 has 8 rows, shell 2 has 16).
+    """
+    sizes, r = [], start
+    while r <= R:
+        g, rows = 1, _shell_size(k, r)
+        while r > 0 and rows < _GROUP_ROWS and r + g <= R:
+            more = _shell_size(k, r + g)
+            if more >= _GROUP_ROWS or rows + more > _GROUP_ROWS:
+                break
+            g, rows = g + 1, rows + more
+        sizes.append(g)
+        r += g
+    return tuple(sizes)
 
 
 # A row block holds at most this many image coordinates (256 KiB of floats);
@@ -414,6 +544,10 @@ def shell_sum(L: Lattice, char: BundleCharacter, D: np.ndarray, R: int, term,
     tile, and each is summed as its own row slice of the block's terms, as if
     alone.  A run of one shell is summed as it is, uncopied.
 
+    The shell sums are compensated a group at a time (`_groups`, from L.k,
+    `_start` and R only; neither blocks nor chunks follow them); the group
+    sizes go to `kahan_shell_sum` only where a group holds more than one shell.
+
     `image` gets the chunk D (b, ..., n) and the shell's W (m, n) in Fortran
     order (module docstring); an image that returns another layout gets the
     same bits, only slower.
@@ -439,12 +573,18 @@ def shell_sum(L: Lattice, char: BundleCharacter, D: np.ndarray, R: int, term,
     pass to R returns (len(checkpoints) + 1, B, *shape), the sum to each
     checkpoint and then to R.  Each row is `kahan_shell_sum`'s `acc + comp`
     after the checkpoint's shell, the add that ends a separate call at that
-    radius, so it has that call's bits whatever the chunks and row blocks.  A
-    checkpoint below `_start` is the empty sum, zeros, as such a call gives.
+    radius (whose last group ends at the checkpoint: inside a group, a copy of
+    the group's partial tree is added), so it has that call's bits whatever
+    the chunks and row blocks.  A checkpoint below `_start` is the empty sum,
+    zeros, as such a call gives.
     """
     radii = _radii(R, checkpoints)
     R = radii[-1]
     prefixes = tuple(max(0, r + 1 - _start) for r in radii[:-1])
+    groups = _groups(L.k, _start, R)
+    # groups of one shell and no checkpoints keep the two-argument form, so a
+    # stand-in sum with that signature (an exact reference sum, say) still fits
+    sizes = (prefixes, groups) if max(groups, default=1) > 1 else (prefixes,) if prefixes else ()
     B = D.shape[0]
     out = np.empty((len(radii), B) + shape)
     singular = _SINGULAR_R2 * L.sigma_min**2
@@ -506,9 +646,7 @@ def shell_sum(L: Lattice, char: BundleCharacter, D: np.ndarray, R: int, term,
                 del t  # free for the next block
                 r += len(run)
 
-        # without checkpoints the call keeps its two-argument form, so a stand-in
-        # sum with that signature (an exact reference sum, say) still fits
-        out[:, lo:hi] = kahan_shell_sum((hi - lo,) + shape, shells(), *((prefixes,) if prefixes else ()))
+        out[:, lo:hi] = kahan_shell_sum((hi - lo,) + shape, shells(), *sizes)
     return out if len(radii) > 1 else out[0]
 
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -293,3 +294,19 @@ def test_terms_have_the_same_bits_with_and_without_out(n):
         W, r = V.copy(), r2.copy()
         assert frame_scalar(W, r, out=r) is r and r.tobytes() == Q.tobytes()
     assert r2.tobytes() == sq_norm(U).tobytes()  # without `out` no term writes over r2
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_points_far_apart_give_the_underflowed_kernel_without_a_warning(n):
+    # r2^m sqrt(r2)^h overflows where the power underflows; 1 / inf is the 0 that `**` gave
+    x, y = np.zeros(n), np.zeros(n)
+    y[0] = 1e130
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        G = cauchy_g_batch(x[None], y[None])
+        H = green_h_batch(x[None], y[None])
+        one_g, one_h = cauchy_g(x, y), green_h(x, y)
+    assert np.all(G == 0.0) and np.signbit(G[0, 0]) and not np.signbit(G[0, 1:]).any()
+    assert G[0].tobytes() == one_g.tobytes()
+    assert np.isfinite(H).all() and H[0] == one_h
+    assert H[0] == pytest.approx(1e130 ** (2 - n) / (sphere_area(n) * (1 - n)), rel=1e-14)

@@ -382,7 +382,7 @@ class TestSummationAccuracy:
 
     @staticmethod
     def _exact(monkeypatch, fn, *args):
-        def fsum_shells(shape, shells):
+        def fsum_shells(shape, shells, *_):
             rows = np.concatenate([t.reshape(t.shape[0], -1) for t in shells])
             return np.array([math.fsum(col) for col in rows.T]).reshape(shape)
 
@@ -407,6 +407,14 @@ class TestSummationAccuracy:
     def test_cyl_green_reg_rank3(self, monkeypatch):
         L = Lattice(np.eye(5)[:3])
         self._check(monkeypatch, cyl_green_reg_diff, L, CH0, self._diffs(5), 20)
+
+    @pytest.mark.parametrize("char", [CH0, CH1], ids=["l0", "l1"])
+    def test_rank1_groups_of_shells(self, monkeypatch, char):
+        # eight 2-row shells to a compensated add
+        L = Lattice([[1.0, 0.2, 0.1, 0.0, 0.3]])
+        self._check(monkeypatch, cyl_cauchy_diff, L, char, self._diffs(5), 40)
+        monkeypatch.undo()
+        self._check(monkeypatch, cyl_green_diff, L, char, self._diffs(5), 40)
 
 
 def test_eisenstein_tail_vectorized_offsets():

@@ -1,6 +1,7 @@
 """The shell-sum engine's fixed orders, batch independence, scale covariance
 and argument errors."""
 
+import itertools
 import re
 
 import numpy as np
@@ -11,6 +12,10 @@ from flatkernels import kernels_periodic
 from flatkernels.errors import ConfigError, DimensionMismatch
 from flatkernels.kernels_periodic import (
     _chunks,
+    _count,
+    _flush,
+    _groups,
+    _pairwise_sum,
     _translate,
     cyl_cauchy,
     cyl_green,
@@ -119,6 +124,80 @@ class TestKahanOrder:
         before = [s.copy() for s in shells]
         kahan_shell_sum((3,), iter(shells))
         assert all(np.array_equal(a, b) for a, b in zip(shells, before))
+
+
+def reference_grouped(shape, shells, groups):
+    """The allocating grouped sum: each group's shell sums added by `_pairwise_sum`,
+    then `reference_kahan`'s loop over the group sums (the shells after `groups`
+    one to a group, the last group cut where the shells end)."""
+    sums = [np.array(_pairwise_sum(t)) for t in shells]
+    bounds = [0]
+    for g in itertools.chain(groups, itertools.repeat(1)):
+        if bounds[-1] == len(sums):
+            break
+        bounds.append(min(bounds[-1] + g, len(sums)))
+    grouped = [_pairwise_sum(np.stack(sums[a:b])) for a, b in zip(bounds, bounds[1:])]
+    return reference_kahan(shape, (g[None] for g in grouped))
+
+
+def cut(groups, c):
+    """The group sizes of a sum of the first c shells: its last group ends at c."""
+    out, total = [], 0
+    for g in groups:
+        if total >= c:
+            break
+        out.append(min(g, c - total))
+        total += out[-1]
+    return tuple(out)
+
+
+class TestShellGroups:
+    @settings(max_examples=300, deadline=None)
+    @given(shell_stacks(), st.lists(st.integers(1, 12), max_size=6))
+    def test_bits_match_the_allocating_grouped_sum(self, case, groups):
+        shape, shells = case
+        got = kahan_shell_sum(shape, iter(shells), (), tuple(groups))
+        ref = reference_grouped(shape, shells, groups)
+        assert got.shape == ref.shape
+        assert np.array_equal(got, ref)
+        assert np.array_equal(np.signbit(got), np.signbit(ref))
+
+    @pytest.mark.parametrize("rows,width", [(1, 7), (2, 7), (2, 4096)], ids=["row-sums", "2-row", "2-row-workspace"])
+    @pytest.mark.parametrize("m", range(1, 21))
+    def test_the_counter_is_the_pairwise_tree(self, m, rows, width):
+        rng = np.random.default_rng(m)
+        shells = rng.normal(size=(m, rows, width)) * 10.0 ** rng.integers(-12, 13, size=(m, rows, width))
+        live, free = [], [np.empty(width) for _ in range(3)]  # as `kahan_shell_sum` starts it
+        for t in shells:
+            _count(live, t, free)
+            # a group of up to eight shells holds at most three levels: no buffer is added
+            assert len(live) + len(free) == 3 or m > 8
+        got = _flush(live, free)
+        sums = np.stack([_pairwise_sum(t) for t in shells])
+        assert np.array_equal(got, _pairwise_sum(sums))
+        if rows == 2:  # 2-row shells: the tree over all the rows
+            assert np.array_equal(got, _pairwise_sum(shells.reshape(2 * m, width)))
+        assert not live and (len(free) == 2 or m > 8)  # every buffer but the sum's is free again
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.integers(1, 9), min_size=0, max_size=12), st.lists(st.integers(1, 8), max_size=6), st.data())
+    def test_prefix_rows_are_sums_cut_there(self, sizes, groups, data):
+        rng = np.random.default_rng(len(sizes) + 100 * len(groups))
+        shells = [rng.normal(size=(m, 3)) * 10.0 ** rng.integers(-8, 9, size=(m, 3)) for m in sizes]
+        counts = sorted(data.draw(st.lists(st.integers(0, len(sizes)), min_size=1, max_size=4)))
+        rows = kahan_shell_sum((3,), iter(shells), tuple(counts), tuple(groups))
+        assert rows.shape == (len(counts) + 1, 3)
+        for row, c in zip(rows, counts + [len(sizes)]):
+            alone = kahan_shell_sum((3,), iter(shells[:c]), (), cut(groups, c))
+            assert np.array_equal(row, alone)
+            assert np.array_equal(np.signbit(row), np.signbit(alone))
+            assert np.array_equal(row, reference_grouped((3,), shells[:c], cut(groups, c)))
+
+    @pytest.mark.parametrize("k", range(2, 6))
+    def test_above_rank_one_every_group_is_one_shell(self, k):
+        for start in (0, 1):
+            for R in range(41):
+                assert _groups(k, start, R) == (1,) * (R + 1 - start)
 
 
 # the sphere_reproduce spec: projective cylinder n=3, k=1, p=2 at R=40

@@ -138,13 +138,13 @@ def test_a_consumer_that_keeps_the_shells_keeps_their_values(monkeypatch):
     # values, because a buffer that is still viewed is replaced, not overwritten
     kept = []
 
-    def keep_all(shape, shells):
+    def keep_all(shape, shells, *_):
         kept.extend(shells)
         return np.zeros(shape)
 
     copies = []
 
-    def copy_each(shape, shells):
+    def copy_each(shape, shells, *_):
         copies.extend(t.copy() for t in shells)
         return np.zeros(shape)
 
