@@ -3,9 +3,8 @@
 Every evaluation sums terms over sup-norm shells of the integer coefficient
 lattice, in increasing shell order and lexicographic order within a shell,
 pairwise within a shell and compensated across groups of shells
-(`shell_sum`).  A group is one shell, except that consecutive shells of
-fewer than 16 rows share one while it holds at most 16 rows: at rank 1,
-eight 2-row shells, whose sums a pairwise tree adds before one compensated
+(`shell_sum`).  A group is one shell, except at rank 1, where eight 2-row
+shells share one: a pairwise tree adds their sums before one compensated
 add (`_groups`, `kahan_shell_sum`).  The groups depend only on the rank and
 the radii.  Every add is elementwise across points, so evaluations stay
 bit-reproducible: the bits of a point's value do not depend on the batch it
@@ -27,11 +26,13 @@ rows than the largest power of two that fits (`_block_rows`, never fewer
 than `_MIN_ROWS`) is split into blocks of that many rows.  The bits do not
 move: a block of 2^j rows that starts at a multiple of 2^j is one subtree
 of the shell's pairwise tree (`_pairwise_sum`), the last block a partial
-one, so the pairwise sum of the block sums is the shell sum.  Smaller
-shells r >= 1 go the other way: a run of consecutive whole shells shares
-one block while their rows fit the tile, and each shell's rows are summed
-as their own slice of the block's terms, so every shell keeps its pairwise
-tree and its place in its group.  Every term is elementwise in its row.  The
+one, so the pairwise sum of the block sums is the shell sum.  The blocks
+go to `kahan_shell_sum` as one group, whose counter builds that sum as it
+builds the tree of a rank-1 group.  Smaller shells r >= 1 go the other
+way: a run of consecutive whole shells shares one block while their rows
+fit the tile, and each shell's rows are summed as their own slice of the
+block's terms, so every shell keeps its pairwise tree and its place in its
+group.  Every term is elementwise in its row.  The
 BLAS products of a block (W = m @ basis, the torus's W @ V) round each row
 as in the whole shell only if the block starts on the row groups the BLAS
 kernels unroll: with OpenBLAS a 1-row W takes a vector kernel and a 2-row
@@ -43,12 +44,12 @@ the bits of one block per shell: at rank 1 each row of W is one exact
 product, and at rank >= 2 a run holds at least 24 rows.
 
 Workspace: the block-sized arrays of a sum (the Fortran copy of the
-lattice vectors, images, |U|^2, terms, the pairwise levels, the stacked
-block sums and the five summation arrays: the Neumaier sum and its
-compensation, and three that hold a group's pairwise levels or serve as the
-scratch of a compensated add) live in buffers of the calling
-thread (`_take`, a `threading.local`) that persist from call to call, so a
-warm sum allocates none of them and does not fault their pages in again.
+lattice vectors, images, |U|^2, terms, the pairwise levels and the five
+summation arrays: the Neumaier sum and its compensation, and three that
+hold a group's pairwise levels or serve as the scratch of a compensated
+add) live in buffers of the calling thread (`_take`, a `threading.local`)
+that persist from call to call, so a warm sum allocates none of them and
+does not fault their pages in again.
 Threads never share a buffer, and a buffer that something still views is
 replaced rather than overwritten, so a consumer that keeps the shells it
 was handed keeps their values.  The terms, `sq_norm`, the images and the
@@ -201,8 +202,7 @@ def _pair_batch(x, y, n: int) -> tuple[np.ndarray, bool]:
 
 def _check_not_on_orbit(L: Lattice, D: np.ndarray, what: str):
     nearest = np.rint(L.coords(D)) @ L.basis
-    gap = D - nearest
-    if np.any(np.sum(gap * gap, axis=1) < _SINGULAR_R2 * L.sigma_min**2):
+    if np.any(sq_norm(D - nearest) < _SINGULAR_R2 * L.sigma_min**2):
         raise SingularPoint(f"{what} lies on the singular lattice orbit")
 
 
@@ -322,10 +322,10 @@ def _neumaier(acc, comp, x, s, bx, e):
 
 
 def _count(live, terms, free):
-    """Add the pairwise sum of a shell's `terms` to the binary counter `live`, in place.
+    """Add the pairwise sum of an item's `terms` to the binary counter `live`, in place.
 
     `live` holds [level, buffer] pairs, levels falling: level j is the pairwise
-    sum of 2^j consecutive shell sums.  A shell sum starts at level 0, written
+    sum of 2^j consecutive item sums.  An item sum starts at level 0, written
     into a buffer from the list `free` (a new one if `free` is empty), and two
     nodes of one level merge into the next in the earlier one's buffer; the
     other goes to `free`.
@@ -345,7 +345,7 @@ def _count(live, terms, free):
 
 
 def _flush(live, free):
-    """The counter's sum, low levels first: `_pairwise_sum`'s tree over its shell sums.
+    """The counter's sum, low levels first: `_pairwise_sum`'s tree over its item sums.
 
     Each level is added to the carry from the levels below it, in place; the
     counter is left empty, and every buffer but the sum's goes to `free`.
@@ -370,35 +370,39 @@ def _cut(acc, comp, live):
 def kahan_shell_sum(shape, shells, prefixes=(), groups=()):
     """Sum an iterator of (m, *shape) term arrays to one array of `shape`.
 
-    Each shell is summed by a pairwise tree over its rows.  The shells fall
-    into groups of consecutive shells, `groups` giving the shell count of each
-    (every shell after them a group of its own, the default).  A group's shell
-    sums are added by the tree `_pairwise_sum` builds over them, and the group
-    sums are accumulated with Neumaier compensation, the rounding error of
-    every add taken exactly (TwoSum) and added back at the end.  The order of
+    Each item is summed by a pairwise tree over its rows.  The items fall into
+    groups of consecutive items, `groups` giving the item count of each (every
+    item after them a group of its own, the default).  A group's item sums are
+    added by the tree `_pairwise_sum` builds over them, and the group sums are
+    accumulated with Neumaier compensation, the rounding error of every add
+    taken exactly (TwoSum) and added back at the end.  The order of
     operations is that of `s = acc + x; bx = s - acc; comp += (acc - (s - bx))
-    + (x - bx); acc = s`.
+    + (x - bx); acc = s`.  `shell_sum` hands over a shell as one item, or a
+    split shell as one group of its row blocks, each a subtree of the shell's
+    tree, so the group's tree is the shell's.
 
     Everything runs in place, in five workspace arrays (`_take`) laid out as
-    the first shell's sum, reused from call to call on a thread: `acc`, `comp`
-    and three more.  A group of one shell takes the three as the scratch of its
-    add.  A larger group carries its tree as a binary counter (`_count`) in
-    them, level j holding the sum of 2^j shells, and at its end flushes the
-    levels low to high (`_flush`); the two levels left free are then the
-    scratch of the add.  A group of up to eight shells needs no more than three
-    levels; a larger one allocates more.  Each shell is dropped before the
-    next is drawn, so the engine may write the next block into its buffer; the
-    result is a new array.
+    the first item's sum, reused from call to call on a thread: `acc`, `comp`
+    and three more.  A group carries its tree as a binary counter (`_count`)
+    in the three, level j holding the sum of 2^j items, and at its end
+    flushes the levels low to high (`_flush`); the flushed buffer and the two
+    left free are then the scratch of the add.  A group of up to eight items
+    needs no more than three levels; a larger one allocates more.  Each item
+    is dropped before the next is drawn, so the engine may write the next
+    block into its buffer; the result is a new array.
 
-    With `prefixes`, nondecreasing shell counts no larger than the number of
-    shells, the result is (len(prefixes) + 1, *shape): row i is `acc + comp`
-    after the first prefixes[i] shells (zeros after none), the last row the
-    whole sum.  That add is the one that ends a sum over only those shells,
-    so each row has the bits of that shorter sum.  A prefix inside a group
-    ends that shorter sum's last group there: a copy of the counter is flushed
-    and added to copies of `acc` and `comp` (`_cut`), and the pass goes on
-    with the whole group.
+    With `prefixes`, nondecreasing item counts no larger than the number of
+    items, the result is (len(prefixes) + 1, *shape): row i is `acc + comp`
+    after the first prefixes[i] items (zeros after none), the last row the
+    whole sum.  That add is the one that ends a sum over only those items, so
+    each row has the bits of that shorter sum.  A prefix inside a group ends
+    that shorter sum's last group there: a copy of the counter is flushed and
+    added to copies of `acc` and `comp` (`_cut`), and the pass goes on with
+    the whole group.  Prefixes out of order, or past the last item, raise
+    `ValueError`.
     """
+    if any(b < a for a, b in zip(prefixes, prefixes[1:])):
+        raise ValueError(f"prefixes must be nondecreasing item counts, got {list(prefixes)}")
     ends = set(itertools.accumulate(groups))
     last_end = max(ends, default=0)
     acc = None
@@ -410,58 +414,39 @@ def kahan_shell_sum(shape, shells, prefixes=(), groups=()):
             acc, comp, *free = (_take(("kahan", i), terms.shape[1:], 1) for i in range(5))
             acc.fill(0.0)
             comp.fill(0.0)
+        _count(live, terms, free)
+        del terms  # the item's buffers are free for the next block
         done += 1
-        if done in ends or done > last_end:  # the shell ends its group: one compensated add
-            if live:  # the counter's sum, ours to overwrite as the add's scratch
-                _count(live, terms, free)
-                x = e = _flush(live, free)
-                free.append(x)  # after free[0] and free[1], the add's s and bx
-            else:  # a group of one shell: its sum may be the caller's row
-                x, e = _pairwise_sum(terms), free[2]
-            _neumaier(acc, comp, x, free[0], free[1], e)
+        if done in ends or done > last_end:  # the item ends its group: one compensated add
+            x = _flush(live, free)  # the counter's sum, ours to overwrite as the add's scratch
+            _neumaier(acc, comp, x, free[0], free[1], x)
+            free.append(x)
             acc, free[0] = free[0], acc
-            del x, e
-        else:
-            _count(live, terms, free)
-        del terms  # the shell's buffers are free for the next block
         while len(rows) < len(prefixes) and prefixes[len(rows)] == done:
             rows.append(_cut(acc, comp, live) if live else acc + comp)
-    if live:  # the shells ended inside a group
+    if live:  # the items ended inside a group
         x = _flush(live, free)
         _neumaier(acc, comp, x, free[0], free[1], x)
         acc = free[0]
+    if len(rows) < len(prefixes):
+        raise ValueError(f"prefixes {list(prefixes)} name more than the {done} items summed")
     total = np.zeros(shape) if acc is None else acc + comp
     return np.stack(rows + [total]) if prefixes else total
-
-
-# Consecutive shells of fewer rows than this share a compensated add while
-# their rows fit it (`_groups`).  A constant of its own: the block layout
-# constants below are changed by tests, and the trees must not follow them.
-_GROUP_ROWS = 16
 
 
 @lru_cache(maxsize=None)
 def _groups(k: int, start: int, R: int) -> tuple:
     """The compensation groups of shells start..R of rank k: a shell count per group.
 
-    Shell 0 is a group of its own.  From shell 1 on, consecutive shells that
-    each have fewer than `_GROUP_ROWS` rows share a group while it holds at
-    most `_GROUP_ROWS` rows; every other shell is a group of its own, and the
-    last group ends at R.  So the groups depend only on k and the radii: at
-    k = 1 eight 2-row shells make a group, at k >= 2 every group is one shell
-    (at k = 2 shell 1 has 8 rows, shell 2 has 16).
+    Shell 0 is a group of its own.  At rank 1, where every later shell has 2
+    rows, shells from 1 on make groups of eight, the last ending at R; at
+    rank >= 2 (8 rows in shell 1 at k = 2, and more after) every shell is a
+    group of its own.  So the groups depend only on k and the radii.
     """
-    sizes, r = [], start
-    while r <= R:
-        g, rows = 1, _shell_size(k, r)
-        while r > 0 and rows < _GROUP_ROWS and r + g <= R:
-            more = _shell_size(k, r + g)
-            if more >= _GROUP_ROWS or rows + more > _GROUP_ROWS:
-                break
-            g, rows = g + 1, rows + more
-        sizes.append(g)
-        r += g
-    return tuple(sizes)
+    if k > 1:
+        return (1,) * (R + 1 - start)
+    whole, part = divmod(R + 1 - max(start, 1), 8)
+    return (1,) * (start == 0) + (8,) * whole + (part,) * (part > 0)
 
 
 # A row block holds at most this many image coordinates (256 KiB of floats);
@@ -475,23 +460,16 @@ def _block_rows(width: int) -> int:
     return max(_MIN_ROWS, 1 << (max(1, _TILE // width).bit_length() - 1))
 
 
-def _chunks(B: int, max_rows: int, width):
+def _chunks(B: int, max_rows: int, width: int):
     """Point chunks [lo, hi) of a batch of B, for shells of up to `max_rows` rows.
 
-    `width` is a pair (values, the wider of image coordinates and values) per
-    point, or one number for both.  A chunk of b points is summed in blocks of
-    `_block_rows(b * coords)` rows.  b is the largest count (at least 1) for
-    which neither the images or terms of one block of the largest shell nor
-    that shell's stacked block sums hold more than `_TILE` values: more points
-    would only outgrow the tile where the `_MIN_ROWS` floor holds a block or
-    where the block sums pile up.
+    `width` is the wider of image coordinates and values per row and point.
+    A chunk of b points is summed in blocks of `_block_rows(b * width)` rows.
+    b is the largest count (at least 1) for which one block of the largest
+    shell holds at most `_TILE` values: more points would only outgrow the
+    tile where the `_MIN_ROWS` floor holds a block.
     """
-    values, coords = width if isinstance(width, tuple) else (width, width)
-
-    def fits(b):
-        rows = _block_rows(b * coords)
-        return max(min(max_rows, rows) * coords, -(-max_rows // rows) * values) * b <= _TILE
-
+    fits = lambda b: min(max_rows, _block_rows(b * width)) * b * width <= _TILE
     per = max(1, bisect.bisect(range(1, B + 1), False, key=lambda b: not fits(b)))
     for lo in range(0, B, per):
         yield lo, min(B, lo + per)
@@ -538,15 +516,17 @@ def shell_sum(L: Lattice, char: BundleCharacter, D: np.ndarray, R: int, term,
     Terms are evaluated in row blocks of at most `_TILE` image coordinates or
     values of the chunk, whichever are more (module docstring).  A shell of
     more than `_block_rows` rows is split into blocks of that many rows (a
-    power of two, at least `_MIN_ROWS`), each reduced by `_pairwise_sum`; the
-    pairwise sum of the block sums has the bits of the whole shell's tree.
-    Consecutive smaller shells r >= 1 share one block while their rows fit the
-    tile, and each is summed as its own row slice of the block's terms, as if
-    alone.  A run of one shell is summed as it is, uncopied.
+    power of two, at least `_MIN_ROWS`), each handed to `kahan_shell_sum` as
+    an item and the shell's blocks as one group: the counter's tree over the
+    block sums has the bits of the whole shell's tree.  Consecutive smaller
+    shells r >= 1 share one block while their rows fit the tile, and each is
+    handed over as its own row slice of the block's terms, an item as if
+    alone.  A run of one shell is handed over as it is, uncopied.
 
     The shell sums are compensated a group at a time (`_groups`, from L.k,
-    `_start` and R only; neither blocks nor chunks follow them); the group
-    sizes go to `kahan_shell_sum` only where a group holds more than one shell.
+    `_start` and R only; neither blocks nor chunks follow them).  Per chunk,
+    the groups and the checkpoints' prefixes go to `kahan_shell_sum` counted
+    in items: a split shell's group counts its blocks.
 
     `image` gets the chunk D (b, ..., n) and the shell's W (m, n) in Fortran
     order (module docstring); an image that returns another layout gets the
@@ -559,7 +539,7 @@ def shell_sum(L: Lattice, char: BundleCharacter, D: np.ndarray, R: int, term,
     is read again, else into a buffer of their own (the torus pair, which
     drops the pair axis of U); the subtraction and the character sign then
     apply in place.  A callable without `out` (a stand-in term or image) returns its
-    own arrays.  Each shell handed to `kahan_shell_sum` is a view of a
+    own arrays.  Each item handed to `kahan_shell_sum` is a view of a
     buffer that the next block reuses once the view is gone.
 
     R must be an integer >= 0 (an integral float or numpy integer counts as
@@ -580,19 +560,19 @@ def shell_sum(L: Lattice, char: BundleCharacter, D: np.ndarray, R: int, term,
     """
     radii = _radii(R, checkpoints)
     R = radii[-1]
-    prefixes = tuple(max(0, r + 1 - _start) for r in radii[:-1])
-    groups = _groups(L.k, _start, R)
-    # groups of one shell and no checkpoints keep the two-argument form, so a
-    # stand-in sum with that signature (an exact reference sum, say) still fits
-    sizes = (prefixes, groups) if max(groups, default=1) > 1 else (prefixes,) if prefixes else ()
+    cuts = (0, *itertools.accumulate(_groups(L.k, _start, R)))  # shells before each group end
     B = D.shape[0]
     out = np.empty((len(radii), B) + shape)
     singular = _SINGULAR_R2 * L.sigma_min**2
     image_out, norm_out, term_out = _takes_out(image), _takes_out(sq_norm), _takes_out(term)
     width = max(math.prod(shape), math.prod(D.shape[1:]))  # per row and point: image coordinates or values
-    for lo, hi in _chunks(B, _shell_size(L.k, R), (math.prod(shape), width)):
+    for lo, hi in _chunks(B, _shell_size(L.k, R), width):
         Dc = np.asfortranarray(D[lo:hi])
         rows = _block_rows((hi - lo) * width)
+        # the items of the first i shells: a shell, or each row block of a split one
+        ends = (0, *itertools.accumulate(-(-_shell_size(L.k, r) // rows) for r in range(_start, R + 1)))
+        prefixes = tuple(ends[max(0, r + 1 - _start)] for r in radii[:-1])
+        groups = tuple(ends[b] - ends[a] for a, b in zip(cuts, cuts[1:]))
 
         def block(Ms, r):
             W = Ms.astype(float) @ L.basis
@@ -623,13 +603,9 @@ def shell_sum(L: Lattice, char: BundleCharacter, D: np.ndarray, R: int, term,
             r = _start
             while r <= R:
                 Ms = _shell_rows(L.k, r)
-                if len(Ms) > rows:
-                    starts = range(0, len(Ms), rows)
-                    sums = _take("block sums", (len(starts), hi - lo) + shape)
-                    for j, i in enumerate(starts):
-                        sums[j] = _pairwise_sum(block(Ms[i : i + rows], r))
-                    yield sums
-                    del sums  # free for the next split shell
+                if len(Ms) > rows:  # each block an item, a subtree of the shell's tree
+                    for i in range(0, len(Ms), rows):
+                        yield block(Ms[i : i + rows], r)
                     r += 1
                     continue
                 run, m = [Ms], len(Ms)  # whole shells r >= 1 that share one block
@@ -646,7 +622,7 @@ def shell_sum(L: Lattice, char: BundleCharacter, D: np.ndarray, R: int, term,
                 del t  # free for the next block
                 r += len(run)
 
-        out[:, lo:hi] = kahan_shell_sum((hi - lo,) + shape, shells(), *sizes)
+        out[:, lo:hi] = kahan_shell_sum((hi - lo,) + shape, shells(), prefixes, groups)
     return out if len(radii) > 1 else out[0]
 
 

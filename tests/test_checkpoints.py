@@ -1,7 +1,6 @@
 """One pass to R with checkpoints: each checkpoint row has the bits of a
 separate call at its radius, and the rows carry the tail certificate."""
 
-import math
 import os
 import subprocess
 import sys
@@ -220,12 +219,11 @@ def test_chunks_cover_the_batch_within_the_tile(B, k, R, width):
     assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
     per = bounds[0][1] - bounds[0][0]
     block = kernels_periodic._block_rows(per * width)
-    if per > 1:  # one point always runs; more only while a block and the block sums fit
+    if per > 1:  # one point always runs; more only while a block of the largest shell fits
         assert min(rows, block) * per * width <= kernels_periodic._TILE
-        assert math.ceil(rows / block) * per * width <= kernels_periodic._TILE
     if per < B:  # and one more point would not fit
         more = kernels_periodic._block_rows((per + 1) * width)
-        assert max(min(rows, more), math.ceil(rows / more)) * (per + 1) * width > kernels_periodic._TILE
+        assert min(rows, more) * (per + 1) * width > kernels_periodic._TILE
 
 
 # -- the certificate, read from one pass ----------------------------------------

@@ -284,7 +284,7 @@ class TestTorusTwoPoint:
         assert float(dirac_residual_batch(field, self.x[None, :])[0]) <= 1e-5
 
 
-def test_batched_matches_single():
+def test_batched_matches_single(monkeypatch):
     # every point of a batch must carry the bits of its single-point evaluation
     rng = np.random.default_rng(0)
     X2, X3, X4, X5, X6 = (rng.uniform(0.2, 0.8, size=(5, n)) for n in (2, 3, 4, 5, 6))
@@ -323,6 +323,7 @@ def test_batched_matches_single():
     assert single.tail_bound == tails[2]
 
     # a batch split into several chunks: bits must not depend on the split
+    monkeypatch.setattr(kernels_periodic, "_TILE", 2**12)
     L = Lattice(np.eye(5)[:3])
     R = 10
     X = rng.uniform(0.2, 0.8, size=(400, 5))

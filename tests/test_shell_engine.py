@@ -151,6 +151,26 @@ def cut(groups, c):
     return tuple(out)
 
 
+@st.composite
+def split_shells(draw):
+    """Shells in groups, as the engine forms them, with a block size and prefixes.
+
+    A group is a shell of any size alone, or several 2-row shells, as at rank 1:
+    (shape, shells, shells per group, 2^j rows per block, nondecreasing shell counts).
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = draw(st.sampled_from([(1,), (5,), (4, 3)]))
+    runs = draw(st.lists(st.one_of(st.tuples(st.integers(1, 100), st.just(1)),
+                                   st.tuples(st.just(2), st.integers(2, 8))), min_size=1, max_size=8))
+    shells = []
+    for m, g in runs:
+        for _ in range(g):
+            full = (m,) + shape
+            shells.append(rng.normal(size=full) * 10.0 ** rng.integers(-12, 13, size=full))
+    counts = sorted(draw(st.lists(st.integers(0, len(shells)), max_size=3)))
+    return shape, shells, [g for _, g in runs], 1 << draw(st.integers(0, 6)), counts
+
+
 class TestShellGroups:
     @settings(max_examples=300, deadline=None)
     @given(shell_stacks(), st.lists(st.integers(1, 12), max_size=6))
@@ -192,6 +212,24 @@ class TestShellGroups:
             assert np.array_equal(row, alone)
             assert np.array_equal(np.signbit(row), np.signbit(alone))
             assert np.array_equal(row, reference_grouped((3,), shells[:c], cut(groups, c)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(split_shells())
+    def test_split_shells_keep_the_bits_of_whole_shells(self, case):
+        shape, shells, groups, b, counts = case
+        blocks = [t[i : i + b] for t in shells for i in range(0, len(t), b)]
+        items = [0, *itertools.accumulate(-(-len(t) // b) for t in shells)]
+        ends = [0, *itertools.accumulate(groups)]  # shells before each group end
+        whole = kahan_shell_sum(shape, iter(shells), tuple(counts), tuple(groups))
+        split = kahan_shell_sum(shape, iter(blocks), tuple(items[c] for c in counts),
+                                tuple(items[e] - items[a] for a, e in zip(ends, ends[1:])))
+        assert whole.tobytes() == split.tobytes()
+
+    @pytest.mark.parametrize("prefixes", [(1, 5), (2, 1), (4,), (-1, 0)])
+    def test_prefixes_out_of_order_or_past_the_items_raise(self, prefixes):
+        shells = [np.ones((2, 3)), np.ones((3, 3)), np.ones((1, 3))]
+        with pytest.raises(ValueError, match="prefixes"):
+            kahan_shell_sum((3,), iter(shells), prefixes)
 
     @pytest.mark.parametrize("k", range(2, 6))
     def test_above_rank_one_every_group_is_one_shell(self, k):

@@ -73,7 +73,7 @@ CASES = {
 def test_small_tiles_keep_every_bit(name, monkeypatch):
     run = CASES[name]
     calls = []
-    counted = lambda t: calls.append(len(t)) or _pairwise_sum(t)
+    counted = lambda t, out=None: calls.append(len(t)) or _pairwise_sum(t, out)
     monkeypatch.setattr(kernels_periodic, "_pairwise_sum", counted)
     vals, tails = run()
     whole = len(calls)
