@@ -173,12 +173,23 @@ def gp(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
         for i in blades:
             out += (a[..., i, None] * sign[i]) * np.take(b, partner[i], axis=-1)
         return out
-    # (-a_i) b_j is -(a_i b_j) exactly, and x + (-p) is x - p
+    return _live_products([(i, a[..., i]) for i in blades], [(j, b[..., j]) for j in live], n, out)
+
+
+def _live_products(a, b, n: int, out: np.ndarray) -> np.ndarray:
+    """gp's live pairs: for blades (i, a_i) of a in ascending i and (j, b_j) of b, out[..., i ^ j] +-= a_i b_j.
+
+    Each a_i and b_j is one coefficient over the batch (any layout that
+    broadcasts to out[..., 0]); `out` (..., 2^n) holds +0.0 where no pair has
+    added yet, and a pair's sign is that of e_i e_j.
+    """
+    sign = _gather_table(n)[1]
     ab = np.empty(out.shape[:-1])
-    for i in blades:
-        for j in live:
+    for i, ai in a:
+        for j, bj in b:
             k = i ^ j
-            np.multiply(a[..., i], b[..., j], out=ab)
+            np.multiply(ai, bj, out=ab)
+            # (-a_i) b_j is -(a_i b_j) exactly, and x + (-p) is x - p
             (np.add if sign[i, k] > 0 else np.subtract)(out[..., k], ab, out=out[..., k])
     return out
 
@@ -334,8 +345,8 @@ def vector_inverse(x) -> np.ndarray:
 
 
 def reflect_coords(x, axes) -> np.ndarray:
-    """Flip the sign of the listed coordinate axes (0-based); an involution."""
-    x = np.asarray(x, dtype=float).copy()
+    """Flip the sign of the listed coordinate axes (0-based); an involution.  The copy keeps x's layout."""
+    x = np.asarray(x, dtype=float).copy(order="K")
     for a in axes:
         if not 0 <= a < x.shape[-1]:
             raise DimensionMismatch(f"axis {a} out of range for dimension {x.shape[-1]}")

@@ -12,12 +12,19 @@ shares, on how the batch is chunked, or on how callers parallelise around
 it.  Squared norms are summed over the coordinates left to right
 (`sq_norm`), one fixed order whatever the memory layout.
 
-Memory layout: `shell_sum` stores each chunk of points and each shell's
-lattice vectors coordinate-major (Fortran order), and numpy carries that
-layout through the image differences, the terms and the compensated sum
-while the arrays keep their (m, B, n) shapes as views; elementwise loops
-then run over the batch or the shell rows instead of over the n
-coordinates.
+Memory layout: a batch is coordinate-major (Fortran order) from the point
+pair on: each coordinate of a (B, n) array is one contiguous column.
+`_pair_batch` and every reflection subset write their differences so
+(`_difference`), and the frame's t, P, rho, the near term, the map-back
+(`_dot`, a column at a time) and the superposition keep it.  `shell_sum`
+stores each chunk of points and each shell's lattice vectors so, numpy
+carries the layout through the image differences, the terms and the
+compensated sum while the arrays keep their (m, B, n) shapes as views, and
+the result has the layout of `kahan_shell_sum`'s sums, a column per value.
+Elementwise loops then run over the batch or the shell rows instead of over
+the n coordinates.  Only numpy's reductions over a row of eight or more
+coordinates round by layout; the tails' separations take them from a
+row-major copy (`_row_sums`), so every bit is independent of the layout.
 
 Row blocks: the terms are evaluated a block of rows at a time, and a block
 holds at most `_TILE` = 2^15 image coordinates or term values of the chunk
@@ -193,11 +200,34 @@ def _pair_batch(x, y, n: int) -> tuple[np.ndarray, bool]:
     except ValueError as exc:
         raise DimensionMismatch(f"point batches of shapes {X.shape} and {Y.shape} do not match") from exc
     with np.errstate(over="ignore"):
-        D = X - np.broadcast_to(Y, shape)
+        D = _difference(X, Y, shape)
         far = not np.isfinite(sq_norm(D)).all()
     if far:
         raise ConfigError("points too far apart: a squared distance overflows")
     return D, single
+
+
+def _difference(X: np.ndarray, Y: np.ndarray, shape=None) -> np.ndarray:
+    """X - Y of (B, n) or (n,) points, broadcast to `shape`: new and coordinate-major (`_new`)."""
+    X, Y = np.atleast_2d(X, Y)
+    D = _new(np.broadcast_shapes(X.shape, Y.shape) if shape is None else shape)
+    np.subtract(X.T, Y.T, out=D.T)  # transposed, numpy's loop runs down each column of D
+    return D
+
+
+def _row_sums(A: np.ndarray) -> np.ndarray:
+    """A summed over its last axis with the bits numpy's reduction gives a row-major A, in any layout.
+
+    numpy adds a row of fewer than eight values left to right in either layout,
+    but a longer contiguous row by its unrolled pairwise sum, which only the
+    row-major layout takes: those rows are summed from a row-major copy.
+    """
+    return np.add.reduce(A if A.shape[-1] < 8 else np.ascontiguousarray(A), axis=-1)
+
+
+def _norms(P: np.ndarray) -> np.ndarray:
+    """|P| over the last axis: the bits of `np.linalg.norm(P, axis=-1)` on a row-major P."""
+    return np.sqrt(_row_sums(P * P))
 
 
 def _check_not_on_orbit(L: Lattice, D: np.ndarray, what: str):
@@ -244,8 +274,22 @@ def _take(key, shape: tuple, lead: int = 2) -> np.ndarray:
     buf = buffers.get(key)
     if buf is None or buf.size < size or sys.getrefcount(buf) > _ALONE:
         buf = buffers[key] = np.empty(size)
+    return _laid_out(buf[:size], shape, lead)
+
+
+def _new(shape: tuple, lead: int = 1) -> np.ndarray:
+    """A new uninitialised float array of `shape` laid out as `_take` lays out its buffers.
+
+    With one leading axis, a (B, n) array is coordinate-major: each of its n
+    columns is contiguous.
+    """
+    return _laid_out(np.empty(math.prod(shape)), shape, lead)
+
+
+def _laid_out(flat: np.ndarray, shape: tuple, lead: int) -> np.ndarray:
+    """`flat` viewed as `shape`, the axes after the first `lead` slowest in memory."""
     tail = shape[lead:]
-    flat = buf[:size].reshape(tail + shape[:lead])
+    flat = flat.reshape(tail + shape[:lead])
     return flat.transpose(_behind(len(tail), len(shape))) if tail else flat
 
 
@@ -562,7 +606,7 @@ def shell_sum(L: Lattice, char: BundleCharacter, D: np.ndarray, R: int, term,
     R = radii[-1]
     cuts = (0, *itertools.accumulate(_groups(L.k, _start, R)))  # shells before each group end
     B = D.shape[0]
-    out = np.empty((len(radii), B) + shape)
+    out = _new((len(radii), B) + shape, 2)  # the layout of `kahan_shell_sum`'s rows: a column per value
     singular = _SINGULAR_R2 * L.sigma_min**2
     image_out, norm_out, term_out = _takes_out(image), _takes_out(sq_norm), _takes_out(term)
     width = max(math.prod(shape), math.prod(D.shape[1:]))  # per row and point: image coordinates or values
@@ -627,10 +671,17 @@ def shell_sum(L: Lattice, char: BundleCharacter, D: np.ndarray, R: int, term,
 
 
 def _dot(A: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """A @ M summed left to right over A's last axis: unlike BLAS, one order at every batch size."""
-    out = A[..., :1] * M[0]
-    for i in range(1, A.shape[-1]):
-        out += A[..., i : i + 1] * M[i]
+    """A @ M summed left to right over A's last axis: unlike BLAS, one order at every batch size.
+
+    The result is new and coordinate-major (`_new`); each of its columns is
+    built from A's columns, so a coordinate-major A is read contiguously.
+    """
+    out = _new(A.shape[:-1] + M.shape[1:], A.ndim - 1)
+    product = np.empty(A.shape[:-1])
+    for j in range(M.shape[1]):
+        column = np.multiply(A[..., 0], M[0, j], out=out[..., j])
+        for i in range(1, A.shape[-1]):
+            column += np.multiply(A[..., i], M[i, j], out=product)
     return out
 
 
@@ -651,8 +702,10 @@ def _lattice_sum(L: Lattice, char: BundleCharacter, D: np.ndarray, R: int, vecto
     (`Lattice._frame`): images (t + w, rho), t = D Q, rho = |P|, P = D - t Q^T,
     hold the k coordinates t + w, and rho rho is added last to |U|^2 (`_rho2`).
     The terms are `_frame_term`'s, their constant applied once to the far sum;
-    a vector one maps back as far[:, :k] Q^T + P far[:, k].  Class B passes its
-    own `image` and sums every shell in full coordinates.  With `checkpoints`
+    a vector one maps back as far[:, :k] Q^T + P far[:, k].  The near term is
+    added to the far sum in place (near + far and far + near have the same
+    bits).  Class B passes its own `image` and sums every shell in full
+    coordinates.  With `checkpoints`
     (see `shell_sum`) each checkpoint's far sum gets the same near term and
     map-back: a row of (len(checkpoints) + 1, B, ...) per radius.
     """
@@ -666,15 +719,19 @@ def _lattice_sum(L: Lattice, char: BundleCharacter, D: np.ndarray, R: int, vecto
         raise SingularPoint("evaluation point on a kernel singularity")
     Q, reduced = L._frame
     t = _dot(D, Q)
-    P = D - _dot(t, Q.T)
+    P = _dot(t, Q.T)
+    np.subtract(D, P, out=P)
     rho = np.sqrt(sq_norm(P))
     far_term, at_lattice, finish = _frame_term(L.n, vector)
     span = lambda D, Ms, W, out=None: _translate(D, Ms, W[:, :-1], out)  # the frame basis' last column is 0
     far = finish(shell_sum(reduced, char, t, R, far_term, (L.k + 1,) if vector else (), span,
                            at_lattice if subtracted else None, checkpoints=checkpoints, _start=1, _rho2=rho * rho))
     if vector:
-        far = _dot(far[..., : L.k], Q.T) + P * far[..., L.k :]
-    return term(D, r2) + far
+        back = _dot(far[..., : L.k], Q.T)
+        back += P * far[..., L.k :]
+        far = back
+    far += term(D, r2)  # near + far, in place
+    return far
 
 
 # -- cylinder sums as functions of the difference ----------------------------
@@ -803,7 +860,7 @@ def check_form(form, forms=_FORMS) -> str:
     return form
 
 
-def _pipeline(n: int, x, y, R, checkpoints, total, tail, *, sep=lambda P: np.linalg.norm(P, axis=1),
+def _pipeline(n: int, x, y, R, checkpoints, total, tail, *, sep=_norms,
               check=None, single=None, axes=None, negate_fiber=False, form="orbit", forms=_FORMS):
     """The one kernel pipeline: (values, tails) of a batch, or one point's `KernelEval`.
 
@@ -812,8 +869,9 @@ def _pipeline(n: int, x, y, R, checkpoints, total, tail, *, sep=lambda P: np.lin
     Then: the form, the pair x - y, the radii, and `check(D)`, which returns the
     differences to sum; the sums, superposed over the subsets A of the reflected
     `axes` (P = x minus the source reflected on A for `orbit`, x - y reflected on
-    A otherwise; twist rho(A) = (-1)^|A| if the fiber is negated; summed from 0.0,
-    while with no `axes` the one sum is the value as it is, -0.0 included); the
+    A otherwise, D itself for the empty A; twist rho(A) = (-1)^|A| if the fiber is
+    negated; summed from 0.0 into the first subset's new sum, in place, while with
+    no `axes` the one sum is the value as it is, -0.0 included); the
     tails per radius at `sep(P)`; under `np.errstate`, so a value past the float
     range raises `ConfigError` before any numpy warning (tails may be inf); and
     the wrap, a `KernelEval` if `single` (None: if x and y are single points).
@@ -837,11 +895,16 @@ def _pipeline(n: int, x, y, R, checkpoints, total, tail, *, sep=lambda P: np.lin
             vals, tails = part(D)
         else:
             X = np.asarray(x, dtype=float).reshape(-1, n)
-            vals = tails = 0.0
+            vals, tails = None, 0.0
             for subset in _reflection_subsets(axes):
-                rho = (-1.0) ** len(subset) if negate_fiber else 1.0
-                v, t = part(X - reflect_coords(y, subset) if form == "orbit" else reflect_coords(D, subset))
-                vals = vals + rho * v
+                if not subset:  # X - y, and x - y reflected on no axis, are D bit for bit
+                    P = D
+                else:
+                    P = _difference(X, reflect_coords(y, subset)) if form == "orbit" else reflect_coords(D, subset)
+                v, t = part(P)
+                # vals + rho v, rho = +-1, in place: v is new, and x + (-v) is x - v
+                add = np.subtract if negate_fiber and len(subset) % 2 else np.add
+                vals = add(0.0, v, out=v) if vals is None else add(vals, v, out=vals)
                 tails = tails + t
     if not np.isfinite(vals).all():
         raise ConfigError(f"kernel value is not finite: its terms leave the float range (magnitudes up to "
@@ -975,4 +1038,4 @@ def torus_cauchy_two_point(L: Lattice, char: BundleCharacter, a, b, x, R: int,
 
     return _pipeline(n, x, a, R, checkpoints, total, tail, check=check, form=form,
                      forms=("coupled_subtracted", "paper_literal"),
-                     sep=lambda D: (np.linalg.norm(D[:, 0], axis=1), np.linalg.norm(D[:, 1], axis=1)))
+                     sep=lambda D: (_norms(D[:, 0]), _norms(D[:, 1])))

@@ -47,6 +47,7 @@ from .kernels_periodic import (
     KernelEval,
     _pipeline,
     _reflection_subsets,
+    _row_sums,
     cyl_cauchy,
     cyl_cauchy_reg,
     cyl_green,
@@ -166,7 +167,7 @@ def _class_b(M: ManifoldSpec, kind: str, X, y, R: int, form: str, checkpoints, s
         E[:, c] = np.abs(X[:, c]) + abs(y[c])
         E = E[:, : M.n if regularized else M.k]
         # the first c axes, then the twisted one: the order the tail bits depend on
-        return np.sqrt(np.sum(E[:, :c] ** 2, axis=1) + np.sum(E[:, c:] ** 2, axis=1))
+        return np.sqrt(_row_sums(E[:, :c] ** 2) + _row_sums(E[:, c:] ** 2))
 
     return _pipeline(M.n, X, y, R, checkpoints,
                      lambda D0, R, checkpoints: total(X if orbit else D0, R, image, checkpoints),

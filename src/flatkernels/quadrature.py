@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .calculus import _D1, _coerce_batch, _pointwise, _stencil
-from .clifford import MultiVector, gp, reflect_coords
+from .clifford import MultiVector, _live_products, gp, reflect_coords
 from .errors import AccuracyError, SurfaceError
 from .kernels_euclid import green_to_cauchy_factor, sphere_area
 
@@ -117,12 +117,10 @@ def sphere_surface(center, radius: float, grid) -> Hypersurface:
     if any(g < 1 for g in grid):
         raise SurfaceError("sphere grid resolutions must be >= 1")
 
-    from numpy.polynomial.legendre import leggauss  # numpy.polynomial only where a sphere is built
-
     angle_nodes = []
     angle_weights = []
     for i, m in enumerate(grid[:-1]):  # polar angles theta_i in (0, pi)
-        xg, wg = leggauss(m)
+        xg, wg = _gauss_legendre(m)
         theta = 0.5 * math.pi * (xg + 1.0)
         power = n - 2 - i
         angle_nodes.append(theta)
@@ -160,6 +158,67 @@ def sphere_surface(center, radius: float, grid) -> Hypersurface:
         weights,
         {"type": "sphere", "center": center.tolist(), "radius": float(radius), "grid": list(grid)},
     )
+
+
+def _gauss_legendre(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights of m points on [-1, 1]: numpy's `leggauss`, step for step.
+
+    The same operations in the same order give the same bits without importing
+    `numpy.polynomial`: the eigenvalues (`eigvalsh`) of the symmetric scaled
+    companion matrix of P_m (`legcompanion`, whose last-column correction
+    subtracts +0.0 here and is left out); one Newton step with Clenshaw values
+    of P_m and P_m' (`legval`, `legder`); the weights 1 / (P_(m-1) P_m'), each
+    factor scaled by its largest magnitude; nodes and weights symmetrised; and
+    the weights scaled to sum to 2.
+    """
+    c = np.zeros(m + 1)
+    c[-1] = 1.0
+    if m == 1:
+        companion = np.array([[-c[0] / c[1]]])
+    else:
+        scl = 1.0 / np.sqrt(2 * np.arange(m) + 1)
+        companion = np.zeros((m, m))
+        top = companion.reshape(-1)[1 :: m + 1]
+        top[...] = np.arange(1, m) * scl[: m - 1] * scl[1:m]
+        companion.reshape(-1)[m :: m + 1] = top
+    x = np.linalg.eigvalsh(companion)
+    dy = _legval(x, c)
+    df = _legval(x, _legder(c))
+    x -= dy / df
+    fm = _legval(x, c[1:])
+    fm /= np.abs(fm).max()
+    df /= np.abs(df).max()
+    w = 1 / (fm * df)
+    w = (w + w[::-1]) / 2
+    x = (x - x[::-1]) / 2
+    w *= 2.0 / w.sum()
+    return x, w
+
+
+def _legval(x: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """The Legendre series c at x by Clenshaw's recursion, in `legval`'s order of operations."""
+    if len(c) < 3:
+        c0, c1 = (c[0], 0) if len(c) == 1 else (c[0], c[1])
+    else:
+        nd, c0, c1 = len(c), c[-2], c[-1]
+        for i in range(3, len(c) + 1):
+            nd -= 1
+            c0, c1 = c[-i] - c1 * ((nd - 1) / nd), c0 + c1 * x * ((2 * nd - 1) / nd)
+    return c0 + c1 * x
+
+
+def _legder(c: np.ndarray) -> np.ndarray:
+    """The Legendre series of the derivative of c (two or more coefficients), as `legder` builds it."""
+    c = c.copy()
+    n = len(c) - 1
+    der = np.empty(n)
+    for j in range(n, 2, -1):
+        der[j - 1] = (2 * j - 1) * c[j]
+        c[j - 2] += c[j]
+    if n > 1:
+        der[1] = 3 * c[2]
+    der[0] = c[1]
+    return der
 
 
 def box_surface(corner, extents, per_face: int) -> Hypersurface:
@@ -230,10 +289,32 @@ def _field_values(field_fn, X: np.ndarray, n: int) -> np.ndarray:
 
 
 def _surface_sum(S: Hypersurface, integrand: np.ndarray) -> np.ndarray:
-    """Weighted node sum of a new (B, 2^n) integrand, which is scaled in place."""
+    """Weighted node sum of a new (B, 2^n) integrand, which is scaled and summed in place.
+
+    The nodes are added one after another from node 0, starting at +0.0:
+    ((0.0 + x_0) + x_1) + ..., the order of a row-major `np.sum(axis=0)`.  The
+    running sum goes down each coefficient's column (`np.add.accumulate`), so
+    a coordinate-major integrand is read contiguously; a pairwise reduction of
+    the contiguous nodes would round otherwise.
+    """
     integrand *= S.weights[:, None]
-    # fixed node order; numpy pairwise summation is deterministic per shape
-    return np.sum(integrand, axis=0)
+    if not len(integrand):  # no nodes: the empty sum
+        return np.zeros(integrand.shape[1:])
+    integrand[0] += 0.0  # from +0.0: a -0.0 at node 0 becomes +0.0
+    return np.add.accumulate(integrand, axis=0, out=integrand)[-1].copy()
+
+
+def _live_columns(V: np.ndarray, n: int) -> list:
+    """(slot, column) of values V, (B,) scalar, (B, n) vector or (B, 2^n), for the slots nonzero somewhere."""
+    dim = 1 << n
+    if V.ndim == 1:
+        slots = (0,)
+        V = V[:, None]
+    elif V.ndim == 2 and V.shape[1] in (dim, n):
+        slots = range(dim) if V.shape[1] == dim else [1 << j for j in range(n)]
+    else:
+        raise ValueError(f"cannot interpret batched field values of shape {V.shape}")
+    return [(i, column) for i, column in zip(slots, V.T) if column.any()]
 
 
 def _flux(S: Hypersurface, K, section) -> np.ndarray:
@@ -241,12 +322,16 @@ def _flux(S: Hypersurface, K, section) -> np.ndarray:
 
     K holds the kernel values at the nodes, (B,), (B, n) or (B, 2^n); n is
     the node normal; `section` maps the node positions to f, or is a constant.
-    A constant c scales K n instead of a second product: gp with c in the
+    K n takes `gp`'s live pairs (`clifford._live_products`) of the columns of
+    K and n that are nonzero somewhere, added into a new coordinate-major
+    array from +0.0: `gp`'s bits, without (B, 2^n) copies of K and n.  A
+    constant c scales K n instead of a second product: gp with c in the
     scalar slot has one nonzero product per slot, so the bits are the same.
-    K n is a new array, so c and then the weights scale it in place.
+    So c and then the weights scale K n in place.
     """
     n = S.dim
-    KN = gp(_coerce_batch(K, n), _coerce_batch(S.normals, n), n)
+    KN = np.zeros((1 << n, S.node_count)).T  # coordinate-major: a contiguous column per slot
+    _live_products(_live_columns(np.asarray(K, dtype=float), n), _live_columns(S.normals, n), n, KN)
     if not callable(section):
         KN *= float(section)
         return _surface_sum(S, KN)

@@ -14,9 +14,10 @@ TABLE = {
     "samples": {"count": 12, "low": [0, 0, 0, 0, 0], "high": [1, 1, 1, 1, 1]}, "seed": 3,
 }
 
-# runs the CLI, then fails if anything imported concurrent.futures or numpy.ma
+# runs the CLI, then fails if anything imported concurrent.futures, numpy.ma or numpy.polynomial
 PROBE = ("import sys; from flatkernels.cli import main; rc = main(sys.argv[1:]); "
-         "sys.exit(rc or 3 * any(m.split('.')[0] == 'concurrent' or m == 'numpy.ma' for m in sys.modules))")
+         "sys.exit(rc or 3 * any(m.split('.')[0] == 'concurrent' or m == 'numpy.ma' "
+         "or m.startswith('numpy.polynomial') for m in sys.modules))")
 
 
 def test_threaded_table_imports_no_executor_and_keeps_the_bytes(tmp_path):

@@ -37,12 +37,15 @@ def avx512_targets() -> list[str]:
     return [t for t in __cpu_dispatch__ if ("AVX512" in t or t == "X86_V4") and __cpu_features__.get(t)]
 
 
-def value_grid() -> dict[str, bytes]:
-    """The values (no tails) of every kernel family at n = 3..6 on a few seeded points."""
+def value_grid(order: str = "C") -> dict[str, bytes]:
+    """The values (no tails) of every kernel family at n = 3..6 on a few seeded points.
+
+    `order` is the memory layout of the point batches X: "C" (row-major) or "F" (coordinate-major).
+    """
     rng = np.random.default_rng(2626)
     out = {}
     for n in range(3, 7):
-        X = rng.uniform(0.1, 0.9, (5, n))
+        X = np.asarray(rng.uniform(0.1, 0.9, (5, n)), order=order)
         y = rng.uniform(0.2, 0.8, n)
         skew = np.tril(rng.uniform(-0.3, 0.3, (n, n)), -1) + np.diag(rng.uniform(0.9, 1.4, n))
         lattice = lambda k: Lattice(skew[:k])
@@ -79,5 +82,12 @@ def test_values_have_the_same_bytes_without_avx512_dispatch():
     assert left == []  # the variable switched every AVX-512 target off
     other = {k: bytes.fromhex(v) for k, v in grid.items()}
     here = value_grid()
+    assert sorted(other) == sorted(here)
+    assert [name for name in here if other[name] != here[name]] == []
+
+
+def test_values_do_not_depend_on_the_layout_of_the_points():
+    """A row-major and a coordinate-major batch X give every kernel family the same bytes."""
+    here, other = value_grid("C"), value_grid("F")
     assert sorted(other) == sorted(here)
     assert [name for name in here if other[name] != here[name]] == []

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from flatkernels import clifford
+from flatkernels import clifford, quadrature
+from flatkernels.calculus import _coerce_batch
 from flatkernels.clifford import MAX_DIM, _gather_table, _gathers, gp
 from flatkernels.quadrature import _flux, sphere_surface
 
@@ -137,11 +138,15 @@ def test_the_path_rule_weighs_the_batch_size():
 
 
 def test_the_flux_product_multiplies_live_pairs(monkeypatch):
-    """The sphere's K n (8,192 vector products at n = 3) must not fall back to the gather."""
-    picked = []
-    rule = clifford._gathers
-    monkeypatch.setattr(clifford, "_gathers", lambda *args: picked.append(rule(*args)) or picked[-1])
+    """The sphere's K n (8,192 vector products at n = 3) multiplies the live pairs column by
+    column: no `gp` call, so no fall-back to the gather, and the gather loop's bits."""
     S = sphere_surface(np.array([0.5, 0.6, 0.2]), 0.15, (64, 128))
     K = np.random.default_rng(3).normal(size=(len(S.weights), 3))
+    ref = gather_gp(_coerce_batch(K, 3), _coerce_batch(S.normals, 3), 3) * S.weights[:, None]
+    assert _flux(S, K, 1.0).tobytes() == np.sum(ref, axis=0).tobytes()  # row-major: node after node
+
+    def refuse(*args):
+        raise AssertionError("the flux product called gp")
+
+    monkeypatch.setattr(quadrature, "gp", refuse)
     _flux(S, K, 1.0)
-    assert picked == [False]

@@ -601,6 +601,7 @@ def reference_class_b(M: ManifoldSpec, X, y, R: int, form: str):
     X = np.atleast_2d(np.asarray(X, dtype=float))
     yv = np.asarray(y, dtype=float)
     D0, _ = _pair_batch(X, yv, n)
+    D0 = np.ascontiguousarray(D0)  # row-major, as the reductions of the tails below expect
     D = D0.copy()
     if form == "orbit":
         D[:, column] = X[:, column]

@@ -10,7 +10,8 @@ import pytest
 from flatkernels import kernels_periodic
 from flatkernels.cli import KERNEL_NAMES, main
 from flatkernels.errors import ConfigError
-from flatkernels.kernels_periodic import cyl_cauchy, cyl_green_reg, torus_cauchy_two_point
+from flatkernels.clifford import reflect_coords
+from flatkernels.kernels_periodic import cyl_cauchy, cyl_green, cyl_green_reg, torus_cauchy_two_point
 from flatkernels.kernels_pin import (
     KERNELS,
     klein_green,
@@ -20,6 +21,7 @@ from flatkernels.kernels_pin import (
     proj_cauchy,
     proj_cauchy_batch,
     proj_green,
+    proj_green_batch,
     realproj_cauchy,
     realproj_cauchy_batch,
 )
@@ -144,6 +146,62 @@ def test_cylinder_keeps_negative_zeros_in_library_and_table(tmp_path):
         cells = [line.split(",")[5:9] for line in out.read_text().splitlines()[1:]]
         assert (np.array(cells) == "-0").tolist() == negative_zero.tolist()
         assert np.array(cells, dtype=float).tobytes() == vals.tobytes()
+
+
+@pytest.mark.parametrize("negate", [False, True])
+def test_projective_superposition_sums_from_zero(negate):
+    """Each reflection subset A is the cylinder sum at x minus y reflected on A; the pipeline adds
+    them from 0.0 times rho(A), in place, so a component that is -0.0 in every subset comes out +0.0."""
+    y, X = _signed_zero_case()
+    L = Lattice([[1.0, 0.0, 0.0, 0.0]])
+    M = ManifoldSpec("Projective", 4, L, p=2, bundle=BundleCharacter(0, negate))
+    rho = (1.0, -1.0 if negate else 1.0)
+    for batch, cylinder in ((proj_cauchy_batch, cyl_cauchy), (proj_green_batch, cyl_green)):
+        parts = [cylinder(L, CH0, X, reflect_coords(y, A), 6)[0] for A in ((), (1,))]
+        vals, _ = batch(M, X, y, 6)
+        ref = (0.0 + rho[0] * parts[0]) + rho[1] * parts[1]
+        assert np.ascontiguousarray(vals).tobytes() == np.ascontiguousarray(ref).tobytes()
+        if batch is proj_cauchy_batch:
+            zero_in_all = np.logical_and.reduce([(p[:, 2] == 0.0) & np.signbit(p[:, 2]) for p in parts])
+            assert zero_in_all.sum() >= 3
+            assert np.all(vals[zero_in_all, 2] == 0.0) and not np.signbit(vals[zero_in_all, 2]).any()
+
+
+# -- memory layout ------------------------------------------------------------------
+
+LAYOUT_FAMILIES = {
+    "cylinder n=9": lambda X, y: cyl_cauchy(Lattice(np.eye(9)[:1]), CH1, X, y, 3, checkpoints=(1,)),
+    "projective n=9": lambda X, y: proj_cauchy_batch(
+        ManifoldSpec("Projective", 9, Lattice(np.eye(9)[:1]), p=9, bundle=BundleCharacter(1, True)), X, y, 2),
+    "projective literal n=8": lambda X, y: proj_green_batch(
+        ManifoldSpec("Projective", 8, Lattice(np.eye(8)[:1]), p=3), X, y, 2, "paper_literal"),
+    "moebius n=9": lambda X, y: moebius_green_batch(
+        ManifoldSpec("MoebiusStrip", 9, Lattice(np.eye(9)[:1]), sign_variant="SumParity"), X, y, 3),
+    "moebius reg n=8": lambda X, y: moebius_green_batch(
+        ManifoldSpec("MoebiusStrip", 8, Lattice(np.eye(8)[:6]), sign_variant="SumParity"), X, y, 1),
+    "torus n=8": lambda X, y: torus_cauchy_two_point(Lattice(np.eye(8)), CH0, y, y + 0.3, X, 1),
+}
+
+
+@pytest.mark.parametrize("family", sorted(LAYOUT_FAMILIES))
+def test_values_and_tails_do_not_depend_on_the_layout_of_the_points(family):
+    """Rows of eight or more coordinates are where numpy's row reductions round by layout."""
+    n = int(family.split("n=")[1])
+    rng = np.random.default_rng(88)
+    X = rng.uniform(-0.05, 0.05, (6, n))
+    y = rng.uniform(-0.05, 0.05, n)
+    C, F = (LAYOUT_FAMILIES[family](np.asarray(X, order=order), y) for order in "CF")
+    for a, b in zip(C, F):
+        assert np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+
+
+def test_norms_have_the_bits_of_row_major_numpy():
+    rng = np.random.default_rng(7)
+    for n in range(1, 13):
+        P = rng.normal(size=(50, n)) * 10.0 ** rng.integers(-5, 5, (50, n))
+        ref = np.linalg.norm(np.ascontiguousarray(P), axis=1).tobytes()
+        assert kernels_periodic._norms(P).tobytes() == ref
+        assert kernels_periodic._norms(np.asfortranarray(P)).tobytes() == ref, n
 
 
 # -- scale covariance ---------------------------------------------------------------
