@@ -13,7 +13,8 @@ engine relies on it.
 
 This module owns the formula: `sq_norm`, the exponents and constants
 (`_kernel`), the powers r2^e (`_power`: correctly rounded IEEE steps, so a
-kernel value has the same bits on every CPU; the tails still use `**`) and
+kernel value, and every tail `kernels_periodic` certifies with the same
+powers, has the same bits on every CPU) and
 the terms every lattice sum evaluates (`_cauchy_term`, `_green_term`, the
 frame's `_frame_term`); single-point kernels are row 0 of the batched ones.
 Each term takes an optional `out` to write into, so the shell engine keeps

@@ -94,10 +94,21 @@ point checks, the shell sum (frame, Class-B image or torus pair), the
 reflection superposition, tails per radius, `ConfigError` for a value past
 the float range, and the single-point `KernelEval`.
 
-Tail bounds are true upper estimates of the omitted-shell contribution: the
-Eisenstein-type majorant is evaluated with the separation |x-y| subtracted
-from the lattice gap (`eisenstein_tail(..., offset=|x-y|)`), so the
-"evaluations at R and 2R differ by at most 2*tail" certificate holds.
+Tail bounds are true upper estimates of the omitted-shell contribution, and
+one function owns them all (`_tail`; the public `cauchy_tail`, `green_tail`,
+`cauchy_reg_tail`, `green_reg_tail` and `torus_tail` are calls into it):
+K C_j / j! (|h| / sigma)^j sigma^(-s0) E(s0 + j).  K |w|^(-s0) is the size
+of the kernel (s0 = n - 1 vector, n - 2 scalar), C_j / j! |h|^j |w|^(-s0-j)
+bounds its order-j Taylor remainder (j = 0 plain, 1 regularized, 2 the
+torus), and E is the Eisenstein-type majorant in units of sigma^(-s)
+(`_majorant`), with the separation |x-y| subtracted from the lattice gap,
+so the "evaluations at R and 2R differ by at most 2*tail" certificate holds.
+Twisted bundles without a subtraction bound adjacent sign-cancelling pairs
+at order j + 1 plus one straddling layer at order j.  Only sigma^(-s0)
+carries the scale, so a tail scales as its kernel and is finite wherever
+the kernel's scale is; the powers are `_power`'s correctly rounded steps,
+so a tail has the same bits on every CPU, and the bound is rounded up once
+(`_ROUND_UP`) to cover the rounding of its steps.
 """
 
 from __future__ import annotations
@@ -160,28 +171,60 @@ class KernelEval:
 
 # -- tail machinery -----------------------------------------------------------
 
-def eisenstein_tail(L: Lattice, R: int, s: float, offset=0.0):
-    """Upper bound on sum_{||m||_inf > R} |m_1 v_1 + ... |^(-s).
+# every certified tail is rounded up by this factor, more than the rounding of its steps
+_ROUND_UP = 1.0 + 2.0**-46
 
-    Uses |sum m_i v_i| >= sigma_min ||m||_inf, shell counts bounded by
-    2k (2r+1)^(k-1) <= 2k 3^(k-1) r^(k-1), and integral comparison.  With
-    `offset` = |x - y| the bound certifies shifted sums via
-    |x - y + w| >= (sigma_min - offset/(R+1)) ||m||_inf on omitted shells.
-    Scalar or array `offset` is accepted; R = 0 yields infinity.
-    """
+
+def eisenstein_tail(L: Lattice, R: int, s: float, offset=0.0):
+    """Upper bound on sum_{||m||_inf > R} |d + m_1 v_1 + ...|^(-s), |d| <= `offset` (scalar or array):
+    sigma_min^(-s) times `_majorant`, so s is an integer or a half-integer (`_power`).  R = 0 gives inf."""
     R = _check_radius(R)
-    if s <= L.k:
-        raise RegimeError(f"majorant diverges: s = {s} <= lattice rank {L.k}")
-    offset = np.asarray(offset, dtype=float)
-    single = offset.ndim == 0
-    off = np.atleast_1d(offset)
-    out = np.full(off.shape, math.inf)
-    if R >= 1:
-        sigma_eff = L.sigma_min - off / (R + 1.0)
-        ok = sigma_eff > 0.0
-        coef = 2.0 * L.k * 3.0 ** (L.k - 1) / (s - L.k)
-        out[ok] = coef * sigma_eff[ok] ** (-s) * float(R) ** (L.k - s)
-    return float(out[0]) if single else out
+    if 2 * s != round(2 * s):
+        raise ConfigError(f"majorant exponent s = {s} is not an integer or a half-integer")
+    with np.errstate(divide="ignore", over="ignore"):
+        out = _power(np.array([L.sigma_min]), -s) * _majorant(L, R, s, offset) * _ROUND_UP
+    return float(out[0]) if np.ndim(offset) == 0 else out
+
+
+def _majorant(L: Lattice, R: int, s: float, offset, layer: bool = False) -> np.ndarray:
+    """E(s): that sum in units of sigma^(-s), with the one gap rule of every tail.
+
+    On the omitted shells |d + w| >= g sigma ||m||_inf, g = (sigma - offset/(R+1)) / sigma clamped
+    at 0 (no gap left, or R = 0: inf); shell r holds 2k (2r+1)^(k-1) <= 2k 3^(k-1) r^(k-1) points, so
+    E(s) <= 2k 3^(k-1) / (s-k) g^(-s) R^(k-s) by integral comparison.  A `layer` is one shell at R.
+    """
+    k = L.k  # exact integer shell counts
+    g = np.maximum((L.sigma_min - np.atleast_1d(offset) / (R + 1.0)) / L.sigma_min, 0.0)
+    if layer:
+        return 2 * k * (2 * R + 1) ** (k - 1) * _power(g * R, -s)
+    if s <= k:
+        raise RegimeError(f"majorant diverges: s = {s} <= lattice rank {k}")
+    return 2 * k * 3 ** (k - 1) / (s - k) * _power(g, -s) * _power(np.array([float(R)]), k - s)
+
+
+def _tail(L: Lattice, R: int, vector: bool, offset, j: int = 0, h=None, alternating: bool = False):
+    """The one certified tail: K C_j / j! (|h| / sigma)^j sigma^(-s0) E(s0 + j), rounded up.
+
+    The kernel is K |w|^(-s0) in size (s0 = n - 1 vector, n - 2 scalar), C_j / j! |h|^j |w|^(-s0-j)
+    bounds the order-j Taylor remainder of a summand shifted by h (0: plain sums, 1: regularized,
+    2: the torus's gradient-subtracted pair), and E is the `_majorant` at `offset`.  `alternating`
+    (a twisted bundle, no subtraction) bounds adjacent pairs m, m + e_1 at order j + 1 in v_1, half
+    as many, plus one straddling layer at order j.  Only sigma^(-s0) carries the kernel's scale.
+    """
+    n, sigma, offset = L.n, L.sigma_min, np.asarray(offset, dtype=float)
+    s0 = n - 1 if vector else n - 2
+    C = (1.0, n + 1.0 if vector else n - 2.0, math.sqrt(n) * n * (n + 5.0))  # C_2 is crude but safe
+    with np.errstate(divide="ignore", over="ignore"):
+        unit = _power(np.array([sigma]), -s0) / (sphere_area(n) * (1.0 if vector else n - 1.0))
+        hj = _power(sigma / np.asarray(h, dtype=float), -j) / math.factorial(j) if j else 1.0
+        if alternating:
+            v1 = float(np.linalg.norm(L.basis[0]))
+            bound = (C[j + 1] * 0.5 * v1 / sigma * _majorant(L, R, s0 + j + 1, offset + v1)
+                     + C[j] * _majorant(L, R, s0 + j, offset, layer=True))
+        else:
+            bound = C[j] * _majorant(L, R, s0 + j, offset)
+        out = unit * hj * bound * _ROUND_UP
+    return float(out[0]) if offset.ndim == 0 else out
 
 
 def _pair_batch(x, y, n: int) -> tuple[np.ndarray, bool]:
@@ -763,58 +806,28 @@ def cyl_green_reg_diff(L: Lattice, char: BundleCharacter, D: np.ndarray, R: int,
 # -- tail bounds per kernel ----------------------------------------------------
 
 def cauchy_tail(L: Lattice, R: int, sep):
-    return eisenstein_tail(L, R, L.n - 1.0, offset=sep) / sphere_area(L.n)
+    return _tail(L, R, True, sep)
 
 
 def green_tail(L: Lattice, R: int, sep):
-    return eisenstein_tail(L, R, L.n - 2.0, offset=sep) / (sphere_area(L.n) * (L.n - 1.0))
+    return _tail(L, R, False, sep)
 
 
 def cauchy_reg_tail(L: Lattice, R: int, sep):
-    # mean-value bound |G(d+w) - G(w)| <= |d| C_n (|w| - |d|)^(-n), C_n = n+1
-    sep = np.asarray(sep, dtype=float)
-    return sep * (L.n + 1.0) / sphere_area(L.n) * eisenstein_tail(L, R, float(L.n), offset=sep)
+    return _tail(L, R, True, sep, 1, sep)
 
 
 def green_reg_tail(L: Lattice, R: int, sep, char: BundleCharacter = BundleCharacter(0)):
-    sep = np.asarray(sep, dtype=float)
-    wn = sphere_area(L.n)
-    if char.l == 0:
-        c = (L.n - 2.0) / (wn * (L.n - 1.0))
-        return sep * c * eisenstein_tail(L, R, L.n - 1.0, offset=sep)
-    # twisted bundle, no subtraction: bound adjacent sign-cancelling pairs by a
-    # gradient estimate plus one layer of pair-straddling single terms
-    v1 = float(np.linalg.norm(L.basis[0]))
-    pair = 0.5 * v1 * (L.n - 2.0) / (wn * (L.n - 1.0)) * eisenstein_tail(
-        L, R, L.n - 1.0, offset=sep + v1
-    )
-    sig = np.maximum(L.sigma_min - sep / (R + 1.0), 1e-300)
-    with np.errstate(divide="ignore", over="ignore"):  # no gap left: the bound is inf
-        layer = 2.0 * L.k * (2.0 * R + 1.0) ** (L.k - 1) * (sig * R) ** (2.0 - L.n) / (wn * (L.n - 1.0))
-    return pair + layer
-
-
-def _torus_hessian_const(n: int) -> float:
-    # crude but safe bound on the stacked second derivative of the vector kernel
-    return math.sqrt(n) * n * (n + 5.0) / sphere_area(n)
+    # a twisted bundle subtracts nothing: its signs alternate instead
+    return _tail(L, R, False, sep, 0, alternating=True) if char.l else _tail(L, R, False, sep, 1, sep)
 
 
 def torus_tail(L: Lattice, R: int, sep_a, sep_b, dab: float = 0.0, char: BundleCharacter = BundleCharacter(0)):
-    sep_a = np.asarray(sep_a, dtype=float)
-    sep_b = np.asarray(sep_b, dtype=float)
+    sep_a, sep_b = np.asarray(sep_a, dtype=float), np.asarray(sep_b, dtype=float)
     worst = np.maximum(sep_a, sep_b)
-    c2 = _torus_hessian_const(L.n)
-    if char.l == 0:
-        return 0.5 * c2 * (sep_a**2 + sep_b**2) * eisenstein_tail(L, R, L.n + 1.0, offset=worst)
-    # twisted bundle: adjacent-pair cancellation of the coupled differences,
-    # plus one layer of straddling singles bounded by the gradient estimate
-    v1 = float(np.linalg.norm(L.basis[0]))
-    pair = 0.5 * v1 * dab * c2 * eisenstein_tail(L, R, L.n + 1.0, offset=worst + v1)
-    sig = np.maximum(L.sigma_min - worst / (R + 1.0), 1e-300)
-    c1 = (L.n + 1.0) / sphere_area(L.n)
-    with np.errstate(divide="ignore", over="ignore"):  # no gap left: the bound is inf
-        layer = 2.0 * L.k * (2.0 * R + 1.0) ** (L.k - 1) * dab * c1 * (sig * R) ** (-float(L.n))
-    return pair + layer
+    if char.l:  # no gradient subtraction: the coupled difference is first order in a - b
+        return _tail(L, R, True, worst, 1, dab, alternating=True)
+    return _tail(L, R, True, worst, 2, np.sqrt(sep_a * sep_a + sep_b * sep_b))
 
 
 # -- the kernel pipeline -----------------------------------------------------------

@@ -3,9 +3,9 @@
 numpy picks SIMD loops for its ufuncs at run time from the CPU it runs on,
 and its AVX-512 loops of `**`, `exp` and `log` round differently from the
 AVX2 ones.  The kernels raise |U|^2 to their powers with correctly rounded
-steps only (`kernels_euclid._power`), so their values must have the same
-bytes with those loops switched off (`NPY_DISABLE_CPU_FEATURES`, read at
-numpy's import).  Tails still use `**` and are left out.
+steps only (`kernels_euclid._power`), and so do the tails, so values and
+tails must have the same bytes with those loops switched off
+(`NPY_DISABLE_CPU_FEATURES`, read at numpy's import).
 """
 
 import json
@@ -38,12 +38,16 @@ def avx512_targets() -> list[str]:
 
 
 def value_grid(order: str = "C") -> dict[str, bytes]:
-    """The values (no tails) of every kernel family at n = 3..6 on a few seeded points.
+    """The values and tails of every kernel family at n = 3..6 on a few seeded points.
 
     `order` is the memory layout of the point batches X: "C" (row-major) or "F" (coordinate-major).
     """
     rng = np.random.default_rng(2626)
     out = {}
+
+    def put(name, result):  # a kernel's (values, tails)
+        out[name], out[name + " tails"] = result
+
     for n in range(3, 7):
         X = np.asarray(rng.uniform(0.1, 0.9, (5, n)), order=order)
         y = rng.uniform(0.2, 0.8, n)
@@ -51,21 +55,23 @@ def value_grid(order: str = "C") -> dict[str, bytes]:
         lattice = lambda k: Lattice(skew[:k])
         out[f"cauchy_g_batch n={n}"] = cauchy_g_batch(X, y)
         out[f"green_h_batch n={n}"] = green_h_batch(X, y)
-        out[f"cyl_cauchy n={n}"] = cyl_cauchy(lattice(n - 2), BundleCharacter(1), X, y, 4)[0]
-        out[f"cyl_cauchy_reg n={n}"] = cyl_cauchy_reg(lattice(n - 1), BundleCharacter(0), X, y, 4)[0]
+        put(f"cyl_cauchy n={n}", cyl_cauchy(lattice(n - 2), BundleCharacter(1), X, y, 4))
+        put(f"cyl_cauchy_reg n={n}", cyl_cauchy_reg(lattice(n - 1), BundleCharacter(0), X, y, 4))
         if n >= 4:
-            out[f"cyl_green n={n}"] = cyl_green(lattice(n - 3), BundleCharacter(1), X, y, 4)[0]
-            out[f"klein_green n={n}"] = klein_green_batch(ManifoldSpec("KleinBottle", n, Lattice(np.eye(n)[:2])),
-                                                          X, y, 4)[0]
-        out[f"cyl_green_reg n={n}"] = cyl_green_reg(lattice(n - 2), BundleCharacter(0), X, y, 4)[0]
+            put(f"cyl_green n={n}", cyl_green(lattice(n - 3), BundleCharacter(1), X, y, 4))
+            put(f"klein_green n={n}", klein_green_batch(ManifoldSpec("KleinBottle", n, Lattice(np.eye(n)[:2])),
+                                                        X, y, 4))
+        for l in (0, 1):
+            put(f"cyl_green_reg n={n} l={l}", cyl_green_reg(lattice(n - 2), BundleCharacter(l), X, y, 4))
         for negate in (False, True):
             M = ManifoldSpec("Projective", n, lattice(1), p=2, bundle=BundleCharacter(1, negate))
-            out[f"proj_cauchy n={n} negate_fiber={negate}"] = proj_cauchy_batch(M, X, y, 4)[0]
-            out[f"proj_green n={n} negate_fiber={negate}"] = proj_green_batch(M, X, y, 4)[0]
+            put(f"proj_cauchy n={n} negate_fiber={negate}", proj_cauchy_batch(M, X, y, 4))
+            put(f"proj_green n={n} negate_fiber={negate}", proj_green_batch(M, X, y, 4))
         a, b = rng.uniform(0.2, 0.8, (2, n))
-        out[f"torus n={n}"] = torus_cauchy_two_point(lattice(n), BundleCharacter(0), a, b, X, 3)[0]
+        for l in (0, 1):
+            put(f"torus n={n} l={l}", torus_cauchy_two_point(lattice(n), BundleCharacter(l), a, b, X, 3))
         moebius = ManifoldSpec("MoebiusStrip", n, Lattice(np.eye(n)[:1]), sign_variant="SumParity")
-        out[f"moebius_green n={n}"] = moebius_green_batch(moebius, X, y, 4)[0]
+        put(f"moebius_green n={n}", moebius_green_batch(moebius, X, y, 4))
         out[f"realproj_cauchy n={n}"] = realproj_cauchy_batch(2, X, y)
     return {name: np.ascontiguousarray(v).tobytes() for name, v in out.items()}
 

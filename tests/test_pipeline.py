@@ -1,6 +1,6 @@
 """The one kernel pipeline: finite values, the form check, the name table,
-signed zeros, scale covariance of the torus and Moebius kernels, and the
-image width of point chunks."""
+signed zeros, scale covariance of the torus and Moebius kernels and of every
+family's tails, and the image width of point chunks."""
 
 import json
 
@@ -11,7 +11,15 @@ from flatkernels import kernels_periodic
 from flatkernels.cli import KERNEL_NAMES, main
 from flatkernels.errors import ConfigError
 from flatkernels.clifford import reflect_coords
-from flatkernels.kernels_periodic import cyl_cauchy, cyl_green, cyl_green_reg, torus_cauchy_two_point
+from flatkernels.kernels_periodic import (
+    cyl_cauchy,
+    cyl_cauchy_reg,
+    cyl_green,
+    cyl_green_reg,
+    periodic_regime,
+    torus_cauchy_two_point,
+    torus_tail,
+)
 from flatkernels.kernels_pin import (
     KERNELS,
     klein_green,
@@ -58,11 +66,76 @@ def test_a_value_past_the_float_range_raises_config_error(family):
         OVERFLOWING[family]()
 
 
-def test_tails_may_overflow_without_a_warning():
-    s = 1e-100
-    M = ManifoldSpec("MoebiusStrip", 5, Lattice(np.eye(5)[:3] * s), sign_variant="SumParity")
-    vals, tails = moebius_green_batch(M, np.linspace(0.1, 0.5, 5)[None] * s, np.linspace(0.6, 0.2, 5) * s, 5)
-    assert np.isfinite(vals).all() and np.isinf(tails).all()
+# a tail scales as its kernel, lam^(-s0), so it is finite wherever lam^(-s0) times the
+# unit-scale tail is: s0 = n - 1 for the vector kernels, n - 2 for the scalar ones
+TAIL_SCALES = [1e-100, 1e-30, 0.37, 1e30, 1e100]
+SKEW = np.array([[1.0, 0.0, 0.0, 0.0, 0.0], [0.3, 1.1, 0.0, 0.0, 0.0], [-0.2, 0.1, 0.9, 0.0, 0.0],
+                 [0.1, -0.3, 0.2, 1.2, 0.0], [0.2, 0.2, -0.1, 0.1, 1.0]])
+
+
+def _points(n):
+    rng = np.random.default_rng(30 + n)
+    return rng.uniform(0.05, 0.95, (4, n)), rng.uniform(0.2, 0.8, n)
+
+
+def _cylinder(fn, n, k, l):
+    X, y = _points(n)
+    return lambda lam: fn(Lattice(lam * SKEW[:k, :n]), BundleCharacter(l), lam * X, lam * y, 5)
+
+
+def _pin(fn, M, X, y):
+    spec = lambda lam: ManifoldSpec(M["kind"], M["n"], Lattice(lam * M["basis"]),
+                                    **{key: v for key, v in M.items() if key not in ("kind", "n", "basis")})
+    return lambda lam: fn(spec(lam), lam * X, lam * y, 5)
+
+
+def _torus(l):
+    # the tail alone: below about lam = 1e-77 the gradient term's |w|^(-4) leaves the float range,
+    # so the trivial torus raises ConfigError there although its value, lam^(-1) K, is finite
+    sep = np.array([0.2, 0.55, 0.9])
+    dab = float(np.linalg.norm(TORUS_A - TORUS_B))
+    return lambda lam: (None, torus_tail(Lattice(lam * TORUS_BASIS), 5, lam * sep, lam * sep[::-1], lam * dab,
+                                         BundleCharacter(l)))
+
+
+def _klein():
+    # a Klein spec is normalised (its last basis vector is e_k), so it cannot be rescaled: this is
+    # the regime's tail that `klein_green_batch` takes at k = n - 2, at the Klein separations
+    M = ManifoldSpec("KleinBottle", 4, Lattice(np.eye(4)[:2]))
+    sep = np.array([0.3, 0.8, 1.1])
+    return lambda lam: (None, periodic_regime(Lattice(lam * M.lattice.basis), M.bundle, False)[1](5, lam * sep))
+
+
+COVARIANT_TAILS = {
+    **{f"cyl_cauchy/{l}": (_cylinder(cyl_cauchy, 3, 1, l), 2) for l in (0, 1)},
+    **{f"cyl_cauchy_reg/{l}": (_cylinder(cyl_cauchy_reg, 3, 2, l), 2) for l in (0, 1)},
+    **{f"cyl_green/{l}": (_cylinder(cyl_green, 5, 2, l), 3) for l in (0, 1)},
+    **{f"cyl_green_reg/{l}": (_cylinder(cyl_green_reg, 4, 2, l), 2) for l in (0, 1)},
+    "proj_cauchy": (_pin(proj_cauchy_batch, {"kind": "Projective", "n": 3, "basis": SKEW[:1, :3], "p": 2,
+                                             "bundle": CH1}, *_points(3)), 2),
+    **{f"torus/{l}": (_torus(l), 1) for l in (0, 1)},
+    "moebius": (_pin(moebius_green_batch, {"kind": "MoebiusStrip", "n": 5, "basis": np.eye(5)[:3],
+                                           "sign_variant": "SumParity"},
+                     np.linspace(0.1, 0.5, 5)[None], np.linspace(0.6, 0.2, 5)), 3),
+    "klein": (_klein(), 2),
+}
+
+
+@pytest.mark.parametrize("family", sorted(COVARIANT_TAILS))
+def test_tails_are_scale_covariant(family):
+    run, s0 = COVARIANT_TAILS[family]
+    _, base = run(1.0)
+    assert np.all(np.isfinite(base)) and np.all(base > 0.0)
+    for lam in TAIL_SCALES:
+        _, tails = run(lam)
+        assert np.allclose(tails, lam ** -s0 * base, rtol=1e-13, atol=0.0), lam
+
+
+def test_the_moebius_tail_at_lattice_scale_1e_100_is_finite():
+    """R^5 with k = 3 at scale 1e-100: the value is finite, and so is its tail, 1e300 times the unit one."""
+    vals, tails = COVARIANT_TAILS["moebius"][0](1e-100)
+    assert np.isfinite(vals).all()
+    assert tails[0] == pytest.approx(5.53e299, rel=1e-3)
 
 
 def test_cli_exits_2_on_an_overflowing_torus(tmp_path, capsys):
