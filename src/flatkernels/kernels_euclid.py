@@ -70,8 +70,11 @@ def _power(r2: np.ndarray, e: float, out=None, spare=None) -> np.ndarray:
     past the float range the power is inf, below 2^-1022 0 or subnormal.  Without `out` r2 is
     kept; `out` (r2 itself in place) overwrites r2, and in place an e whose steps read r2 after
     the first needs `spare` (r2's shape, else a new array).  The bits are the same in each case.
+    Any other e (0, a positive e, a quarter) raises `ValueError`.
     """
     m, h = divmod(round(-2.0 * e), 2)
+    if 2 * m + h != -2.0 * e or m + h < 1:
+        raise ValueError(f"power exponent {e} is not -(m + h/2) with m + h >= 1, h in {{0, 1}}")
     acc = spare if out is r2 and m and (h or m & (m - 1)) else out  # None: numpy allocates
     p = r2
     for bit in bin(m)[3:]:  # the digits after the leading one
@@ -121,7 +124,8 @@ def _frame_term(n: int, vector: bool):
     term(V, r2, out=None) of span coordinates V (..., k) and |U|^2 is p = r2^e, or (V p, p)
     (..., k+1), the transverse channel over rho last; `out` overwrites r2 (a vector `out` may
     begin with V, p goes into its last channel; a scalar one is r2, V[..., 0] `_power`'s spare).
-    at_lattice(W) is p or (w p, 0) at lattice points W (m, k+1); finish(S) applies the constant.
+    at_lattice(W) is p or (w p, 0 p) at lattice points W (m, k), on no transverse channel;
+    finish(S) applies the constant.
     """
     e, c = _kernel(n, vector)
     if not vector:
@@ -135,7 +139,9 @@ def _frame_term(n: int, vector: bool):
         np.multiply(V, p[..., None], out=out[..., :-1])
         return out
 
-    return term, lambda W: W[:, None, :] * _power(sq_norm(W), e)[:, None, None], lambda S: np.divide(S, c, out=S)
+    at_lattice = lambda W: (np.concatenate((W, np.zeros((len(W), 1))), 1)[:, None, :]
+                            * _power(sq_norm(W), e)[:, None, None])
+    return term, at_lattice, lambda S: np.divide(S, c, out=S)
 
 
 def _euclid(X, Y, make_term, what: str) -> np.ndarray:

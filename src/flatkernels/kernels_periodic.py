@@ -29,37 +29,32 @@ row-major copy (`_row_sums`), so every bit is independent of the layout.
 Row blocks: the terms are evaluated a block of rows at a time, and a block
 holds at most `_TILE` = 2^15 image coordinates or term values of the chunk
 (256 KiB), so memory follows the block, not the shell.  A shell with more
-rows than the largest power of two that fits (`_block_rows`, never fewer
-than `_MIN_ROWS`) is split into blocks of that many rows.  The bits do not
-move: a block of 2^j rows that starts at a multiple of 2^j is one subtree
-of the shell's pairwise tree (`_pairwise_sum`), the last block a partial
-one, so the pairwise sum of the block sums is the shell sum.  The blocks
-go to `kahan_shell_sum` as one group, whose counter builds that sum as it
-builds the tree of a rank-1 group.  Smaller shells r >= 1 go the other
-way: a run of consecutive whole shells shares one block while their rows
-fit the tile, and each shell's rows are summed as their own slice of the
-block's terms, so every shell keeps its pairwise tree and its place in its
-group.  Every term is elementwise in its row.  The
-BLAS products of a block (W = m @ basis, the torus's W @ V) round each row
-as in the whole shell only if the block starts on the row groups the BLAS
-kernels unroll: with OpenBLAS a 1-row W takes a vector kernel and a 2-row
-W @ V at n = 9 another order of adds, both measured to change bits.  So a
-split shell's block holds at least `_MIN_ROWS` = 16 rows, which covers the
-row unrolls of the x86 OpenBLAS kernels; shells r >= 1 have an even row
-count, so the last block is never a single row.  Runs are tested to keep
-the bits of one block per shell: at rank 1 each row of W is one exact
-product, and at rank >= 2 a run holds at least 24 rows.
+rows than the largest power of two that fits (`_block_rows`) is split into
+blocks of that many rows.  The bits do not move: a block of 2^j rows that
+starts at a multiple of 2^j is one subtree of the shell's pairwise tree
+(`_pairwise_sum`), the last block a partial one, so the pairwise sum of the
+block sums is the shell sum.  The blocks go to `kahan_shell_sum` as one
+group, whose counter builds that sum as it builds the tree of a rank-1
+group.  Smaller shells r >= 1 go the other way: a run of consecutive whole
+shells shares one block while their rows fit the tile, and each shell's
+rows are summed as their own slice of the block's terms, so every shell
+keeps its pairwise tree and its place in its group.  Every term is
+elementwise in its row, and so is every block product: the lattice vectors
+W = m @ basis and the torus's W . v come from `_dot`, one fixed order of
+rounded products and adds per row, not from BLAS, whose kernels round a row
+by the size of the block it sits in.  So a block may start on any row and
+hold any number of rows, one included, and keep the bits of one block per
+shell.
 
-Workspace: the block-sized arrays of a sum (the Fortran copy of the
-lattice vectors, images, |U|^2, terms, the pairwise levels and the five
-summation arrays: the Neumaier sum and its compensation, and three that
-hold a group's pairwise levels or serve as the scratch of a compensated
-add) live in buffers of the calling thread (`_take`, a `threading.local`)
-that persist from call to call, so a warm sum allocates none of them and
-does not fault their pages in again.
-Threads never share a buffer, and a buffer that something still views is
-replaced rather than overwritten, so a consumer that keeps the shells it
-was handed keeps their values.  The terms, `sq_norm`, the images and the
+Workspace: the block-sized arrays of a sum (the lattice vectors, images,
+|U|^2, terms, the pairwise levels and the five summation arrays: the
+Neumaier sum and its compensation, and three that hold a group's pairwise
+levels or serve as the scratch of a compensated add) live in buffers of the
+calling thread (`_take`, a `threading.local`) that persist from call to
+call, so a warm sum allocates none of them and does not fault their pages
+in again.  Threads never share a buffer, and a buffer that something still
+views is replaced rather than overwritten, so a consumer that keeps the
+shells it was handed keeps their values.  The terms, `sq_norm`, the images and the
 torus pair write into these buffers through their `out` parameter, with
 the bits they have without it.
 
@@ -113,7 +108,6 @@ so a tail has the same bits on every CPU, and the bound is rounded up once
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 import sys
@@ -182,7 +176,7 @@ def eisenstein_tail(L: Lattice, R: int, s: float, offset=0.0):
     if 2 * s != round(2 * s):
         raise ConfigError(f"majorant exponent s = {s} is not an integer or a half-integer")
     with np.errstate(divide="ignore", over="ignore"):
-        out = _power(np.array([L.sigma_min]), -s) * _majorant(L, R, s, offset) * _ROUND_UP
+        out = _majorant(L, R, s, offset) * _power(np.array([L.sigma_min]), -s) * _ROUND_UP  # s <= k raises first
     return float(out[0]) if np.ndim(offset) == 0 else out
 
 
@@ -536,28 +530,22 @@ def _groups(k: int, start: int, R: int) -> tuple:
     return (1,) * (start == 0) + (8,) * whole + (part,) * (part > 0)
 
 
-# A row block holds at most this many image coordinates (256 KiB of floats);
-# a split shell's blocks hold at least _MIN_ROWS rows (see `shell_sum`).
+# a row block holds at most this many image coordinates or values (256 KiB of floats)
 _TILE = 2**15
-_MIN_ROWS = 16
 
 
 def _block_rows(width: int) -> int:
-    """Shell rows per block for images of `width` coordinates: a power of two."""
-    return max(_MIN_ROWS, 1 << (max(1, _TILE // width).bit_length() - 1))
+    """Shell rows per block for images of `width` coordinates: a power of two, at most `_TILE` in all."""
+    return 1 << (max(1, _TILE // width).bit_length() - 1)
 
 
-def _chunks(B: int, max_rows: int, width: int):
-    """Point chunks [lo, hi) of a batch of B, for shells of up to `max_rows` rows.
+def _chunks(B: int, width: int):
+    """Point chunks [lo, hi) of a batch of B: `_TILE // width` points each (at least 1).
 
-    `width` is the wider of image coordinates and values per row and point.
-    A chunk of b points is summed in blocks of `_block_rows(b * width)` rows.
-    b is the largest count (at least 1) for which one block of the largest
-    shell holds at most `_TILE` values: more points would only outgrow the
-    tile where the `_MIN_ROWS` floor holds a block.
+    `width` is the wider of image coordinates and values per row and point,
+    so a row of a chunk, and every block of `_block_rows` rows, fits `_TILE`.
     """
-    fits = lambda b: min(max_rows, _block_rows(b * width)) * b * width <= _TILE
-    per = max(1, bisect.bisect(range(1, B + 1), False, key=lambda b: not fits(b)))
+    per = max(1, _TILE // width)
     for lo in range(0, B, per):
         yield lo, min(B, lo + per)
 
@@ -594,30 +582,31 @@ def shell_sum(L: Lattice, char: BundleCharacter, D: np.ndarray, R: int, term,
 
     Row m of shell r contributes chi(m) [term(U, |U|^2) - subtract(W)], where
     U = image(D, Ms, W) holds the image differences (m, b, ..., n) of the chunk
-    D, W = m @ basis, chi is the character sign and `subtract` (shells r >= 1
-    only, broadcast over points) is optional.  |U|^2 is `sq_norm(U)`, summed
-    over the coordinates left to right.  Points are summed in chunks; the
-    result does not depend on the chunking.  Shells come from `_shell_rows`:
-    a large one is built for each chunk that reaches it and dropped after it.
+    D, W = m @ basis (`_dot`, so a row has its bits in any block), chi is the
+    character sign and `subtract` (shells r >= 1 only, broadcast over points)
+    is optional.  |U|^2 is `sq_norm(U)`, summed over the coordinates left to
+    right.  Points are summed in chunks; the result does not depend on the
+    chunking.  Shells come from `_shell_rows`: a large one is built for each
+    chunk that reaches it and dropped after it.
 
     Terms are evaluated in row blocks of at most `_TILE` image coordinates or
     values of the chunk, whichever are more (module docstring).  A shell of
     more than `_block_rows` rows is split into blocks of that many rows (a
-    power of two, at least `_MIN_ROWS`), each handed to `kahan_shell_sum` as
-    an item and the shell's blocks as one group: the counter's tree over the
-    block sums has the bits of the whole shell's tree.  Consecutive smaller
-    shells r >= 1 share one block while their rows fit the tile, and each is
-    handed over as its own row slice of the block's terms, an item as if
-    alone.  A run of one shell is handed over as it is, uncopied.
+    power of two), each handed to `kahan_shell_sum` as an item and the
+    shell's blocks as one group: the counter's tree over the block sums has
+    the bits of the whole shell's tree.  Consecutive smaller shells r >= 1
+    share one block while their rows fit the tile, and each is handed over
+    as its own row slice of the block's terms, an item as if alone.  A run
+    of one shell is handed over as it is, uncopied.
 
     The shell sums are compensated a group at a time (`_groups`, from L.k,
     `_start` and R only; neither blocks nor chunks follow them).  Per chunk,
     the groups and the checkpoints' prefixes go to `kahan_shell_sum` counted
     in items: a split shell's group counts its blocks.
 
-    `image` gets the chunk D (b, ..., n) and the shell's W (m, n) in Fortran
-    order (module docstring); an image that returns another layout gets the
-    same bits, only slower.
+    `image` gets the chunk D (b, ..., n) and the block's W (m, n), both
+    coordinate-major (module docstring); an image that returns another layout
+    gets the same bits, only slower.
 
     Workspace: an `image`, `term` or `sq_norm` with an `out` parameter
     writes into the calling thread's buffers (`_take`): the images and |U|^2
@@ -653,7 +642,7 @@ def shell_sum(L: Lattice, char: BundleCharacter, D: np.ndarray, R: int, term,
     singular = _SINGULAR_R2 * L.sigma_min**2
     image_out, norm_out, term_out = _takes_out(image), _takes_out(sq_norm), _takes_out(term)
     width = max(math.prod(shape), math.prod(D.shape[1:]))  # per row and point: image coordinates or values
-    for lo, hi in _chunks(B, _shell_size(L.k, R), width):
+    for lo, hi in _chunks(B, width):
         Dc = np.asfortranarray(D[lo:hi])
         rows = _block_rows((hi - lo) * width)
         # the items of the first i shells: a shell, or each row block of a split one
@@ -662,14 +651,10 @@ def shell_sum(L: Lattice, char: BundleCharacter, D: np.ndarray, R: int, term,
         groups = tuple(ends[b] - ends[a] for a, b in zip(cuts, cuts[1:]))
 
         def block(Ms, r):
-            W = Ms.astype(float) @ L.basis
-            # only the elementwise image gets the Fortran copy: the torus
-            # subtraction's W @ V rounds differently in another layout
-            Wf = _take("lattice vectors", W.shape, 1)
-            Wf[...] = W
+            W = _dot(Ms, L.basis, _take("lattice vectors", (len(Ms), L.n), 1))
             m, size = len(Ms), (len(Ms), hi - lo) + shape
             wide = _take("images", (m,) + Dc.shape[:-1] + (max((Dc.shape[-1],) + shape[-1:]),)) if image_out else None
-            U = image(Dc, Ms, Wf, out=wide[..., : Dc.shape[-1]]) if image_out else image(Dc, Ms, Wf)
+            U = image(Dc, Ms, W, out=wide[..., : Dc.shape[-1]]) if image_out else image(Dc, Ms, W)
             r2 = sq_norm(U, out=_take("norms", U.shape[:-1])) if norm_out else sq_norm(U)
             if _rho2 is not None:
                 r2 += _rho2[lo:hi]
@@ -713,18 +698,20 @@ def shell_sum(L: Lattice, char: BundleCharacter, D: np.ndarray, R: int, term,
     return out if len(radii) > 1 else out[0]
 
 
-def _dot(A: np.ndarray, M: np.ndarray) -> np.ndarray:
+def _dot(A: np.ndarray, M: np.ndarray, out=None) -> np.ndarray:
     """A @ M summed left to right over A's last axis: unlike BLAS, one order at every batch size.
 
-    The result is new and coordinate-major (`_new`); each of its columns is
-    built from A's columns, so a coordinate-major A is read contiguously.
+    Entry j of a row is ((a_0 M[0, j] + a_1 M[1, j]) + a_2 M[2, j]) + ..., so its bits depend on
+    that row and M alone.  It goes into `out`, else a new coordinate-major array (`_new`), a
+    column of A at a time into every column, so numpy's loops run over the rows.
     """
-    out = _new(A.shape[:-1] + M.shape[1:], A.ndim - 1)
-    product = np.empty(A.shape[:-1])
-    for j in range(M.shape[1]):
-        column = np.multiply(A[..., 0], M[0, j], out=out[..., j])
-        for i in range(1, A.shape[-1]):
-            column += np.multiply(A[..., i], M[i, j], out=product)
+    if out is None:
+        out = _new(A.shape[:-1] + M.shape[1:], A.ndim - 1)
+    columns = out.transpose((A.ndim - 1, *range(A.ndim - 1)))  # columns[j] is out[..., j]
+    M = M.reshape(M.shape + (1,) * (A.ndim - 1))  # M[i, j] broadcast over the rows
+    np.multiply(M[0], A[..., 0], out=columns)
+    for i in range(1, A.shape[-1]):
+        columns += M[i] * A[..., i]
     return out
 
 
@@ -766,9 +753,9 @@ def _lattice_sum(L: Lattice, char: BundleCharacter, D: np.ndarray, R: int, vecto
     np.subtract(D, P, out=P)
     rho = np.sqrt(sq_norm(P))
     far_term, at_lattice, finish = _frame_term(L.n, vector)
-    span = lambda D, Ms, W, out=None: _translate(D, Ms, W[:, :-1], out)  # the frame basis' last column is 0
-    far = finish(shell_sum(reduced, char, t, R, far_term, (L.k + 1,) if vector else (), span,
-                           at_lattice if subtracted else None, checkpoints=checkpoints, _start=1, _rho2=rho * rho))
+    far = finish(shell_sum(reduced, char, t, R, far_term, (L.k + 1,) if vector else (),
+                           subtract=at_lattice if subtracted else None, checkpoints=checkpoints, _start=1,
+                           _rho2=rho * rho))
     if vector:
         back = _dot(far[..., : L.k], Q.T)
         back += P * far[..., L.k :]
@@ -981,13 +968,15 @@ def cyl_green_reg(L: Lattice, char: BundleCharacter, x, y, R: int, *, checkpoint
 # -- torus two-point kernel ------------------------------------------------------
 
 def _jacobian_apply(W: np.ndarray, w2: np.ndarray, V: np.ndarray, n: int) -> np.ndarray:
-    """Gradient J_G(w) of the vector kernel applied to rows of V: (m, B, n)."""
-    wn = sphere_area(n)
-    dot = W @ V.T  # (m, B)
-    return (
-        V[None, :, :] * _power(w2, -n / 2.0)[:, None, None]
-        - n * dot[:, :, None] * W[:, None, :] * _power(w2, -(n + 2.0) / 2.0)[:, None, None]
-    ) / wn
+    """J_G(w) v = |w|^(-n) (v - n (w . v / |w|^2) w) / omega_n for rows w of W, w2 = |w|^2, and v
+    of V: (m, B, n).  No power goes past |w|^(-n), so it is finite where the kernel's scale is."""
+    c = _dot(W, V.T)  # (m, B)
+    c /= w2[:, None]
+    c *= n
+    J = V[None, :, :] - c[:, :, None] * W[:, None, :]
+    J *= _power(w2, -n / 2.0)[:, None, None]
+    J /= sphere_area(n)
+    return J
 
 
 def torus_cauchy_two_point(L: Lattice, char: BundleCharacter, a, b, x, R: int,

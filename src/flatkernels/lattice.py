@@ -82,8 +82,8 @@ class Lattice:
     """k independent period vectors in R^n (rows of `basis`).
 
     `_frame` is (Q, reduced): Q (n, k) an orthonormal basis of the span (QR of
-    basis.T), and the same lattice in R^(k+1), basis [basis @ Q | 0], with the
-    same sigma_min and no frame; a difference d sits there at (d Q, |d - d Q Q^T|).
+    basis.T), and the same lattice in R^k, basis basis @ Q, with the same
+    sigma_min and no frame; a difference d sits at d Q there, |d - d Q Q^T| from it.
     """
 
     __slots__ = ("basis", "n", "k", "gram", "sigma_min", "_frame")
@@ -119,7 +119,7 @@ class Lattice:
         self.sigma_min = float(np.sqrt(np.linalg.eigvalsh(gram)[0]))
         Q = np.linalg.qr(basis.T)[0]
         reduced = object.__new__(Lattice)
-        reduced.basis, reduced.n, reduced.k = np.column_stack((basis @ Q, np.zeros(k))), k + 1, k
+        reduced.basis, reduced.n, reduced.k = basis @ Q, k, k
         reduced.gram, reduced.sigma_min, reduced._frame = gram, self.sigma_min, None
         self._frame = (Q, reduced)
 

@@ -27,7 +27,7 @@ from flatkernels.kernels_periodic import (
     torus_cauchy_two_point,
 )
 from flatkernels.kernels_pin import klein_green_batch, moebius_green_batch, proj_cauchy_batch, proj_green_batch
-from flatkernels.lattice import BundleCharacter, Lattice, ManifoldSpec, _shell_size
+from flatkernels.lattice import BundleCharacter, Lattice, ManifoldSpec
 
 RNG = np.random.default_rng(1717)
 SKEW3 = Lattice([[1.0, 0.0, 0.0, 0.0, 0.0], [0.3, 1.1, 0.0, 0.0, 0.0], [-0.2, 0.4, 0.9, 0.0, 0.0]])
@@ -211,19 +211,18 @@ def test_sphere_batch_is_one_chunk(monkeypatch):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.integers(1, 5000), st.integers(1, 4), st.integers(0, 60), st.integers(1, 16))
-def test_chunks_cover_the_batch_within_the_tile(B, k, R, width):
-    rows = _shell_size(k, R)
-    bounds = list(_chunks(B, rows, width))
+@given(st.integers(1, 50000), st.sampled_from([1, 2, 3, 5, 16, 2**14 + 1, 2**15, 2**16]))
+def test_chunks_cover_the_batch_within_the_tile(B, width):
+    bounds = list(_chunks(B, width))
     assert bounds[0][0] == 0 and bounds[-1][1] == B
     assert all(a[1] == b[0] for a, b in zip(bounds, bounds[1:]))
     per = bounds[0][1] - bounds[0][0]
+    assert all(hi - lo <= per for lo, hi in bounds)
     block = kernels_periodic._block_rows(per * width)
-    if per > 1:  # one point always runs; more only while a block of the largest shell fits
-        assert min(rows, block) * per * width <= kernels_periodic._TILE
+    if per > 1:  # one point always runs; more only while a block of the chunk fits
+        assert block * per * width <= kernels_periodic._TILE
     if per < B:  # and one more point would not fit
-        more = kernels_periodic._block_rows((per + 1) * width)
-        assert min(rows, more) * (per + 1) * width > kernels_periodic._TILE
+        assert (per + 1) * width > kernels_periodic._TILE
 
 
 # -- the certificate, read from one pass ----------------------------------------

@@ -268,6 +268,33 @@ class TestPower:
             assert got.tobytes() == fresh.tobytes()
 
 
+def stepwise_power(r2: float, e: float) -> float:
+    """_power's documented steps on one Python float: r2^m by squaring over m's binary digits,
+    times sqrt(r2) if h, inverted; each step one IEEE operation."""
+    m, h = divmod(round(-2.0 * e), 2)
+    p = r2
+    for bit in bin(m)[3:]:
+        p = p * p
+        if bit == "1":
+            p = p * r2
+    if h:
+        p = p * math.sqrt(r2) if m else math.sqrt(r2)
+    return 1.0 / p
+
+
+@pytest.mark.parametrize("e", [-j / 2.0 for j in range(1, 10)])
+def test_every_exponent_it_takes_keeps_the_bits_of_its_steps(e):
+    r2 = POWER_R2[(POWER_R2 > 1e-40) & (POWER_R2 < 1e40)]
+    assert _power(r2, e).tolist() == [stepwise_power(float(x), e) for x in r2]
+
+
+@pytest.mark.parametrize("e", [0.0, 1.0, -0.25, 0.5, 0.25, -1.75, 2.0])
+def test_an_exponent_outside_its_form_raises(e):
+    # e = -(m + h/2) with m + h >= 1 only: 0, a positive e or a quarter has no such steps
+    with pytest.raises(ValueError, match="power exponent"):
+        _power(np.array([4.0, 0.25]), e)
+
+
 @pytest.mark.parametrize("n", range(3, 10))
 def test_terms_have_the_same_bits_with_and_without_out(n):
     # `out` as the shell engine passes it: the vector term over its images (with and

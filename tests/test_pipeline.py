@@ -40,6 +40,11 @@ CH1 = BundleCharacter(1)
 TINY = 1e-150
 TORUS_BASIS = np.array([[1.0, 0.0], [0.2, 1.0]])
 TORUS_A, TORUS_B, TORUS_X = np.array([0.25, 0.25]), np.array([0.75, 0.6]), np.array([0.3, 0.1])
+# an n = 4 torus at scale 1e-110: its value, lam^(1-n) times the unit one, is about 1e330
+HUGE_TORUS = {"basis": np.array([[1.0, 0.0, 0.0, 0.0], [0.2, 1.0, 0.0, 0.0], [0.1, -0.2, 1.0, 0.0],
+                                 [0.3, 0.1, 0.2, 1.0]]) * 1e-110,
+              "a": np.array([0.25, 0.25, 0.3, 0.2]) * 1e-110, "b": np.array([0.75, 0.6, 0.55, 0.7]) * 1e-110,
+              "x": np.array([0.3, 0.1, 0.6, 0.4]) * 1e-110}
 
 
 # -- values past the float range ------------------------------------------------
@@ -47,8 +52,8 @@ TORUS_A, TORUS_B, TORUS_X = np.array([0.25, 0.25]), np.array([0.75, 0.6]), np.ar
 OVERFLOWING = {
     "cylinder": lambda: cyl_cauchy(Lattice(np.eye(4)[:1] * 1e-100), CH0, np.array([[0.3, 0.2, 0.1, 0.4]]) * 1e-100,
                                    np.array([0.6, 0.5, 0.4, 0.3]) * 1e-100, 5),
-    "torus": lambda: torus_cauchy_two_point(Lattice(TORUS_BASIS * TINY), CH0, TORUS_A * TINY, TORUS_B * TINY,
-                                            TORUS_X * TINY, 3),
+    "torus": lambda: torus_cauchy_two_point(Lattice(HUGE_TORUS["basis"]), CH0, HUGE_TORUS["a"], HUGE_TORUS["b"],
+                                            HUGE_TORUS["x"], 3),
     "projective": lambda: proj_cauchy_batch(ManifoldSpec("Projective", 3, Lattice([[TINY, 0.0, 0.0]]), p=2),
                                             np.array([[0.3, 0.2, 0.1]]) * TINY, np.array([0.6, 0.5, 0.4]) * TINY, 3),
     "real projective": lambda: realproj_cauchy_batch(2, np.array([[0.3, 0.2, 0.1]]) * TINY,
@@ -90,8 +95,7 @@ def _pin(fn, M, X, y):
 
 
 def _torus(l):
-    # the tail alone: below about lam = 1e-77 the gradient term's |w|^(-4) leaves the float range,
-    # so the trivial torus raises ConfigError there although its value, lam^(-1) K, is finite
+    # the tail alone; the values' own scale covariance is `test_torus_scale_covariance`
     sep = np.array([0.2, 0.55, 0.9])
     dab = float(np.linalg.norm(TORUS_A - TORUS_B))
     return lambda lam: (None, torus_tail(Lattice(lam * TORUS_BASIS), 5, lam * sep, lam * sep[::-1], lam * dab,
@@ -141,9 +145,9 @@ def test_the_moebius_tail_at_lattice_scale_1e_100_is_finite():
 def test_cli_exits_2_on_an_overflowing_torus(tmp_path, capsys):
     p = tmp_path / "tiny.json"
     p.write_text(json.dumps({
-        "kernel": "torus-cauchy", "R": 3, "x": (TORUS_X * TINY).tolist(), "y": [0.0, 0.0],
-        "a": (TORUS_A * TINY).tolist(), "b": (TORUS_B * TINY).tolist(),
-        "manifold": {"kind": "Torus", "n": 2, "basis": (TORUS_BASIS * TINY).tolist()}}))
+        "kernel": "torus-cauchy", "R": 3, "x": HUGE_TORUS["x"].tolist(), "y": [0.0] * 4,
+        "a": HUGE_TORUS["a"].tolist(), "b": HUGE_TORUS["b"].tolist(),
+        "manifold": {"kind": "Torus", "n": 4, "basis": HUGE_TORUS["basis"].tolist()}}))
     assert main(["eval", "--config", str(p)]) == 2
     out, err = capsys.readouterr()
     assert out == ""
@@ -282,9 +286,9 @@ def test_norms_have_the_bits_of_row_major_numpy():
 SCALES = [1e-8, 3.0, 1e8]
 
 
-def _covariant(run, power):
+def _covariant(run, power, scales=SCALES):
     base_v, base_t = run(1.0)
-    for lam in SCALES:
+    for lam in scales:
         v, t = run(lam)
         v, t = v * lam ** -power, t * lam ** -power
         assert np.max(np.abs(v - base_v)) <= 1e-13 * np.max(np.abs(base_v)), lam
@@ -299,6 +303,15 @@ def test_torus_scale_covariance(l):
     a, b = np.array([0.1, 0.2, 0.3]), np.array([0.6, 0.5, 0.4])
     _covariant(lambda lam: torus_cauchy_two_point(Lattice(lam * basis), BundleCharacter(l), lam * a, lam * b,
                                                   lam * X, 6), 1 - 3)
+
+
+@pytest.mark.parametrize("l", [0, 1])
+def test_torus_scale_covariance_far_below_unit_scale(l):
+    """The n = 2 torus at lam = 1e-100 and 1e-150: the gradient term's powers stop at |w|^(-n), so the
+    trivial bundle's value is as finite as lam^(-1) K."""
+    X = np.random.default_rng(24).uniform(0.05, 0.95, size=(6, 2))
+    _covariant(lambda lam: torus_cauchy_two_point(Lattice(lam * TORUS_BASIS), BundleCharacter(l), lam * TORUS_A,
+                                                  lam * TORUS_B, lam * X, 6), 1 - 2, (1e-100, 1e-150))
 
 
 @pytest.mark.parametrize("k", [2, 3])

@@ -264,7 +264,7 @@ class TestBatchIndependence:
     def test_batch_across_chunk_boundaries(self, sphere_batch, monkeypatch):
         nodes, (vals, _) = sphere_batch
 
-        def small_chunks(B, max_rows, width):
+        def small_chunks(B, width):
             per = 1000
             for lo in range(0, B, per):
                 yield lo, min(B, lo + per)
@@ -276,14 +276,14 @@ class TestBatchIndependence:
         full, _ = proj_cauchy_batch(SPHERE_M, nodes, SPHERE_Y, 40)
         assert np.array_equal(full, vals)
 
-    def test_natural_chunk_split(self):
-        # rank 2 at R=40: 320 rows per shell puts about 2000 points in a chunk
+    def test_natural_chunk_split(self, monkeypatch):
+        # rank 2 at R=40 in a tile of 2^13 coordinates: 2048 points of width 4 in a chunk
+        monkeypatch.setattr(kernels_periodic, "_TILE", 2**13)
         L = Lattice([[1.0, 0.0, 0.0, 0.0], [0.2, 1.0, 0.0, 0.0]])
         R = 40
-        rows = (2 * R + 1) ** 2 - (2 * R - 1) ** 2
         X = np.random.default_rng(7).uniform(0.2, 0.8, size=(2100, 4))
         y = np.array([0.1, 0.9, 0.3, 0.7])
-        bounds = list(_chunks(len(X), rows, 4))
+        bounds = list(_chunks(len(X), 4))
         assert len(bounds) >= 2
         edge = bounds[1][0]
         vals, _ = cyl_cauchy(L, CH1, X, y, R)

@@ -129,7 +129,7 @@ def one_block_per_shell(monkeypatch):
     # no run fits a tile of one coordinate, and no shell is split below 2^40 rows;
     # every chunk is then a single point
     monkeypatch.setattr(kernels_periodic, "_TILE", 1)
-    monkeypatch.setattr(kernels_periodic, "_MIN_ROWS", 2**40)
+    monkeypatch.setattr(kernels_periodic, "_block_rows", lambda width: 2**40)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -190,3 +190,50 @@ def test_tile_edge_and_single_shell_blocks(blocks):
         few_vals, few_tails = proj_cauchy_batch(M, P[:5], y, 6)  # shells 1..6 in one run
         assert vals[:5].tobytes() == few_vals.tobytes()
         assert tails[:5].tobytes() == few_tails.tobytes()
+
+
+def blocks_of_any_size():
+    """Skewed lattices of rank 2 to 4, n up to 9: frame sums, Class B and the torus, with the
+    width of each (the wider of image coordinates and values per row and point)."""
+    P = RNG.uniform(0.05, 0.95, (3, 9))
+    y = RNG.uniform(0.1, 0.9, 9)
+    a, b = np.full(4, 0.1), np.full(4, 0.37)
+
+    def frame(fn, k, n, l, R):
+        L = skew(k, n)
+        return lambda: fn(L, BundleCharacter(l), P[:, :n], y[:n], R)
+
+    def torus(n, l):
+        L = skew(n, n)
+        return lambda: torus_cauchy_two_point(L, BundleCharacter(l), a[:n], b[:n], P[:, :n], 3)
+
+    moebius = ManifoldSpec("MoebiusStrip", 6, skew(2, 6, reduced=True), sign_variant="SumParity")
+    klein = ManifoldSpec("KleinBottle", 7, Lattice(np.vstack((skew(2, 7, reduced=True).basis, np.eye(7)[2]))))
+    return {
+        "cyl_cauchy-k2-n9": (frame(cyl_cauchy, 2, 9, 1, 5), 3),
+        "cyl_green_reg-k3-n5": (frame(cyl_green_reg, 3, 5, 0, 3), 3),
+        "cyl_cauchy_reg-k4-n5": (frame(cyl_cauchy_reg, 4, 5, 1, 2), 5),
+        "cyl_green-k4-n8": (frame(cyl_green, 4, 8, 0, 2), 4),
+        "moebius-k2-n6": (lambda: moebius_green_batch(moebius, P[:, :6], y[:6], 5), 6),
+        "klein-k3-n7": (lambda: klein_green_batch(klein, P[:, :7], y[:7], 3), 7),
+        **{f"torus-n{n}-l{l}": (torus(n, l), 2 * n) for n in (2, 3, 4) for l in (0, 1)},
+    }
+
+
+ANY_SIZE = blocks_of_any_size()
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3])
+@pytest.mark.parametrize("name", sorted(ANY_SIZE))
+def test_a_block_of_any_size_keeps_the_bits(name, rows, blocks, monkeypatch):
+    # a tile of `rows` rows of the 3 points: every shell r >= 1 is split into blocks of
+    # _block_rows rows (1, 2, 2), which start on any row, far below 16
+    run, width = ANY_SIZE[name]
+    monkeypatch.setattr(kernels_periodic, "_TILE", rows * 3 * width)
+    vals, tails = run()
+    assert blocks["images"] and max(shape[0] for shape in blocks["images"]) <= rows < 16
+    assert {shape[1] for shape in blocks["images"]} == {3}  # one chunk
+    one_block_per_shell(monkeypatch)
+    ref_vals, ref_tails = run()
+    assert vals.tobytes() == ref_vals.tobytes()
+    assert tails.tobytes() == ref_tails.tobytes()

@@ -79,7 +79,7 @@ class TestStreamedSums:
 
     def test_chunks_rebuild_the_same_shells(self, monkeypatch):
         # chunks of 7 points: each chunk builds the uncached shells 11 and 12 again
-        monkeypatch.setattr(kernels_periodic, "_chunks", lambda B, rows, width: (
+        monkeypatch.setattr(kernels_periodic, "_chunks", lambda B, width: (
             (lo, min(B, lo + 7)) for lo in range(0, B, 7)))
         X = np.random.default_rng(15).uniform(0.0, 1.0, (20, 5))
         vals, tails = cyl_green_reg(self.L, self.char, X, self.y, 12)

@@ -99,11 +99,11 @@ def test_block_sums_are_subtrees_of_the_pairwise_tree(m, j, seed):
 def test_block_rule():
     assert _block_rows(4) == 8192  # one point in the rank-3 frame: 256 KiB of images
     assert _block_rows(208) == 128
-    assert _block_rows(2**15) == _block_rows(10**6) == kernels_periodic._MIN_ROWS
-    for width in (1, 3, 7, 100, 5000):
+    assert _block_rows(2**14 + 1) == _block_rows(2**15) == _block_rows(10**6) == 1
+    for width in (1, 3, 7, 100, 5000, 2**15):
         rows = _block_rows(width)
         assert rows & (rows - 1) == 0
-        assert rows == kernels_periodic._MIN_ROWS or rows * width <= kernels_periodic._TILE < 2 * rows * width
+        assert rows * width <= kernels_periodic._TILE < 2 * rows * width
 
 
 @pytest.mark.parametrize("points, R, limit_mib", [(20, 25, 4), (1, 40, 3)])
