@@ -54,7 +54,7 @@ def sq_norm(U: np.ndarray, out=None) -> np.ndarray:
     without the last axis) the sum is written there.
     """
     r2 = np.multiply(U[..., 0], U[..., 0], out=out)
-    sq = np.empty_like(r2)  # one scratch square, not a full-size U * U
+    sq = np.empty_like(r2) if U.shape[-1] > 1 else None  # one scratch square, not a full-size U * U
     for j in range(1, U.shape[-1]):
         r2 += np.multiply(U[..., j], U[..., j], out=sq)
     return r2
@@ -144,15 +144,31 @@ def _frame_term(n: int, vector: bool):
     return term, at_lattice, lambda S: np.divide(S, c, out=S)
 
 
-def _euclid(X, Y, make_term, what: str) -> np.ndarray:
+def _euclid(X, Y, vector: bool, what: str) -> np.ndarray:
+    """The vector or scalar kernel of every row of X - Y; rows whose |U|^2 is subnormal, or whose
+    power leaves the float range, are evaluated at U 2^-x instead, |U| 2^-x in [1/2, sqrt(n)), and
+    scaled back by 2^(x d), d = 1 - n or 2 - n the kernel's degree: both steps are exact, so
+    `ConfigError` is raised only where the value itself leaves the float range."""
     D = _difference(X, Y)
-    term = make_term(D.shape[1])
-    r2 = sq_norm(D)
-    if np.any(r2 == 0.0):
-        raise SingularPoint(f"{what} evaluated at coincident points")
-    # far apart, r2^m sqrt(r2)^h overflows where the power underflows: 1 / inf is that 0
-    with np.errstate(over="ignore"):
-        return term(D, r2)
+    n = D.shape[1]
+    term = _cauchy_term(n) if vector else _green_term(n)
+    # far apart, |U|^2 or r2^m sqrt(r2)^h overflows where the power underflows: 1 / inf is that 0;
+    # close together, the power may overflow (inf, or 0 inf) and its row is evaluated again
+    with np.errstate(all="ignore"):
+        r2 = sq_norm(D)
+        if np.any(r2 == 0.0) and not D.any(axis=1).all():  # |U|^2 may underflow to 0 while U is not 0
+            raise SingularPoint(f"{what} evaluated at coincident points")
+        out = term(D, r2)
+        finite = np.isfinite(out)
+        lost = (r2 < np.finfo(float).tiny) | ~(finite.all(axis=1) if vector else finite)
+        if lost.any():
+            x = np.frexp(np.max(np.abs(D[lost]), axis=1))[1]
+            V = np.ldexp(D[lost], -x[:, None])
+            d = x * ((1 if vector else 2) - n)
+            out[lost] = np.ldexp(term(V, sq_norm(V)), d[:, None] if vector else d)
+            if not np.isfinite(out[lost]).all():
+                raise ConfigError(f"{what} value leaves the float range: the points are too close")
+    return out
 
 
 def _single(batch, x, y):
@@ -185,9 +201,9 @@ def green_to_cauchy_factor(n: int) -> float:
 
 def cauchy_g_batch(X, Y) -> np.ndarray:
     """cauchy_g on batched points; X, Y broadcast to (B, n), returns (B, n)."""
-    return _euclid(X, Y, _cauchy_term, "cauchy_g")
+    return _euclid(X, Y, True, "cauchy_g")
 
 
 def green_h_batch(X, Y) -> np.ndarray:
     """green_h on batched points; returns (B,)."""
-    return _euclid(X, Y, _green_term, "green_h")
+    return _euclid(X, Y, False, "green_h")

@@ -44,19 +44,31 @@ W = m @ basis and the torus's W . v come from `_dot`, one fixed order of
 rounded products and adds per row, not from BLAS, whose kernels round a row
 by the size of the block it sits in.  So a block may start on any row and
 hold any number of rows, one included, and keep the bits of one block per
-shell.
+shell.  Which shells share a block and which are split depends only on the
+rank, the radii, the block rows, the chunk's values per row and `_TILE`:
+one cached plan per chunk size (`_plan`) holds it, with the items' groups
+and checkpoint prefixes, so a block does only its per-point work.
 
-Workspace: the block-sized arrays of a sum (the lattice vectors, images,
-|U|^2, terms, the pairwise levels and the five summation arrays: the
-Neumaier sum and its compensation, and three that hold a group's pairwise
-levels or serve as the scratch of a compensated add) live in buffers of the
-calling thread (`_take`, a `threading.local`) that persist from call to
-call, so a warm sum allocates none of them and does not fault their pages
-in again.  Threads never share a buffer, and a buffer that something still
-views is replaced rather than overwritten, so a consumer that keeps the
-shells it was handed keeps their values.  The terms, `sq_norm`, the images and the
-torus pair write into these buffers through their `out` parameter, with
-the bits they have without it.
+A lattice keeps the W of its first shells (`Lattice._vectors`, at most
+`_KEPT_VECTOR_BYTES` = 4 KiB, freed with the lattice; the sphere's rank-1
+frame keeps its 80 rows in 640 B), so a later block reads `_dot`'s rows
+instead of forming them again.  A block raises `SingularPoint` where a
+squared image distance is below `_SINGULAR_R2 * sigma_min^2`; a frame sum
+adds rho^2 last, and fl(|t + w|^2) + rho^2 >= rho^2 exactly, so a chunk
+whose least rho^2 clears the bound checks no block.
+
+Workspace: the block-sized arrays of a sum (the lattice vectors the lattice
+does not keep, images, |U|^2, terms, the pairwise levels and the five
+summation arrays: the Neumaier sum and its compensation, and three that
+hold a group's pairwise levels or serve as the scratch of a compensated
+add) live in buffers of the calling thread (`_take`, a `threading.local`)
+that persist from call to call, so a warm sum allocates none of them and
+does not fault their pages in again; a take of the last shape hands out the
+last view again.  Threads never share a buffer, and a buffer that something
+still views is replaced rather than overwritten, so a consumer that keeps
+the shells it was handed keeps their values.  The terms, `sq_norm`, the
+images and the torus pair write into these buffers through their `out`
+parameter, with the bits they have without it.
 
 Checkpoints: the sum to a radius r is a prefix of the sum to any R > r, so
 one pass to R can return the sums to several radii (`shell_sum`'s
@@ -276,23 +288,29 @@ def _check_not_on_orbit(L: Lattice, D: np.ndarray, what: str):
 # -- the shell-sum engine ------------------------------------------------------
 
 class _Workspace(threading.local):
-    """The calling thread's scratch buffers, kept from call to call by key."""
+    """The calling thread's scratch buffers, kept from call to call by key, and the last view of each."""
 
     def __init__(self):
         self.buffers = {}
+        self.views = {}  # key: (shape, lead, the view `_take` last returned)
 
 
 _WORKSPACE = _Workspace()
 
 
-def _refs_when_alone() -> int:
-    """The reference count `_take` reads for a buffer that only the workspace holds."""
-    buffers = {0: np.empty(0)}
+def _refs_when_alone() -> tuple:
+    """The reference counts `_take` reads when only the workspace holds a buffer, and, when it
+    holds the buffer's last view too, those of that view and of the buffer."""
+    buffers = {0: np.empty(1)}
     buf = buffers.get(0)
-    return sys.getrefcount(buf)
+    alone = sys.getrefcount(buf)
+    views = {0: ((1,), 1, buf[:1])}
+    del buf
+    last = views.get(0)
+    return alone, sys.getrefcount(last[2]), sys.getrefcount(last[2].base)
 
 
-_ALONE = _refs_when_alone()
+_ALONE, _VIEW_ALONE, _VIEWED_ALONE = _refs_when_alone()
 
 
 def _take(key, shape: tuple, lead: int = 2) -> np.ndarray:
@@ -304,14 +322,23 @@ def _take(key, shape: tuple, lead: int = 2) -> np.ndarray:
     reused by the next take of `key` on the thread, unless an array made from
     it is still alive: then a new buffer takes its place, and whatever holds
     the old one keeps its values.  A buffer too small for a take is replaced
-    by one that fits.
+    by one that fits.  A take of the last shape returns the last view again
+    while nothing else holds it or the buffer.
     """
-    buffers = _WORKSPACE.buffers
+    ws = _WORKSPACE
+    last = ws.views.get(key)
+    if (last is not None and last[0] == shape and last[1] == lead and sys.getrefcount(last[2]) == _VIEW_ALONE
+            and sys.getrefcount(last[2].base) == _VIEWED_ALONE):
+        return last[2]
+    ws.views.pop(key, None)
+    del last  # the old view goes before the buffer's references are read
     size = math.prod(shape)
-    buf = buffers.get(key)
+    buf = ws.buffers.get(key)
     if buf is None or buf.size < size or sys.getrefcount(buf) > _ALONE:
-        buf = buffers[key] = np.empty(size)
-    return _laid_out(buf[:size], shape, lead)
+        buf = ws.buffers[key] = np.empty(size)
+    view = _laid_out(buf[:size], shape, lead)
+    ws.views[key] = (shape, lead, view)
+    return view
 
 
 def _new(shape: tuple, lead: int = 1) -> np.ndarray:
@@ -550,6 +577,64 @@ def _chunks(B: int, width: int):
         yield lo, min(B, lo + per)
 
 
+@lru_cache(maxsize=32)
+def _plan(k: int, start: int, R: int, cps: tuple, rows: int, row_width: int, tile: int) -> tuple:
+    """The row blocks of shells start..R of rank k for one chunk, cached: (units, prefixes, groups).
+
+    A unit (r, a, c) starts at row a of the shell order, (2r - 1)^k for r >= 1.
+    c = 0 splits shell r, of more than `rows` rows, into blocks of `rows` rows;
+    c >= 1 evaluates shells r..r+c-1 in one block, a run of shells r >= 1 of
+    at most `rows` rows that fits `tile` at `row_width` values per row.  The
+    prefixes (before each checkpoint of `cps`) and groups (`_groups`) count
+    the items `kahan_shell_sum` is handed, a split shell's blocks one each.
+    """
+    units, r = [], start
+    while r <= R:
+        m = _shell_size(k, r)
+        c = 0 if m > rows else 1  # 0: split shell r
+        while c and r > 0 and r + c <= R:
+            size = _shell_size(k, r + c)
+            if size > rows or (m + size) * row_width > tile:
+                break
+            c, m = c + 1, m + size
+        units.append((r, (2 * r - 1) ** k if r else 0, c))
+        r += max(c, 1)
+    # the items of the first i shells: a shell, or each row block of a split one
+    ends = (0, *itertools.accumulate(-(-_shell_size(k, r) // rows) for r in range(start, R + 1)))
+    cuts = (0, *itertools.accumulate(_groups(k, start, R)))  # shells before each group end
+    prefixes = tuple(ends[max(0, c + 1 - start)] for c in cps)
+    return tuple(units), prefixes, tuple(ends[b] - ends[a] for a, b in zip(cuts, cuts[1:]))
+
+
+# a lattice keeps the vectors of its first shells (`Lattice._vectors`) up to this many bytes
+_KEPT_VECTOR_BYTES = 4 * 1024
+
+
+def _lattice_vectors(L: Lattice, Ms: np.ndarray, a: int) -> np.ndarray:
+    """W = Ms @ basis (`_dot`) of the coefficient rows Ms, rows a.. of L's shell order: (m, n).
+
+    L keeps the W of consecutive rows, (a0, W) in `L._vectors`: a block inside
+    them is a view; one that overlaps or touches them (any, while none are
+    kept) is formed and kept with them while they fit `_KEPT_VECTOR_BYTES`, in
+    a longer read-only array that replaces the last, so a kept row has `_dot`'s bits.
+    """
+    a0, kept = L._vectors
+    m, b0 = len(Ms), a0 + len(kept)
+    if a0 <= a and a + m <= b0:
+        return kept[a - a0 : a - a0 + m]
+    W = _dot(Ms, L.basis, _take("lattice vectors", (m, L.n), 1))
+    lo, hi = (min(a, a0), max(a + m, b0)) if len(kept) else (a, a + m)
+    if (hi - lo) * L.n * 8 > _KEPT_VECTOR_BYTES or hi - lo > m + len(kept):  # too large, or apart
+        return W
+    longer = _new((hi - lo, L.n))
+    if len(kept):
+        longer[a0 - lo : b0 - lo] = kept
+    longer[a - lo : a + m - lo] = W
+    longer.setflags(write=False)
+    L._vectors = (lo, longer)
+    return longer[a - lo : a + m - lo]
+
+
 def _translate(D: np.ndarray, Ms: np.ndarray, W: np.ndarray, out=None) -> np.ndarray:
     """Image differences d + w for every shell row and point: (m, b, n), into `out` if given."""
     return np.add(D[None, :, :], W[:, None, :], out=out)
@@ -597,12 +682,17 @@ def shell_sum(L: Lattice, char: BundleCharacter, D: np.ndarray, R: int, term,
     the bits of the whole shell's tree.  Consecutive smaller shells r >= 1
     share one block while their rows fit the tile, and each is handed over
     as its own row slice of the block's terms, an item as if alone.  A run
-    of one shell is handed over as it is, uncopied.
+    of one shell is handed over as it is, uncopied.  Each chunk takes these
+    blocks from `_plan`, cached by rank, radii, block rows, the chunk's
+    values per row and `_TILE` (read at the call, as `_block_rows` is).
 
     The shell sums are compensated a group at a time (`_groups`, from L.k,
     `_start` and R only; neither blocks nor chunks follow them).  Per chunk,
     the groups and the checkpoints' prefixes go to `kahan_shell_sum` counted
     in items: a split shell's group counts its blocks.
+
+    A block's W comes from `_lattice_vectors`: a view of the vectors L keeps,
+    or formed by `_dot`, with the same bits.
 
     `image` gets the chunk D (b, ..., n) and the block's W (m, n), both
     coordinate-major (module docstring); an image that returns another layout
@@ -623,7 +713,8 @@ def shell_sum(L: Lattice, char: BundleCharacter, D: np.ndarray, R: int, term,
     `ConfigError`.  A squared image distance below `_SINGULAR_R2 * sigma_min^2`
     raises `SingularPoint`.  `_lattice_sum` sums the frame lattice at t from
     shell 1 (`_start`), adding rho^2 last to each |U|^2 (`_rho2`, one per
-    point); Class B and the torus sum L from shell 0.
+    point), so a chunk whose least rho^2 clears that bound checks no block;
+    Class B and the torus sum L from shell 0 and check every block.
 
     Checkpoints: with `checkpoints`, strictly increasing radii in [0, R), one
     pass to R returns (len(checkpoints) + 1, B, *shape), the sum to each
@@ -636,7 +727,6 @@ def shell_sum(L: Lattice, char: BundleCharacter, D: np.ndarray, R: int, term,
     """
     radii = _radii(R, checkpoints)
     R = radii[-1]
-    cuts = (0, *itertools.accumulate(_groups(L.k, _start, R)))  # shells before each group end
     B = D.shape[0]
     out = _new((len(radii), B) + shape, 2)  # the layout of `kahan_shell_sum`'s rows: a column per value
     singular = _SINGULAR_R2 * L.sigma_min**2
@@ -645,20 +735,22 @@ def shell_sum(L: Lattice, char: BundleCharacter, D: np.ndarray, R: int, term,
     for lo, hi in _chunks(B, width):
         Dc = np.asfortranarray(D[lo:hi])
         rows = _block_rows((hi - lo) * width)
-        # the items of the first i shells: a shell, or each row block of a split one
-        ends = (0, *itertools.accumulate(-(-_shell_size(L.k, r) // rows) for r in range(_start, R + 1)))
-        prefixes = tuple(ends[max(0, r + 1 - _start)] for r in radii[:-1])
-        groups = tuple(ends[b] - ends[a] for a, b in zip(cuts, cuts[1:]))
+        units, prefixes, groups = _plan(L.k, _start, R, radii[:-1], rows, (hi - lo) * width, _TILE)
+        cols = max((Dc.shape[-1],) + shape[-1:])  # the images' buffer is as wide as the values
+        rho2 = None if _rho2 is None else _rho2[lo:hi]
+        # fl(|t + w|^2) + rho^2 >= rho^2: a chunk whose rho^2 clears the bound clears every block
+        check = rho2 is None or rho2.min() < singular
 
-        def block(Ms, r):
-            W = _dot(Ms, L.basis, _take("lattice vectors", (len(Ms), L.n), 1))
-            m, size = len(Ms), (len(Ms), hi - lo) + shape
-            wide = _take("images", (m,) + Dc.shape[:-1] + (max((Dc.shape[-1],) + shape[-1:]),)) if image_out else None
+        def block(Ms, r, a):  # the terms of coefficient rows Ms, from row a of the shell order
+            m = len(Ms)
+            W = _lattice_vectors(L, Ms, a)
+            size = (m, hi - lo) + shape
+            wide = _take("images", (m,) + Dc.shape[:-1] + (cols,)) if image_out else None
             U = image(Dc, Ms, W, out=wide[..., : Dc.shape[-1]]) if image_out else image(Dc, Ms, W)
             r2 = sq_norm(U, out=_take("norms", U.shape[:-1])) if norm_out else sq_norm(U)
-            if _rho2 is not None:
-                r2 += _rho2[lo:hi]
-            if r2.min() < singular:
+            if rho2 is not None:
+                r2 += rho2
+            if check and r2.min() < singular:
                 raise SingularPoint("evaluation point on a kernel singularity")
             if term_out:  # over the images (vector terms; the buffer is as wide) or |U|^2: neither is read again
                 t = term(U, r2, out=wide if image_out and wide.shape == size else
@@ -672,27 +764,20 @@ def shell_sum(L: Lattice, char: BundleCharacter, D: np.ndarray, R: int, term,
             return t
 
         def shells():
-            r = _start
-            while r <= R:
-                Ms = _shell_rows(L.k, r)
-                if len(Ms) > rows:  # each block an item, a subtree of the shell's tree
+            for r, a, c in units:
+                if not c:  # a split shell: each block an item, a subtree of the shell's tree
+                    Ms = _shell_rows(L.k, r)
                     for i in range(0, len(Ms), rows):
-                        yield block(Ms[i : i + rows], r)
-                    r += 1
-                    continue
-                run, m = [Ms], len(Ms)  # whole shells r >= 1 that share one block
-                while r > 0 and r + len(run) <= R:
-                    size = _shell_size(L.k, r + len(run))
-                    if size > rows or (m + size) * (hi - lo) * width > _TILE:
-                        break
-                    run.append(_shell_rows(L.k, r + len(run)))
-                    m += size
-                t = block(np.concatenate(run) if len(run) > 1 else Ms, r)
-                for Ms in run:  # a row slice per shell: its own tree, add and checkpoint
-                    yield t[: len(Ms)]
-                    t = t[len(Ms) :]
-                del t  # free for the next block
-                r += len(run)
+                        yield block(Ms[i : i + rows], r, a + i)
+                elif c == 1:  # handed over as it is, uncopied
+                    yield block(_shell_rows(L.k, r), r, a)
+                else:  # a run: a row slice per shell, its own tree, add and checkpoint
+                    run = [_shell_rows(L.k, q) for q in range(r, r + c)]
+                    t = block(np.concatenate(run), r, a)
+                    for Ms in run:
+                        yield t[: len(Ms)]
+                        t = t[len(Ms) :]
+                    del t  # free for the next block
 
         out[:, lo:hi] = kahan_shell_sum((hi - lo,) + shape, shells(), prefixes, groups)
     return out if len(radii) > 1 else out[0]

@@ -84,9 +84,13 @@ class Lattice:
     `_frame` is (Q, reduced): Q (n, k) an orthonormal basis of the span (QR of
     basis.T), and the same lattice in R^k, basis basis @ Q, with the same
     sigma_min and no frame; a difference d sits at d Q there, |d - d Q Q^T| from it.
+
+    `_vectors` is (a0, W): the lattice vectors W = m @ basis of consecutive rows
+    of the shell order from row a0, as the shell sums formed them (at most 4 KiB,
+    `kernels_periodic._lattice_vectors`); the reduced lattice keeps its own.
     """
 
-    __slots__ = ("basis", "n", "k", "gram", "sigma_min", "_frame")
+    __slots__ = ("basis", "n", "k", "gram", "sigma_min", "_frame", "_vectors")
 
     def __init__(self, basis):
         basis = np.asarray(basis, dtype=float)
@@ -122,6 +126,7 @@ class Lattice:
         reduced.basis, reduced.n, reduced.k = basis @ Q, k, k
         reduced.gram, reduced.sigma_min, reduced._frame = gram, self.sigma_min, None
         self._frame = (Q, reduced)
+        self._vectors = reduced._vectors = (0, np.empty((0, 0)))  # none kept yet
 
     def point(self, m) -> np.ndarray:
         return lattice_point(self, m)

@@ -288,20 +288,30 @@ def _field_values(field_fn, X: np.ndarray, n: int) -> np.ndarray:
     return _coerce_batch(vals, n)
 
 
-def _surface_sum(S: Hypersurface, integrand: np.ndarray) -> np.ndarray:
+def _surface_sum(S: Hypersurface, integrand: np.ndarray, slots=None) -> np.ndarray:
     """Weighted node sum of a new (B, 2^n) integrand, which is scaled and summed in place.
 
     The nodes are added one after another from node 0, starting at +0.0:
     ((0.0 + x_0) + x_1) + ..., the order of a row-major `np.sum(axis=0)`.  The
     running sum goes down each coefficient's column (`np.add.accumulate`), so
     a coordinate-major integrand is read contiguously; a pairwise reduction of
-    the contiguous nodes would round otherwise.
+    the contiguous nodes would round otherwise.  With `slots`, only those
+    columns are summed and every other one is +0.0, the sum that a column of
+    +-0.0 has under finite weights.
     """
-    integrand *= S.weights[:, None]
     if not len(integrand):  # no nodes: the empty sum
         return np.zeros(integrand.shape[1:])
-    integrand[0] += 0.0  # from +0.0: a -0.0 at node 0 becomes +0.0
-    return np.add.accumulate(integrand, axis=0, out=integrand)[-1].copy()
+    if slots is None:
+        integrand *= S.weights[:, None]
+        integrand[0] += 0.0  # from +0.0: a -0.0 at node 0 becomes +0.0
+        return np.add.accumulate(integrand, axis=0, out=integrand)[-1].copy()
+    out = np.zeros(integrand.shape[1:])
+    for j in slots:
+        column = integrand[:, j]
+        column *= S.weights
+        column[0] += 0.0
+        out[j] = np.add.accumulate(column, out=column)[-1]
+    return out
 
 
 def _live_columns(V: np.ndarray, n: int) -> list:
@@ -327,13 +337,19 @@ def _flux(S: Hypersurface, K, section) -> np.ndarray:
     array from +0.0: `gp`'s bits, without (B, 2^n) copies of K and n.  A
     constant c scales K n instead of a second product: gp with c in the
     scalar slot has one nonzero product per slot, so the bits are the same.
-    So c and then the weights scale K n in place.
+    So c and then the weights scale K n in place.  A slot that no live pair
+    reaches holds +0.0 c at every node, so with c and the weights finite its
+    sum is +0.0 and only the reached slots are summed.
     """
     n = S.dim
     KN = np.zeros((1 << n, S.node_count)).T  # coordinate-major: a contiguous column per slot
-    _live_products(_live_columns(np.asarray(K, dtype=float), n), _live_columns(S.normals, n), n, KN)
+    a, b = _live_columns(np.asarray(K, dtype=float), n), _live_columns(S.normals, n)
+    _live_products(a, b, n, KN)
     if not callable(section):
-        KN *= float(section)
+        c = float(section)
+        KN *= c
+        if math.isfinite(c) and np.isfinite(S.weights).all():
+            return _surface_sum(S, KN, sorted({i ^ j for i, _ in a for j, _ in b}))
         return _surface_sum(S, KN)
     return _surface_sum(S, gp(KN, _field_values(section, S.positions, n), n))
 

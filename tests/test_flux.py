@@ -11,13 +11,17 @@ products share) and adds the nodes left to right from node 0, starting at
 import numpy as np
 import pytest
 
-from flatkernels.clifford import _vector_slots, gp
+from flatkernels import quadrature
+from flatkernels.clifford import _live_products, _vector_slots, gp
 from flatkernels.kernels_euclid import cauchy_g_batch, green_h_batch
 from flatkernels.kernels_pin import proj_cauchy_batch, proj_green_batch
 from flatkernels.lattice import Lattice, ManifoldSpec
 from flatkernels.quadrature import (
     REPRODUCING_SIGN,
+    Hypersurface,
+    _flux,
     _gauss_legendre,
+    _live_columns,
     _surface_sum,
     box_surface,
     cauchy_integral,
@@ -137,3 +141,65 @@ def test_gauss_legendre_has_the_bits_of_leggauss():
         x, w = _gauss_legendre(m)
         ref_x, ref_w = leggauss(m)
         assert x.tobytes() == ref_x.tobytes() and w.tobytes() == ref_w.tobytes(), m
+
+
+# -- a constant section sums only the slots that K n reaches ------------------------
+
+def all_column_flux(S, K, c):
+    """The flux of a constant c summed over every slot: K n from the live pairs, then c and the weights."""
+    n = S.dim
+    KN = np.zeros((1 << n, S.node_count)).T
+    _live_products(_live_columns(np.asarray(K, dtype=float), n), _live_columns(S.normals, n), n, KN)
+    KN *= c
+    return _surface_sum(S, KN)
+
+
+@pytest.fixture
+def summed_slots(monkeypatch):
+    """The `slots` of every `_surface_sum` call (None: every column)."""
+    calls = []
+    real = quadrature._surface_sum
+
+    def spy(S, integrand, slots=None):
+        calls.append(None if slots is None else list(slots))
+        return real(S, integrand, slots)
+    monkeypatch.setattr(quadrature, "_surface_sum", spy)
+    return calls
+
+
+@pytest.mark.parametrize("c", [1.0, -2.0, 0.0])
+@pytest.mark.parametrize("kernel", ["vector", "scalar", "full"])
+@pytest.mark.parametrize("surface", sorted(SURFACES))
+def test_a_constant_section_sums_only_the_reached_slots(surface, kernel, c, summed_slots):
+    S = SURFACES[surface]()
+    n, K = S.dim, KERNELS[kernel](S.dim)(S.positions, Y[S.dim])
+    got = _flux(S, K, c)
+    assert got.tobytes() == all_column_flux(S, K, c).tobytes()
+    # a vector K times the vector normals reaches the scalar and bivector slots only
+    reached = {"vector": 1 + n * (n - 1) // 2, "scalar": n, "full": 1 << n}[kernel]
+    assert len(summed_slots) == 1 and len(summed_slots[0]) == reached
+    assert not got[np.setdiff1d(np.arange(1 << n), summed_slots[0])].any()
+
+
+def test_a_callable_section_keeps_every_column(summed_slots):
+    S = SURFACES["sphere 8x16"]()
+    K = KERNELS["vector"](3)(S.positions, Y[3])
+    got = _flux(S, K, lambda P: np.ones(len(P)))
+    assert summed_slots == [None]
+    assert got.tobytes() == _flux(S, K, 1.0).tobytes()
+
+
+@pytest.mark.parametrize("case", ["infinite constant", "nan constant", "infinite weight"])
+def test_non_finite_constants_or_weights_sum_every_column(case, summed_slots):
+    # a slot no pair reaches holds +0.0 c w: nan where c or a weight is not finite
+    S = SURFACES["sphere 8x16"]()
+    K = KERNELS["vector"](3)(S.positions, Y[3])
+    c = {"infinite constant": np.inf, "nan constant": np.nan}.get(case, 1.0)
+    if case == "infinite weight":
+        weights = S.weights.copy()
+        weights[5] = np.inf
+        S = Hypersurface(S.positions, S.normals, weights, S.descriptor)
+    with np.errstate(invalid="ignore"):
+        got, ref = _flux(S, K, c), all_column_flux(S, K, c)
+    assert summed_slots[0] is None and np.isnan(got).any()
+    assert got.tobytes() == ref.tobytes()

@@ -337,3 +337,74 @@ def test_points_far_apart_give_the_underflowed_kernel_without_a_warning(n):
     assert G[0].tobytes() == one_g.tobytes()
     assert np.isfinite(H).all() and H[0] == one_h
     assert H[0] == pytest.approx(1e130 ** (2 - n) / (sphere_area(n) * (1 - n)), rel=1e-14)
+
+
+# -- |U|^2 below the normal range, or a power past it ---------------------------------
+
+def closed_form(U, vector):
+    """The kernel at U from 40-digit decimals: U / (omega_n |U|^n) or |U|^(2-n) / (omega_n (1-n))."""
+    n = len(U)
+    with localcontext() as ctx:
+        ctx.prec = 40
+        u = [Decimal(float(c)) for c in U]
+        norm = sum(c * c for c in u).sqrt()
+        w = Decimal(sphere_area(n))
+        if vector:
+            return [float(c / (w * norm**n)) for c in u]
+        return float(norm ** (2 - n) / (w * (1 - n)))
+
+
+# |U| where the power r2^(-n/2) overflows but the value, about |U|^(1-n) / omega_n, does not
+TINY_ROWS = {2: (5e-155, 1e-200, 3e-300, 5e-309), 3: (5e-155, 2.5e-155, 1e-120), 4: (1e-90, 1e-100),
+             5: (1e-70, 5e-78), 9: (1e-36, 2e-39)}
+
+
+@pytest.mark.parametrize("n", sorted(TINY_ROWS))
+def test_a_power_past_the_float_range_gives_the_closed_form(n):
+    U = np.array([s * np.linspace(1.0, -0.5, n) for s in TINY_ROWS[n]])
+    U[:, -1] = 0.0  # a zero coordinate stays +0.0 (not 0 inf)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        G = cauchy_g_batch(U, np.zeros(n))
+        H = green_h_batch(U, np.zeros(n)) if n > 2 else None
+    for i, u in enumerate(U):
+        ref = closed_form(u, True)
+        assert np.isfinite(G[i]).all() and G[i, -1] == 0.0 and not np.signbit(G[i, -1])
+        assert np.abs(G[i] - ref).max() <= 4e-15 * np.abs(ref).max(), (n, u[0])
+        if H is not None:
+            assert H[i] == pytest.approx(closed_form(u, False), rel=4e-15)
+
+
+def test_the_subnormal_examples_are_finite():
+    assert cauchy_g_batch([[5e-155, 0.0]], [0, 0])[0, 0] == pytest.approx(1 / (2 * math.pi * 5e-155), rel=1e-15)
+    assert cauchy_g([5e-155, 0.0, 0.0], np.zeros(3))[0] == pytest.approx(1 / (4 * math.pi * 5e-155) / 5e-155, rel=1e-15)
+    # |U|^2 underflows to 0 while U does not: not a coincidence
+    assert cauchy_g([3e-170, -4e-170], np.zeros(2))[1] == pytest.approx(-0.8 / (2 * math.pi * 5e-170), rel=1e-15)
+    with pytest.raises(SingularPoint):
+        cauchy_g_batch([[1.0, 2.0], [0.0, 0.0]], [0, 0])
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_a_value_past_the_float_range_raises_config_error(n):
+    U = np.zeros(n)
+    U[0] = 1e-320 if n == 2 else 1e-160
+    with pytest.raises(ConfigError, match="float range"):
+        cauchy_g_batch(U[None], np.zeros(n))
+    if n > 3:
+        with pytest.raises(ConfigError, match="float range"):
+            green_h(U, np.zeros(n))
+
+
+@pytest.mark.parametrize("n, scale", [(2, 1e-200), (3, 1e-120), (4, 1e-90), (7, 1e-48)])
+def test_rows_in_the_normal_range_keep_their_bytes(n, scale):
+    rng = np.random.default_rng(88 + n)
+    normal = rng.normal(size=(6, n)) * 10.0 ** rng.integers(-20, 20, size=(6, 1))
+    tiny = rng.normal(size=(3, n)) * scale  # each power overflows, each value does not
+    both = np.concatenate((normal[:3], tiny, normal[3:]))
+    for vector, batch, term in ((True, cauchy_g_batch, _cauchy_term), (False, green_h_batch, _green_term)):
+        if not vector and n == 2:
+            continue
+        with np.errstate(all="ignore"):
+            ref = term(n)(normal, sq_norm(normal))
+        got = batch(both, np.zeros(n))
+        assert np.concatenate((got[:3], got[6:])).tobytes() == ref.tobytes()

@@ -56,8 +56,10 @@ OVERFLOWING = {
                                             HUGE_TORUS["x"], 3),
     "projective": lambda: proj_cauchy_batch(ManifoldSpec("Projective", 3, Lattice([[TINY, 0.0, 0.0]]), p=2),
                                             np.array([[0.3, 0.2, 0.1]]) * TINY, np.array([0.6, 0.5, 0.4]) * TINY, 3),
-    "real projective": lambda: realproj_cauchy_batch(2, np.array([[0.3, 0.2, 0.1]]) * TINY,
-                                                     np.array([0.6, 0.5, 0.4]) * TINY),
+    # the Euclidean kernel is finite down to |x - y| of about 2e-155 at n = 3 (a value of about
+    # 1.8e308), so its value leaves the float range only at a smaller scale than the lattice sums'
+    "real projective": lambda: realproj_cauchy_batch(2, np.array([[0.3, 0.2, 0.1]]) * 1e-160,
+                                                     np.array([0.6, 0.5, 0.4]) * 1e-160),
     "moebius": lambda: moebius_green_batch(
         ManifoldSpec("MoebiusStrip", 5, Lattice(np.eye(5)[:2] * TINY), sign_variant="SumParity"),
         np.linspace(0.1, 0.5, 5)[None] * TINY, np.linspace(0.6, 0.2, 5) * TINY, 5),
