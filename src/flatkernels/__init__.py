@@ -50,6 +50,7 @@ from .kernels_pin import (
 from .lattice import (
     BundleCharacter,
     GroupElement,
+    GroupElementBatch,
     Lattice,
     ManifoldSpec,
     canonical_rep,
@@ -83,6 +84,7 @@ __all__ = [
     "DimensionMismatch",
     "FDScheme",
     "GroupElement",
+    "GroupElementBatch",
     "Hypersurface",
     "KernelEval",
     "Lattice",

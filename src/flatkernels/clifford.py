@@ -312,9 +312,10 @@ class MultiVector:
         return MultiVector._own(self.n, self.coeffs * _grade_table(self.n)[1])
 
     def norm(self) -> float:
-        """Euclidean norm of the coefficients: sqrt(c . c), the bits of `np.linalg.norm`."""
+        """Euclidean norm of the coefficients: `root_sum_squares` of their rounded squares, so no
+        BLAS kernel moves its bits."""
         c = self.coeffs
-        return math.sqrt(c.dot(c))
+        return root_sum_squares((c * c).tolist())
 
     def __repr__(self):
         nz = [(int(i), float(c)) for i, c in enumerate(self.coeffs) if c != 0.0]
@@ -333,6 +334,15 @@ def reversion(a: MultiVector) -> MultiVector:
 
 def norm(a: MultiVector) -> float:
     return a.norm()
+
+
+def root_sum_squares(squares: list) -> float:
+    """sqrt of the correctly rounded sum of `squares` (`math.fsum`), the same bits on every CPU and
+    BLAS; inf where the sum leaves the float range, as a BLAS dot product gives."""
+    try:
+        return math.sqrt(math.fsum(squares))
+    except OverflowError:  # fsum refuses a finite sum past the float range
+        return math.inf
 
 
 def vector_inverse(x) -> np.ndarray:

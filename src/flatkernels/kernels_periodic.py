@@ -40,9 +40,9 @@ shells shares one block while their rows fit the tile, and each shell's
 rows are summed as their own slice of the block's terms, so every shell
 keeps its pairwise tree and its place in its group.  Every term is
 elementwise in its row, and so is every block product: the lattice vectors
-W = m @ basis and the torus's W . v come from `_dot`, one fixed order of
-rounded products and adds per row, not from BLAS, whose kernels round a row
-by the size of the block it sits in.  So a block may start on any row and
+W = m @ basis and the torus's W . v come from `lattice._dot`, one fixed order
+of rounded products and adds per row, not from BLAS, whose kernels round a
+row by the size of the block it sits in.  So a block may start on any row and
 hold any number of rows, one included, and keep the bits of one block per
 shell.  Which shells share a block and which are split depends only on the
 rank, the radii, the block rows, the chunk's values per row and `_TILE`:
@@ -133,7 +133,7 @@ import numpy as np
 from .clifford import MultiVector, reflect_coords
 from .errors import ConfigError, DimensionMismatch, RegimeError, SingularPoint
 from .kernels_euclid import _cauchy_term, _frame_term, _green_term, _power, sphere_area, sq_norm
-from .lattice import BundleCharacter, Lattice, _check_radius, _shell_rows, _shell_size, char_sign
+from .lattice import BundleCharacter, Lattice, _check_radius, _dot, _shell_rows, _shell_size, char_sign
 
 # a squared distance below _SINGULAR_R2 * sigma_min^2 is on the singular orbit
 _SINGULAR_R2 = 1e-18
@@ -280,7 +280,7 @@ def _norms(P: np.ndarray) -> np.ndarray:
 
 
 def _check_not_on_orbit(L: Lattice, D: np.ndarray, what: str):
-    nearest = np.rint(L.coords(D)) @ L.basis
+    nearest = _dot(np.rint(L.coords(D)), L.basis)
     if np.any(sq_norm(D - nearest) < _SINGULAR_R2 * L.sigma_min**2):
         raise SingularPoint(f"{what} lies on the singular lattice orbit")
 
@@ -781,23 +781,6 @@ def shell_sum(L: Lattice, char: BundleCharacter, D: np.ndarray, R: int, term,
 
         out[:, lo:hi] = kahan_shell_sum((hi - lo,) + shape, shells(), prefixes, groups)
     return out if len(radii) > 1 else out[0]
-
-
-def _dot(A: np.ndarray, M: np.ndarray, out=None) -> np.ndarray:
-    """A @ M summed left to right over A's last axis: unlike BLAS, one order at every batch size.
-
-    Entry j of a row is ((a_0 M[0, j] + a_1 M[1, j]) + a_2 M[2, j]) + ..., so its bits depend on
-    that row and M alone.  It goes into `out`, else a new coordinate-major array (`_new`), a
-    column of A at a time into every column, so numpy's loops run over the rows.
-    """
-    if out is None:
-        out = _new(A.shape[:-1] + M.shape[1:], A.ndim - 1)
-    columns = out.transpose((A.ndim - 1, *range(A.ndim - 1)))  # columns[j] is out[..., j]
-    M = M.reshape(M.shape + (1,) * (A.ndim - 1))  # M[i, j] broadcast over the rows
-    np.multiply(M[0], A[..., 0], out=columns)
-    for i in range(1, A.shape[-1]):
-        columns += M[i] * A[..., i]
-    return out
 
 
 def _lattice_sum(L: Lattice, char: BundleCharacter, D: np.ndarray, R: int, vector: bool,

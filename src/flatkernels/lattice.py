@@ -22,6 +22,26 @@ the Euclidean length of the lattice point: enumeration is then deterministic
 and basis-independent, and tail bounds follow from the smallest singular
 value of the basis.  Shells of at most 64 KiB are cached for the process
 (at most 16 MiB); a larger one is built each time a sum reaches it.
+
+One fixed order for the lattice side: every product with the basis or its
+dual (`_dot`: lattice points m @ basis, the deck action, `Lattice.coords`,
+and the shell engine's lattice vectors) sums its products left to right,
+each rounded, instead of through BLAS, whose kernels round by batch size
+and by CPU family.  The dual basis G^-1 B (`Lattice._dual`) comes from
+Gauss-Jordan elimination on [G | B], G = `_dot(B, B^T)`, one numpy row
+operation at a time, formed on a lattice's first `coords` call.  So a
+coordinate, a lattice point and a canonical representative have the same
+bits in a batch of any size, one point included, under every OpenBLAS
+kernel.  The Gram matrix, `sigma_min` and the frame's Q (tails and frame
+values) still come from numpy's BLAS and LAPACK.
+
+Batches: the deck group acts on a (B, n) batch of points with one element
+per row, a `GroupElementBatch` of integer coefficients m (B, k) and block
+flips (B,).  A single point (n,) with a `GroupElement` is row 0 of that
+form: `canonical_rep`, `recover_point`, `apply_group_element`,
+`group_element_inverse`, `lattice_point` and `coords` each run one batched
+path.  Shapes that do not fit raise `DimensionMismatch`; a fractional or
+non-finite coefficient, and a point that is not finite, raise `ConfigError`.
 """
 
 from __future__ import annotations
@@ -31,7 +51,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .clifford import reflect_coords
 from .errors import ConfigError, DimensionMismatch
 
 KINDS = ("Cylinder", "Torus", "Projective", "RealProjective", "MoebiusStrip", "KleinBottle")
@@ -88,9 +107,12 @@ class Lattice:
     `_vectors` is (a0, W): the lattice vectors W = m @ basis of consecutive rows
     of the shell order from row a0, as the shell sums formed them (at most 4 KiB,
     `kernels_periodic._lattice_vectors`); the reduced lattice keeps its own.
+
+    `_dual` is the read-only dual basis G^-1 B (k, n) of `_dual_basis`, None
+    until the first `coords` call forms it; `coords` of x is `_dot(x, dual^T)`.
     """
 
-    __slots__ = ("basis", "n", "k", "gram", "sigma_min", "_frame", "_vectors")
+    __slots__ = ("basis", "n", "k", "gram", "sigma_min", "_frame", "_vectors", "_dual")
 
     def __init__(self, basis):
         basis = np.asarray(basis, dtype=float)
@@ -127,25 +149,80 @@ class Lattice:
         reduced.gram, reduced.sigma_min, reduced._frame = gram, self.sigma_min, None
         self._frame = (Q, reduced)
         self._vectors = reduced._vectors = (0, np.empty((0, 0)))  # none kept yet
+        self._dual = reduced._dual = None  # formed on first use
 
     def point(self, m) -> np.ndarray:
         return lattice_point(self, m)
 
     def coords(self, x) -> np.ndarray:
         """Coefficients of the orthogonal projection of x onto the span: (k,) for a
-        point (n,), (B, k) for a batch (B, n)."""
+        point (n,), (B, k) for a batch (B, n), each row with the bits of its point alone."""
         x = np.asarray(x, dtype=float)
-        return np.linalg.solve(self.gram, self.basis @ x.T).T
+        if x.ndim not in (1, 2) or x.shape[-1] != self.n:
+            raise DimensionMismatch(f"points must have shape (n,) or (B, n) with n = {self.n}, got {x.shape}")
+        return _dot(x, _dual_basis(self).T)
 
     def __repr__(self):
         return f"Lattice(k={self.k}, n={self.n})"
 
 
+def _dot(A: np.ndarray, M: np.ndarray, out=None) -> np.ndarray:
+    """A @ M summed left to right over A's last axis: unlike BLAS, one order at every batch size.
+
+    Entry j of a row is ((a_0 M[0, j] + a_1 M[1, j]) + a_2 M[2, j]) + ..., so its bits depend on
+    that row and M alone.  It goes into `out`, else a new coordinate-major array (each result
+    column contiguous), a column of A at a time into every column, so numpy's loops run over
+    the rows.
+    """
+    if out is None:
+        out = np.empty(M.shape[1:] + A.shape[:-1]).transpose((*range(1, A.ndim), 0))
+    columns = out.transpose((A.ndim - 1, *range(A.ndim - 1)))  # columns[j] is out[..., j]
+    M = M.reshape(M.shape + (1,) * (A.ndim - 1))  # M[i, j] broadcast over the rows
+    np.multiply(M[0], A[..., 0], out=columns)
+    for i in range(1, A.shape[-1]):
+        columns += M[i] * A[..., i]
+    return out
+
+
+def _dual_basis(L: Lattice) -> np.ndarray:
+    """G^-1 B (k, n), read-only and kept in `L._dual`: Gauss-Jordan elimination on [G | B].
+
+    G = `_dot(B, B^T)` is symmetric positive definite, so every pivot is positive and no row
+    is exchanged; each step is an elementwise numpy row operation, so the dual has the same
+    bits under every BLAS and numpy dispatch.
+    """
+    if L._dual is None:
+        k, B = L.k, L.basis
+        A = np.concatenate([_dot(B, B.T), B], axis=1)
+        for i in range(k):
+            A[i] /= A[i, i]
+            others = np.arange(k) != i
+            A[others] -= A[others, i : i + 1] * A[i]
+        dual = A[:, k:].copy()
+        dual.setflags(write=False)
+        L._dual = dual
+    return L._dual
+
+
+def _coefficients(m, k: int) -> np.ndarray:
+    """Integer coefficient rows, (k,) or (B, k), as int64.
+
+    Another shape raises `DimensionMismatch`; a fraction, a non-number, or an
+    entry that is not finite or not below 2^52 in size raises `ConfigError`
+    rather than being truncated.
+    """
+    a = np.asarray(m)
+    if a.ndim not in (1, 2) or a.shape[-1] != k:
+        raise DimensionMismatch(f"coefficient vector must have length {k}, got shape {a.shape}")
+    whole = a.dtype.kind in "iu" or (a.dtype.kind == "f" and np.isfinite(a).all() and (a == np.floor(a)).all())
+    if not whole or (a.size and not -_MAX_CELLS < a.min() <= a.max() < _MAX_CELLS):
+        raise ConfigError(f"lattice coefficients must be integers below 2^52 in size, got {m!r}")
+    return a.astype(np.int64, copy=False)
+
+
 def lattice_point(L: Lattice, m) -> np.ndarray:
-    m = np.asarray(m, dtype=float)
-    if m.shape != (L.k,):
-        raise DimensionMismatch(f"coefficient vector must have length {L.k}")
-    return m @ L.basis
+    """m @ basis (`_dot`): (n,) for a coefficient vector (k,), (B, n) for rows (B, k)."""
+    return _dot(_coefficients(m, L.k), L.basis)
 
 
 def _shell_size(k: int, R: int) -> int:
@@ -394,6 +471,28 @@ class GroupElement:
     flip: bool = False
 
 
+class GroupElementBatch:
+    """One deck-group element per row of a batch of points: coefficients m (B, k), flips (B,).
+
+    Row i is the element `GroupElement(tuple(m[i]), bool(flip[i]))`, which
+    `batch[i]` returns; the deck functions take a batch wherever they take an
+    element, with a (B, n) batch of points in place of one point.  A plain
+    class, not a dataclass, whose creation would add a millisecond to every
+    import.
+    """
+
+    __slots__ = ("m", "flip")
+
+    def __init__(self, m, flip):
+        self.m, self.flip = m, flip
+
+    def __repr__(self):
+        return f"GroupElementBatch(m={self.m!r}, flip={self.flip!r})"
+
+    def __getitem__(self, i: int) -> GroupElement:
+        return GroupElement(tuple(int(v) for v in self.m[i]), bool(self.flip[i]))
+
+
 def deck_signs(M: ManifoldSpec, Ms) -> np.ndarray:
     """The linear part of the deck elements with coefficient rows Ms (m, k): (m, n) of +-1.
 
@@ -427,35 +526,79 @@ def deck_generators(M: ManifoldSpec) -> list[tuple[str, GroupElement]]:
     return gens
 
 
-def apply_group_element(M: ManifoldSpec, g: GroupElement, x) -> np.ndarray:
-    """Apply a deck-group element to a point: signs * x + m @ basis, then flip the block."""
-    x = np.asarray(x, dtype=float)
-    m = np.asarray(g.m, dtype=np.int64)
-    out = deck_signs(M, m[None])[0] * x
+def _points(M: ManifoldSpec, x) -> tuple[np.ndarray, bool]:
+    """x as a (B, n) batch of finite points, and whether it was one point (n,), which is row 0."""
+    X = np.asarray(x, dtype=float)
+    if X.ndim not in (1, 2) or X.shape[-1] != M.n:
+        raise DimensionMismatch(f"point must have dimension {M.n}: shape (n,) or (B, n), got {X.shape}")
+    if not np.all(np.isfinite(X)):
+        raise ConfigError("point must be finite")
+    return (X[None] if X.ndim == 1 else X), X.ndim == 1
+
+
+def _elements(M: ManifoldSpec, g, single: bool, rows: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The coefficients (B, k) and flips (B,) of a `GroupElement` (B = 1) when `single`, else of
+    a `GroupElementBatch`, whose B must be `rows` when given (one element per point)."""
+    if not isinstance(g, GroupElement if single else GroupElementBatch):
+        raise DimensionMismatch("one point takes a GroupElement, a (B, n) batch a GroupElementBatch")
+    m, flip = _coefficients(g.m, M.k), np.asarray(g.flip)
+    if single:
+        m, flip = m[None], flip[None]
+    rows = len(m) if rows is None else rows
+    if m.shape != (rows, M.k) or flip.shape != (rows,):
+        raise DimensionMismatch(f"{rows} points take {rows} elements, got coefficients {m.shape} and flips {flip.shape}")
+    if flip.dtype != bool:
+        raise ConfigError(f"block flips must be booleans, got {flip.dtype}")
+    return m, flip
+
+
+def _act(M: ManifoldSpec, m: np.ndarray, flip: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """deck_signs * X + m @ basis (`_dot`) per row, then each flipped row's block reflected."""
+    out = deck_signs(M, m) * X
     if M.lattice is not None:
-        out = out + m @ M.lattice.basis
-    return reflect_coords(out, M.reflection_axes()) if g.flip else out
+        out += _dot(m, M.lattice.basis)
+    if flip.any():
+        _reflect_rows(out, flip, M.reflection_axes())
+    return out
 
 
-def group_element_inverse(M: ManifoldSpec, g: GroupElement) -> GroupElement:
+def _reflect_rows(X: np.ndarray, rows: np.ndarray, block: list[int]):
+    """Negate the block (consecutive axes) of each row of X where `rows` is set, in place;
+    the other rows are multiplied by 1.0, which keeps their bits."""
+    X[:, block[0] : block[-1] + 1] *= np.where(rows, -1.0, 1.0)[:, None]
+
+
+def apply_group_element(M: ManifoldSpec, g, x) -> np.ndarray:
+    """Apply a deck-group element to a point: signs * x + m @ basis, then flip the block.
+
+    A `GroupElement` acts on one point (n,); a `GroupElementBatch` acts row by row on a
+    (B, n) batch, each row with the bits of its point alone.
+    """
+    X, single = _points(M, x)
+    out = _act(M, *_elements(M, g, single, len(X)), X)
+    return out[0] if single else out
+
+
+def group_element_inverse(M: ManifoldSpec, g):
     """The inverse element, (-S m, flip) with S the element's signs on the first k axes.
 
     Pin kinds use a basis supported off the reflected block, so translations
     commute with the block reflection.  S (m @ basis) = (S m) @ basis, since
     the twisted axis is off the span (Moebius) or is e_k (Klein: an odd fold
-    is its own inverse).
+    is its own inverse).  A `GroupElementBatch` gives the batch of the row inverses.
     """
-    m = np.asarray(g.m, dtype=np.int64)
-    signs = deck_signs(M, m[None])[0, : M.k]
-    return GroupElement(tuple(int(-s * v) for s, v in zip(signs, m)), g.flip)
+    single = isinstance(g, GroupElement)
+    m, flip = _elements(M, g, single)
+    inv = -deck_signs(M, m)[:, : M.k].astype(np.int64) * m
+    return GroupElement(tuple(int(v) for v in inv[0]), bool(flip[0])) if single else GroupElementBatch(inv, flip)
 
 
-def recover_point(M: ManifoldSpec, g: GroupElement, rep) -> np.ndarray:
-    """Invert the descriptor: maps the representative back to the original x."""
+def recover_point(M: ManifoldSpec, g, rep) -> np.ndarray:
+    """Invert the descriptor: maps the representative back to the original x (per row for a batch)."""
     return apply_group_element(M, group_element_inverse(M, g), rep)
 
 
-def canonical_rep(M: ManifoldSpec, x) -> tuple[np.ndarray, GroupElement]:
+def canonical_rep(M: ManifoldSpec, x):
     """Representative of the orbit of x with a descriptor mapping x onto it.
 
     Lattice coordinates of the representative lie in [0, 1); projective kinds
@@ -467,45 +610,49 @@ def canonical_rep(M: ManifoldSpec, x) -> tuple[np.ndarray, GroupElement]:
     half-open interval cannot always be reached).  A point
     that is not finite, or too far from the cell to reduce, raises
     `ConfigError`.
+
+    One point (n,) gives (rep, `GroupElement`); a (B, n) batch gives the
+    representatives (B, n) and a `GroupElementBatch`, each row with the bits
+    of its point alone.  One point of a batch that cannot be reduced fails
+    the batch.
     """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (M.n,):
-        raise DimensionMismatch(f"point must have dimension {M.n}")
-    if not np.all(np.isfinite(x)):
-        raise ConfigError("point must be finite")
-    m = np.zeros(0, dtype=np.int64)
+    X, single = _points(M, x)
+    m = np.zeros((len(X), M.k), dtype=np.int64)
     if M.lattice is not None:
-        t = M.lattice.coords(x)
+        t = M.lattice.coords(X)
         if not np.all(np.abs(t) < _MAX_CELLS):
             raise ConfigError("point lies too far from the fundamental cell to reduce")
         m = -np.floor(t).astype(np.int64)
         if M.kind == "KleinBottle":
-            m[-1] = _klein_fold(x[M.k - 1])
-    m = tuple(int(v) for v in m)
-    rep = apply_group_element(M, GroupElement(m), x)
-    block = M.reflection_axes()
-    flip = _needs_block_flip(rep, block)
-    return (reflect_coords(rep, block) if flip else rep), GroupElement(m, flip)
+            m[:, -1] = _klein_fold(X[:, M.k - 1])
+    rep = _act(M, m, np.zeros(len(X), dtype=bool), X)
+    flip = _block_flip(rep, M.reflection_axes())
+    if flip.any():
+        _reflect_rows(rep, flip, M.reflection_axes())
+    g = GroupElementBatch(m, flip)
+    return (rep[0], g[0]) if single else (rep, g)
 
 
-def _klein_fold(w: float) -> int:
-    """The k-th entry of the Klein descriptor; its parity says whether the fold applies."""
-    # Orbit values are {w + 2Z} u {-w + 1 + 2Z}.
-    best = None
-    for parity, base in ((0, w), (1, -w)):
-        # choose the translation of matching parity landing lowest >= 0
-        shift = int(np.ceil((0.0 - base - parity) / 2.0)) * 2 + parity
-        val = ((-1.0) ** parity) * w + shift
-        if val < 0.0:  # guard against roundoff at the boundary
-            shift += 2
-            val += 2.0
-        if best is None or val < best[0] - 1e-15:
-            best = (val, shift)
-    return best[1]
+def _klein_fold(w: np.ndarray) -> np.ndarray:
+    """The k-th entry of each Klein descriptor; its parity says whether the fold applies."""
+    # Orbit values are {w + 2Z} u {-w + 1 + 2Z}: per parity, the translation of that
+    # parity landing lowest >= 0, and the odd one where it lands lower by more than 1e-15
+    found = []
+    for parity, sign in ((0, 1.0), (1, -1.0)):
+        shift = np.ceil((0.0 - sign * w - parity) / 2.0).astype(np.int64) * 2 + parity
+        val = sign * w + shift
+        low = val < 0.0  # guard against roundoff at the boundary
+        shift[low] += 2
+        val[low] += 2.0
+        found.append((val, shift))
+    (even, even_shift), (odd, odd_shift) = found
+    return np.where(odd < even - 1e-15, odd_shift, even_shift)
 
 
-def _needs_block_flip(x: np.ndarray, block: list[int]) -> bool:
-    for j in block:
-        if x[j] != 0.0:
-            return x[j] < 0.0
-    return False
+def _block_flip(X: np.ndarray, block: list[int]) -> np.ndarray:
+    """Per row of X: is the first nonzero entry of the block negative (a -0.0 counts as zero)?"""
+    if not block:
+        return np.zeros(len(X), dtype=bool)
+    V = X[:, block]
+    first = np.argmax(V != 0.0, axis=1)
+    return V[np.arange(len(V)), first] < 0.0

@@ -1,14 +1,17 @@
-"""Kernel values do not depend on the OpenBLAS kernel numpy's BLAS picks.
+"""Kernel values, the deck group and `verify` do not depend on the OpenBLAS kernel numpy picks.
 
 OpenBLAS chooses its kernels by CPU family at load time, and
 `OPENBLAS_CORETYPE` overrides that choice for one process (in the
 DYNAMIC_ARCH builds numpy's wheels ship).  The kernels of different
 families round a block product by different row groups.  The shell engine
 forms its block products (the lattice vectors W = m @ basis and the torus's
-W . v) with `kernels_periodic._dot`, one fixed order of rounded products
-and adds, so values on skewed lattices must have the same bytes under every
-core type.  Tails are left out: sigma_min still comes from LAPACK's
-`eigvalsh`.
+W . v), and the lattice its coordinates and deck action, with `lattice._dot`,
+one fixed order of rounded products and adds, so values, coordinates and
+canonical representatives on skewed lattices must have the same bytes under
+every core type, and so must the `verify` report, whose norms are
+`math.fsum` sums.  Tails are left out: sigma_min still comes from LAPACK's
+`eigvalsh`.  The test data are drawn without BLAS (plane rotations are
+elementwise), so only the library can move a digest.
 """
 
 import hashlib
@@ -23,7 +26,7 @@ import pytest
 import flatkernels
 from flatkernels.kernels_periodic import cyl_cauchy, cyl_cauchy_reg, cyl_green, cyl_green_reg, torus_cauchy_two_point
 from flatkernels.kernels_pin import klein_green_batch, moebius_green_batch
-from flatkernels.lattice import BundleCharacter, Lattice, ManifoldSpec
+from flatkernels.lattice import BundleCharacter, Lattice, ManifoldSpec, canonical_rep
 
 CORETYPES = ("Haswell", "Sandybridge", "Prescott")
 
@@ -33,10 +36,20 @@ def _skew(rng, n: int) -> np.ndarray:
     return np.tril(rng.uniform(-0.3, 0.3, (n, n)), -1) + np.diag(rng.uniform(0.9, 1.4, n))
 
 
+def _rotate(basis: np.ndarray, angles) -> np.ndarray:
+    """The basis turned in the planes of axes (j, j + 1), one after another, elementwise."""
+    out = basis.copy()
+    for j, a in enumerate(angles):
+        c, s = np.cos(a), np.sin(a)
+        out[:, j], out[:, j + 1] = c * out[:, j] - s * out[:, j + 1], s * out[:, j] + c * out[:, j + 1]
+    return out
+
+
 def value_digests() -> dict[str, str]:
-    """A digest of the values of each family on skewed lattices: the torus, Class B, the frame."""
+    """A digest of each group on skewed lattices: the torus, Class B and frame values, and the
+    lattice's coordinates and canonical representatives."""
     rng = np.random.default_rng(3232)
-    groups = {"torus": [], "class B": [], "frame": []}
+    groups = {"torus": [], "class B": [], "frame": [], "lattice": []}
     for n in range(2, 7):  # full-rank skewed tori, both bundles
         L = Lattice(_skew(rng, n))
         X = rng.uniform(0.1, 0.9, (7, n))
@@ -70,6 +83,14 @@ def value_digests() -> dict[str, str]:
                     groups["frame"].append(cyl_green(L, char, X, y, 6)[0])
                 elif k == n - 2:
                     groups["frame"].append(cyl_green_reg(L, char, X, y, 6)[0])
+    for n in range(3, 8):  # coords and canonical representatives: skewed and rotated cylinders and tori
+        X = rng.uniform(-4.0, 4.0, (9, n))
+        skewed = _skew(rng, n)
+        for basis in (skewed, _rotate(skewed, rng.uniform(0.2, 1.2, n - 1))):
+            for k in (2, n - 1, n):
+                M = ManifoldSpec("Torus" if k == n else "Cylinder", n, Lattice(basis[:k]))
+                rep, g = canonical_rep(M, X)
+                groups["lattice"] += [M.lattice.coords(X), rep, g.m]
     return {name: hashlib.sha256(b"".join(np.ascontiguousarray(v).tobytes() for v in vals)).hexdigest()
             for name, vals in groups.items()}
 
@@ -99,3 +120,29 @@ def test_values_have_the_same_bytes_under_every_openblas_kernel(coretype, defaul
     other = _child_digests(coretype)
     assert sorted(other) == sorted(default)
     assert [name for name in default if other[name] != default[name]] == []
+
+
+VERIFY_SEEDS = (0, 7)
+
+
+def _child_verify(coretype: str | None) -> list[bytes]:
+    """`verify --suite all` at each of VERIFY_SEEDS in a child process, as written to stdout."""
+    env = dict(os.environ)
+    env.pop("OPENBLAS_CORETYPE", None)
+    if coretype is not None:
+        env["OPENBLAS_CORETYPE"] = coretype
+    src = os.path.dirname(os.path.dirname(flatkernels.__file__))
+    env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+    return [subprocess.run([sys.executable, "-m", "flatkernels.cli", "verify", "--suite", "all", "--seed", str(s)],
+                           env=env, capture_output=True, check=True).stdout for s in VERIFY_SEEDS]
+
+
+@pytest.fixture(scope="module")
+def default_verify():
+    return _child_verify(None)
+
+
+@pytest.mark.parametrize("coretype", CORETYPES)
+def test_verify_has_the_same_bytes_under_every_openblas_kernel(coretype, default_verify):
+    other = _child_verify(coretype)
+    assert [s for s, a, b in zip(VERIFY_SEEDS, default_verify, other) if a != b] == []

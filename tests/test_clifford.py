@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -216,17 +219,26 @@ class TestNorm:
 
 
     @settings(max_examples=200, deadline=None)
-    @given(st.integers(1, 16), st.integers(0, 2**32 - 1), st.sampled_from(["mixed", 1e-170, 1e150, 1.0]))
-    def test_bits_of_the_linalg_norm(self, n, seed, scale):
+    @given(st.integers(1, 16), st.integers(0, 2**32 - 1), st.sampled_from(["mixed", 1e-170, 1e150, 1e154, 1.0]))
+    def test_bits_of_the_correctly_rounded_sum(self, n, seed, scale):
+        # the norm is sqrt of the correctly rounded sum of the rounded squares, which no BLAS
+        # kernel rounds; np.linalg.norm's BLAS dot product is within its (N - 1) u bound of it
         rng = np.random.default_rng(seed)
         if scale == "mixed":  # magnitudes from 1e-200 to 1e200 in one element
             scale = 10.0 ** rng.integers(-200, 200, size=1 << n)
         c = rng.normal(size=1 << n) * scale
         c[rng.random(1 << n) < 0.3] = 0.0
         with np.errstate(over="ignore", under="ignore"):  # squares may leave the float range
-            got, want = MultiVector(n, c).norm(), np.linalg.norm(c)
+            squares = c * c
+            got, blas = MultiVector(n, c).norm(), float(np.linalg.norm(c))
+        ratios = [v.as_integer_ratio() for v in squares.tolist() if math.isfinite(v)]
+        Q = max(d for _, d in ratios)  # each denominator is a power of two
+        exact = Fraction(sum(p * (Q // d) for p, d in ratios), Q)
+        want = math.inf if not np.isfinite(squares).all() or exact > Fraction(np.finfo(float).max) else (
+            math.sqrt(float(exact)))
         assert type(got) is float
         assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        assert got == blas or abs(got - blas) <= (1 << n) * 2.0**-53 * got + np.spacing(got)
 
 
 class TestGradesPastTheTables:
