@@ -19,6 +19,8 @@ the terms every lattice sum evaluates (`_cauchy_term`, `_green_term`, the
 frame's `_frame_term`); single-point kernels are row 0 of the batched ones.
 Each term takes an optional `out` to write into, so the shell engine keeps
 its block-sized arrays; the bits are those without `out`.
+It also owns every kernel's input rules: the one point check (`_points`), the
+pair (`_pair`) and the single-point rule (`_one_point`).
 """
 
 from __future__ import annotations
@@ -37,13 +39,33 @@ def sphere_area(n: int) -> float:
     return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
 
 
-def _difference(x, y) -> np.ndarray:
-    """x - y as a (B, n) batch; a non-finite coordinate raises ConfigError."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    y = np.atleast_2d(np.asarray(y, dtype=float))
-    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+def _points(x, n: int) -> tuple[np.ndarray, bool]:
+    """x as a (B, n) batch, and whether it was one point (n,), which is row 0: the one check of the
+    points every kernel, `Lattice.coords` and the deck group take.  Another shape raises
+    `DimensionMismatch`, a coordinate that is not finite `ConfigError`."""
+    X = np.asarray(x, dtype=float)
+    if X.ndim not in (1, 2) or X.shape[-1] != n:
+        raise DimensionMismatch(f"points must have dimension {n}: got an array of shape {X.shape}")
+    if not np.isfinite(X).all():
         raise ConfigError("points must be finite")
-    return x - y
+    return (X[None] if X.ndim == 1 else X), X.ndim == 1
+
+
+def _pair(x, y, n: int) -> tuple[np.ndarray, np.ndarray, bool]:
+    """x and y checked by `_points` as batches that broadcast (equal sizes, or one point), and whether
+    both were single points; batches of other sizes raise `DimensionMismatch`."""
+    (X, one), (Y, other) = _points(x, n), _points(y, n)
+    if len(X) != len(Y) and 1 not in (len(X), len(Y)):
+        raise DimensionMismatch(f"point batches of shapes {X.shape} and {Y.shape} do not match")
+    return X, Y, one and other
+
+
+def _one_point(x, y):
+    """x and y under the single-point rule (a kernel returns one value exactly when its points are
+    single (n,) points), so a batch raises `DimensionMismatch`."""
+    if max(np.ndim(x), np.ndim(y)) > 1:
+        raise DimensionMismatch("single-point kernels take points of shape (n,); use the batched form")
+    return x, y
 
 
 def sq_norm(U: np.ndarray, out=None) -> np.ndarray:
@@ -144,13 +166,15 @@ def _frame_term(n: int, vector: bool):
     return term, at_lattice, lambda S: np.divide(S, c, out=S)
 
 
-def _euclid(X, Y, vector: bool, what: str) -> np.ndarray:
-    """The vector or scalar kernel of every row of X - Y; rows whose |U|^2 is subnormal, or whose
-    power leaves the float range, are evaluated at U 2^-x instead, |U| 2^-x in [1/2, sqrt(n)), and
-    scaled back by 2^(x d), d = 1 - n or 2 - n the kernel's degree: both steps are exact, so
-    `ConfigError` is raised only where the value itself leaves the float range."""
-    D = _difference(X, Y)
-    n = D.shape[1]
+def _euclid(x, y, vector: bool, what: str) -> np.ndarray:
+    """The vector or scalar kernel of every row of x - y (`_pair`; a number c is the point (c, ..., c));
+    rows whose |U|^2 is subnormal, or whose power leaves the float range, are evaluated at U 2^-x
+    instead, |U| 2^-x in [1/2, sqrt(n)), and scaled back by 2^(x d), d = 1 - n or 2 - n the kernel's
+    degree: both steps are exact, so `ConfigError` is raised only where the value itself leaves the
+    float range."""
+    n = (np.shape(x) or np.shape(y) or (1,))[-1]
+    X, Y, _ = _pair(*(np.full(n, p) if np.ndim(p) == 0 else p for p in (x, y)), n)
+    D = X - Y
     term = _cauchy_term(n) if vector else _green_term(n)
     # far apart, |U|^2 or r2^m sqrt(r2)^h overflows where the power underflows: 1 / inf is that 0;
     # close together, the power may overflow (inf, or 0 inf) and its row is evaluated again
@@ -171,21 +195,14 @@ def _euclid(X, Y, vector: bool, what: str) -> np.ndarray:
     return out
 
 
-def _single(batch, x, y):
-    """Row 0 of the batched kernel, so a point has the bits it has in any batch."""
-    if max(np.ndim(x), np.ndim(y)) > 1:
-        raise DimensionMismatch("single-point kernels take points of shape (n,); use the batched form")
-    return batch(x, y)[0]
-
-
 def cauchy_g(x, y) -> np.ndarray:
     """Vector-valued fundamental solution of the Dirac operator; antisymmetric."""
-    return _single(cauchy_g_batch, x, y)
+    return cauchy_g_batch(*_one_point(x, y))[0]
 
 
 def green_h(x, y) -> float:
     """Scalar fundamental solution of the Laplacian (n > 2); symmetric."""
-    return float(_single(green_h_batch, x, y))
+    return float(green_h_batch(*_one_point(x, y))[0])
 
 
 def green_to_cauchy_factor(n: int) -> float:
@@ -200,7 +217,7 @@ def green_to_cauchy_factor(n: int) -> float:
 
 
 def cauchy_g_batch(X, Y) -> np.ndarray:
-    """cauchy_g on batched points; X, Y broadcast to (B, n), returns (B, n)."""
+    """cauchy_g on batched points; X, Y broadcast to (B, n) (a number is a point), returns (B, n)."""
     return _euclid(X, Y, True, "cauchy_g")
 
 

@@ -132,7 +132,7 @@ import numpy as np
 
 from .clifford import MultiVector, reflect_coords
 from .errors import ConfigError, DimensionMismatch, RegimeError, SingularPoint
-from .kernels_euclid import _cauchy_term, _frame_term, _green_term, _power, sphere_area, sq_norm
+from .kernels_euclid import _cauchy_term, _frame_term, _green_term, _pair, _power, sphere_area, sq_norm
 from .lattice import BundleCharacter, Lattice, _check_radius, _dot, _shell_rows, _shell_size, char_sign
 
 # a squared distance below _SINGULAR_R2 * sigma_min^2 is on the singular orbit
@@ -234,32 +234,21 @@ def _tail(L: Lattice, R: int, vector: bool, offset, j: int = 0, h=None, alternat
 
 
 def _pair_batch(x, y, n: int) -> tuple[np.ndarray, bool]:
-    X = np.asarray(x, dtype=float)
-    Y = np.asarray(y, dtype=float)
-    single = X.ndim == 1 and Y.ndim == 1
-    for P in (X, Y):
-        if P.ndim > 2 or P.shape[-1:] != (n,):
-            raise DimensionMismatch(f"points must have dimension {n}: got an array of shape {P.shape}")
-    X = np.atleast_2d(X)
-    Y = np.atleast_2d(Y)
-    if not (np.isfinite(X).all() and np.isfinite(Y).all()):
-        raise ConfigError("points must be finite")
-    try:
-        shape = np.broadcast_shapes(X.shape, Y.shape)
-    except ValueError as exc:
-        raise DimensionMismatch(f"point batches of shapes {X.shape} and {Y.shape} do not match") from exc
+    """x - y of the checked pair (`kernels_euclid._pair`), new and coordinate-major, and whether both
+    were single points; a squared distance past the float range raises `ConfigError`."""
+    X, Y, single = _pair(x, y, n)
     with np.errstate(over="ignore"):
-        D = _difference(X, Y, shape)
+        D = _difference(X, Y)
         far = not np.isfinite(sq_norm(D)).all()
     if far:
         raise ConfigError("points too far apart: a squared distance overflows")
     return D, single
 
 
-def _difference(X: np.ndarray, Y: np.ndarray, shape=None) -> np.ndarray:
-    """X - Y of (B, n) or (n,) points, broadcast to `shape`: new and coordinate-major (`_new`)."""
+def _difference(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """X - Y of (B, n) or (n,) points, broadcast: new and coordinate-major (`_new`)."""
     X, Y = np.atleast_2d(X, Y)
-    D = _new(np.broadcast_shapes(X.shape, Y.shape) if shape is None else shape)
+    D = _new(np.broadcast_shapes(X.shape, Y.shape))
     np.subtract(X.T, Y.T, out=D.T)  # transposed, numpy's loop runs down each column of D
     return D
 
@@ -813,7 +802,7 @@ def _lattice_sum(L: Lattice, char: BundleCharacter, D: np.ndarray, R: int, vecto
         return shell_sum(L, char, D, R, term, (L.n,) if vector else (), image,
                          _at_lattice(term) if subtracted else None, checkpoints=checkpoints)
     r2 = sq_norm(D)
-    if r2.min() < _SINGULAR_R2 * L.sigma_min**2:
+    if np.any(r2 < _SINGULAR_R2 * L.sigma_min**2):
         raise SingularPoint("evaluation point on a kernel singularity")
     Q, reduced = L._frame
     t = _dot(D, Q)
@@ -929,7 +918,7 @@ def check_form(form, forms=_FORMS) -> str:
 
 
 def _pipeline(n: int, x, y, R, checkpoints, total, tail, *, sep=_norms,
-              check=None, single=None, axes=None, negate_fiber=False, form="orbit", forms=_FORMS):
+              check=None, axes=None, negate_fiber=False, form="orbit", forms=_FORMS):
     """The one kernel pipeline: (values, tails) of a batch, or one point's `KernelEval`.
 
     Each entry checks its spec and picks its regime: `total(P, R, checkpoints=...)`,
@@ -942,12 +931,11 @@ def _pipeline(n: int, x, y, R, checkpoints, total, tail, *, sep=_norms,
     no `axes` the one sum is the value as it is, -0.0 included); the
     tails per radius at `sep(P)`; under `np.errstate`, so a value past the float
     range raises `ConfigError` before any numpy warning (tails may be inf); and
-    the wrap, a `KernelEval` if `single` (None: if x and y are single points).
+    the wrap, a `KernelEval` exactly when x and y are single points (n,).
     """
     check_form(form, forms)
-    D, one = _pair_batch(x, y, n)
+    D, single = _pair_batch(x, y, n)
     radii = _radii(R, checkpoints)
-    single = one if single is None else single
     if single and len(radii) > 1:
         raise ConfigError("checkpoints need a batch of points; a single point returns one KernelEval")
     if check is not None:
@@ -1068,8 +1056,10 @@ def torus_cauchy_two_point(L: Lattice, char: BundleCharacter, a, b, x, R: int,
     term = _cauchy_term(n)
 
     def check(Da):
-        """The sources apart and off each other's orbits, x off both: D (B, 2, n)."""
-        Dab, _ = _pair_batch(a, b, n)
+        """One source point each, apart and off each other's orbits, x off both: D (B, 2, n)."""
+        Dab, one = _pair_batch(a, b, n)
+        if not one:
+            raise DimensionMismatch("the torus kernel takes one source point a and one b, each of shape (n,)")
         if not np.any(np.abs(Dab) > 0):
             raise SingularPoint("a and b coincide")
         _check_not_on_orbit(L, Dab, "a - b")

@@ -29,6 +29,10 @@ k = n-2 for both kinds.  Only the trivial pin bundle is constructed there,
 and only the SumParity sign variant defines a character (AllEven is
 reachable with `allow_noncharacter=True` for the probe pathway).
 
+Each kernel has a batched entry (`*_batch`), which returns (values, tails)
+for a batch or one point alike, and a single-point entry, which returns the
+point's `KernelEval` (`realproj_cauchy` its value) and refuses a batch with
+`DimensionMismatch`: the rule of `cauchy_g` (`kernels_euclid._one_point`).
 `KERNELS` maps each CLI kernel name to its batched op (`KernelOp`).
 """
 
@@ -41,7 +45,7 @@ import numpy as np
 from .calculus import FDScheme, _pointwise, dirac_residual_batch
 from .clifford import MultiVector, reflect_coords
 from .errors import ConfigError, DimensionMismatch, RegimeError, SingularPoint
-from .kernels_euclid import cauchy_g_batch, sq_norm
+from .kernels_euclid import _one_point, cauchy_g_batch, sq_norm
 from .kernels_periodic import (
     _SINGULAR_R2,
     KernelEval,
@@ -60,13 +64,13 @@ from .lattice import ManifoldSpec, apply_group_element, char_sign, deck_generato
 
 # -- Class A: projective cylinders and real projective space -------------------
 
-def _projective(M: ManifoldSpec, X, y, R: int, form: str, checkpoints, vector: bool, single=False):
+def _projective(M: ManifoldSpec, X, y, R: int, form: str, checkpoints, vector: bool):
     """The pipeline of a projective (or oriented) spec: its regime's frame sum over the reflected block."""
     if M.kind not in ("Projective", "Cylinder", "Torus"):
         raise RegimeError(f"{'proj_cauchy' if vector else 'proj_green'} expects a projective or "
                           f"oriented spec, got {M.kind}")
     total, tail, _ = periodic_regime(M.lattice, M.bundle, vector)
-    return _pipeline(M.n, X, y, R, checkpoints, total, tail, single=single, axes=M.reflection_axes(),
+    return _pipeline(M.n, X, y, R, checkpoints, total, tail, axes=M.reflection_axes(),
                      negate_fiber=M.bundle.negate_fiber, form=form)
 
 
@@ -78,30 +82,30 @@ def proj_cauchy_batch(M: ManifoldSpec, X, y, R: int, form: str = "orbit", *, che
     `kernels_periodic.cyl_cauchy` does; so do the other batched Class-A and
     Class-B kernels here.
     """
-    return _projective(M, X, y, R, form, checkpoints, True)
+    return _projective(M, np.atleast_2d(X), y, R, form, checkpoints, True)
 
 
 def proj_cauchy(M: ManifoldSpec, x, y, R: int, form: str = "orbit") -> KernelEval:
     """Cauchy kernel on a projective cylinder (finite superposition of 2^(p-k))."""
-    return _projective(M, x, y, R, form, (), True, single=True)
+    return _projective(M, *_one_point(x, y), R, form, (), True)
 
 
 def proj_green_batch(M: ManifoldSpec, X, y, R: int, form: str = "orbit", *, checkpoints=()):
     """Batched projective Green kernel: (values (B,), tail_bounds (B,))."""
-    return _projective(M, X, y, R, form, checkpoints, False)
+    return _projective(M, np.atleast_2d(X), y, R, form, checkpoints, False)
 
 
 def proj_green(M: ManifoldSpec, x, y, R: int, form: str = "orbit") -> KernelEval:
-    return _projective(M, x, y, R, form, (), False, single=True)
+    return _projective(M, *_one_point(x, y), R, form, (), False)
 
 
-def _realproj(p: int, X, y, form: str, negate_fiber: bool, R=0, checkpoints=(), single=False):
+def _realproj(p: int, x, y, form: str, negate_fiber: bool, R=0, checkpoints=()):
     """The k = 0 pipeline: a finite reflection sum, the same at every radius, with zero tails.
 
     A difference D_A with |D_A|^2 < `_SINGULAR_R2` (|x| + |y|)^2 is on the
     singular orbit and raises `SingularPoint`, in both forms and at every scale.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
+    X = np.atleast_2d(np.asarray(x, dtype=float))  # the pipeline takes x as it is
     if not 0 <= p <= X.shape[1]:
         raise RegimeError(f"reflection count p must satisfy 0 <= p <= n, got {p}")
 
@@ -112,23 +116,22 @@ def _realproj(p: int, X, y, form: str, negate_fiber: bool, R=0, checkpoints=(), 
         G = cauchy_g_batch(DA, 0.0)
         return np.stack([G] * (len(checkpoints) + 1)) if checkpoints else G
 
-    return _pipeline(X.shape[1], X, y, R, checkpoints, total, lambda r, sep: np.zeros(len(sep)),
-                     single=single, axes=list(range(p)), negate_fiber=negate_fiber, form=form)
+    return _pipeline(X.shape[1], x, y, R, checkpoints, total, lambda r, sep: np.zeros(len(sep)),
+                     axes=list(range(p)), negate_fiber=negate_fiber, form=form)
 
 
 def realproj_cauchy_batch(p: int, X, y, form: str = "orbit", negate_fiber: bool = False):
     """k = 0 specialisation: finite reflection sum of the Euclidean kernel; values (B, n)."""
-    return _realproj(p, X, y, form, negate_fiber)[0]
+    return _realproj(p, np.atleast_2d(X), y, form, negate_fiber)[0]
 
 
 def realproj_cauchy(p: int, x, y, form: str = "orbit", negate_fiber: bool = False) -> MultiVector:
-    return _realproj(p, x, y, form, negate_fiber, single=True).value
+    return _realproj(p, *_one_point(x, y), form, negate_fiber).value
 
 
 # -- Class B: Moebius strips and Klein quotients -------------------------------
 
-def _class_b(M: ManifoldSpec, kind: str, X, y, R: int, form: str, checkpoints, single=False,
-             allow_noncharacter=False):
+def _class_b(M: ManifoldSpec, kind: str, x, y, R: int, form: str, checkpoints, allow_noncharacter=False):
     """Green image sum over the deck group, twisted on axis c: (values (B,), tails (B,)).
 
     The scalar regime of the rank (`periodic_regime`) gives the sum, its
@@ -151,7 +154,7 @@ def _class_b(M: ManifoldSpec, kind: str, X, y, R: int, form: str, checkpoints, s
     total, tail, regularized = periodic_regime(M.lattice, M.bundle, False)
     c = M.n - 1 if moebius else M.k - 1
     orbit = form == "orbit"
-    X = np.atleast_2d(np.asarray(X, dtype=float))
+    X = np.atleast_2d(np.asarray(x, dtype=float))  # the pipeline takes x as it is
     y = np.asarray(y, dtype=float)
     if y.ndim != 1:
         raise DimensionMismatch(f"the {kind} Green kernel takes one source point y")
@@ -169,20 +172,20 @@ def _class_b(M: ManifoldSpec, kind: str, X, y, R: int, form: str, checkpoints, s
         # the first c axes, then the twisted one: the order the tail bits depend on
         return np.sqrt(_row_sums(E[:, :c] ** 2) + _row_sums(E[:, c:] ** 2))
 
-    return _pipeline(M.n, X, y, R, checkpoints,
+    return _pipeline(M.n, x, y, R, checkpoints,
                      lambda D0, R, checkpoints: total(X if orbit else D0, R, image, checkpoints),
-                     tail, sep=sep, single=single, form=form)
+                     tail, sep=sep, form=form)
 
 
 def moebius_green_batch(M: ManifoldSpec, X, y, R: int, form: str = "orbit", allow_noncharacter: bool = False,
                         *, checkpoints=()):
     """Batched Moebius-strip Green kernel: (values (B,), tail_bounds (B,))."""
-    return _class_b(M, "MoebiusStrip", X, y, R, form, checkpoints, allow_noncharacter=allow_noncharacter)
+    return _class_b(M, "MoebiusStrip", np.atleast_2d(X), y, R, form, checkpoints, allow_noncharacter)
 
 
 def moebius_green(M: ManifoldSpec, x, y, R: int, form: str = "orbit",
                   allow_noncharacter: bool = False) -> KernelEval:
-    return _class_b(M, "MoebiusStrip", x, y, R, form, (), True, allow_noncharacter)
+    return _class_b(M, "MoebiusStrip", *_one_point(x, y), R, form, (), allow_noncharacter)
 
 
 def klein_green_batch(M: ManifoldSpec, X, y, R: int, form: str = "orbit", *, checkpoints=()):
@@ -191,11 +194,11 @@ def klein_green_batch(M: ManifoldSpec, X, y, R: int, form: str = "orbit", *, che
     Plain at k <= n-3 and regularized at k = n-2, as `periodic_regime` picks
     for a scalar kernel; k = n-1 raises `RegimeError`.
     """
-    return _class_b(M, "KleinBottle", X, y, R, form, checkpoints)
+    return _class_b(M, "KleinBottle", np.atleast_2d(X), y, R, form, checkpoints)
 
 
 def klein_green(M: ManifoldSpec, x, y, R: int, form: str = "orbit") -> KernelEval:
-    return _class_b(M, "KleinBottle", x, y, R, form, (), True)
+    return _class_b(M, "KleinBottle", *_one_point(x, y), R, form, ())
 
 
 # -- the kernel names ---------------------------------------------------------------

@@ -40,7 +40,8 @@ per row, a `GroupElementBatch` of integer coefficients m (B, k) and block
 flips (B,).  A single point (n,) with a `GroupElement` is row 0 of that
 form: `canonical_rep`, `recover_point`, `apply_group_element`,
 `group_element_inverse`, `lattice_point` and `coords` each run one batched
-path.  Shapes that do not fit raise `DimensionMismatch`; a fractional or
+path.  Points are checked as every kernel's are (`kernels_euclid._points`).
+Shapes that do not fit raise `DimensionMismatch`; a fractional or
 non-finite coefficient, and a point that is not finite, raise `ConfigError`.
 """
 
@@ -52,6 +53,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigError, DimensionMismatch
+from .kernels_euclid import _points
 
 KINDS = ("Cylinder", "Torus", "Projective", "RealProjective", "MoebiusStrip", "KleinBottle")
 SIGN_VARIANTS = ("AllEven", "SumParity")
@@ -155,12 +157,11 @@ class Lattice:
         return lattice_point(self, m)
 
     def coords(self, x) -> np.ndarray:
-        """Coefficients of the orthogonal projection of x onto the span: (k,) for a
-        point (n,), (B, k) for a batch (B, n), each row with the bits of its point alone."""
-        x = np.asarray(x, dtype=float)
-        if x.ndim not in (1, 2) or x.shape[-1] != self.n:
-            raise DimensionMismatch(f"points must have shape (n,) or (B, n) with n = {self.n}, got {x.shape}")
-        return _dot(x, _dual_basis(self).T)
+        """Coefficients of the orthogonal projection of x onto the span: (k,) for a point (n,),
+        (B, k) for a batch (B, n) (`_points`), each row with the bits of its point alone."""
+        X, single = _points(x, self.n)
+        T = _dot(X, _dual_basis(self).T)
+        return T[0] if single else T
 
     def __repr__(self):
         return f"Lattice(k={self.k}, n={self.n})"
@@ -526,16 +527,6 @@ def deck_generators(M: ManifoldSpec) -> list[tuple[str, GroupElement]]:
     return gens
 
 
-def _points(M: ManifoldSpec, x) -> tuple[np.ndarray, bool]:
-    """x as a (B, n) batch of finite points, and whether it was one point (n,), which is row 0."""
-    X = np.asarray(x, dtype=float)
-    if X.ndim not in (1, 2) or X.shape[-1] != M.n:
-        raise DimensionMismatch(f"point must have dimension {M.n}: shape (n,) or (B, n), got {X.shape}")
-    if not np.all(np.isfinite(X)):
-        raise ConfigError("point must be finite")
-    return (X[None] if X.ndim == 1 else X), X.ndim == 1
-
-
 def _elements(M: ManifoldSpec, g, single: bool, rows: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The coefficients (B, k) and flips (B,) of a `GroupElement` (B = 1) when `single`, else of
     a `GroupElementBatch`, whose B must be `rows` when given (one element per point)."""
@@ -574,7 +565,7 @@ def apply_group_element(M: ManifoldSpec, g, x) -> np.ndarray:
     A `GroupElement` acts on one point (n,); a `GroupElementBatch` acts row by row on a
     (B, n) batch, each row with the bits of its point alone.
     """
-    X, single = _points(M, x)
+    X, single = _points(x, M.n)
     out = _act(M, *_elements(M, g, single, len(X)), X)
     return out[0] if single else out
 
@@ -616,7 +607,7 @@ def canonical_rep(M: ManifoldSpec, x):
     of its point alone.  One point of a batch that cannot be reduced fails
     the batch.
     """
-    X, single = _points(M, x)
+    X, single = _points(x, M.n)
     m = np.zeros((len(X), M.k), dtype=np.int64)
     if M.lattice is not None:
         t = M.lattice.coords(X)

@@ -289,27 +289,22 @@ def _field_values(field_fn, X: np.ndarray, n: int) -> np.ndarray:
 
 
 def _surface_sum(S: Hypersurface, integrand: np.ndarray, slots=None) -> np.ndarray:
-    """Weighted node sum of a new (B, 2^n) integrand, which is scaled and summed in place.
+    """Weighted node sum of the `slots` columns (None: every one) of a new (B, 2^n) integrand, each
+    scaled and summed in place; every other coefficient is +0.0.
 
     The nodes are added one after another from node 0, starting at +0.0:
     ((0.0 + x_0) + x_1) + ..., the order of a row-major `np.sum(axis=0)`.  The
     running sum goes down each coefficient's column (`np.add.accumulate`), so
     a coordinate-major integrand is read contiguously; a pairwise reduction of
-    the contiguous nodes would round otherwise.  With `slots`, only those
-    columns are summed and every other one is +0.0, the sum that a column of
-    +-0.0 has under finite weights.
+    the contiguous nodes would round otherwise.
     """
-    if not len(integrand):  # no nodes: the empty sum
-        return np.zeros(integrand.shape[1:])
-    if slots is None:
-        integrand *= S.weights[:, None]
-        integrand[0] += 0.0  # from +0.0: a -0.0 at node 0 becomes +0.0
-        return np.add.accumulate(integrand, axis=0, out=integrand)[-1].copy()
     out = np.zeros(integrand.shape[1:])
-    for j in slots:
+    if not len(integrand):  # no nodes: the empty sum
+        return out
+    for j in range(len(out)) if slots is None else slots:
         column = integrand[:, j]
         column *= S.weights
-        column[0] += 0.0
+        column[0] += 0.0  # from +0.0: a -0.0 at node 0 becomes +0.0
         out[j] = np.add.accumulate(column, out=column)[-1]
     return out
 
@@ -339,19 +334,22 @@ def _flux(S: Hypersurface, K, section) -> np.ndarray:
     scalar slot has one nonzero product per slot, so the bits are the same.
     So c and then the weights scale K n in place.  A slot that no live pair
     reaches holds +0.0 c at every node, so with c and the weights finite its
-    sum is +0.0 and only the reached slots are summed.
+    sum is +0.0 and only the reached slots are summed; otherwise, and for a
+    callable section, every slot is.
     """
     n = S.dim
     KN = np.zeros((1 << n, S.node_count)).T  # coordinate-major: a contiguous column per slot
     a, b = _live_columns(np.asarray(K, dtype=float), n), _live_columns(S.normals, n)
     _live_products(a, b, n, KN)
-    if not callable(section):
+    slots = None
+    if callable(section):
+        KN = gp(KN, _field_values(section, S.positions, n), n)
+    else:
         c = float(section)
         KN *= c
         if math.isfinite(c) and np.isfinite(S.weights).all():
-            return _surface_sum(S, KN, sorted({i ^ j for i, _ in a for j, _ in b}))
-        return _surface_sum(S, KN)
-    return _surface_sum(S, gp(KN, _field_values(section, S.positions, n), n))
+            slots = sorted({i ^ j for i, _ in a for j, _ in b})
+    return _surface_sum(S, KN, slots)
 
 
 def _warn_if_not_inside(S: Hypersurface, y: np.ndarray, what: str):

@@ -232,7 +232,7 @@ class TestNorm:
             squares = c * c
             got, blas = MultiVector(n, c).norm(), float(np.linalg.norm(c))
         ratios = [v.as_integer_ratio() for v in squares.tolist() if math.isfinite(v)]
-        Q = max(d for _, d in ratios)  # each denominator is a power of two
+        Q = max((d for _, d in ratios), default=1)  # each denominator is a power of two
         exact = Fraction(sum(p * (Q // d) for p, d in ratios), Q)
         want = math.inf if not np.isfinite(squares).all() or exact > Fraction(np.finfo(float).max) else (
             math.sqrt(float(exact)))

@@ -154,10 +154,13 @@ _BATCH = np.stack([_X, -_X, 2 * _X])
      DimensionMismatch),
     (lambda: apply_group_element(_CYL, GroupElement((1,)), _BATCH), DimensionMismatch),
     (lambda: recover_point(_PROJ, GroupElementBatch(np.zeros((3, 1), int), np.zeros(3)), _BATCH), ConfigError),
+    (lambda: _CYL.lattice.coords([np.nan, 0.0, 0.0]), ConfigError),  # was [nan]
+    (lambda: _CYL.lattice.coords(np.stack([_X, [np.inf, 0.0, 0.0]])), ConfigError),  # was [.., [inf]]
 ], ids=["fraction-1.9", "fraction-0.5", "nan-coefficient", "nan-point", "long-m", "long-x", "short-x",
         "inverse-fraction", "inverse-long-m", "recover-fraction", "coords-long-x", "coords-short-batch",
         "lattice-point-fraction", "lattice-point-inf", "lattice-point-past-2^52", "batch-nan-point",
-        "batch-fraction", "batch-too-few-elements", "batch-long-m", "element-for-a-batch", "float-flips"])
+        "batch-fraction", "batch-too-few-elements", "batch-long-m", "element-for-a-batch", "float-flips",
+        "coords-nan-point", "coords-inf-batch"])
 def test_deck_entries_raise_typed_errors(call, error):
     with pytest.raises(error):
         call()
